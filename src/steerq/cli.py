@@ -26,12 +26,7 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
         qs = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"could not parse q list {text!r}")
-    if not qs:
-        raise ValueError("q list is empty")
-    for q in qs:
-        if not 0.0 < q <= criteria.Q_MAX:
-            raise ValueError(f"q={q:g} outside (0, {criteria.Q_MAX:g}]")
-    return qs
+    return criteria.check_qs(qs)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,10 @@ Two detectors are provided:
 * LSC — the linear steering criterion sqrt(sum_i c_i^2) <= 1 over the three
   same-axis correlations; violation (strictly above 1) flags steering.
 
+``criterion_values`` evaluates both on any (..., 3, 2, 2) tensor of joint
+tables, so one state, a chi grid or a block of bootstrap resamples all go
+through the same kernel.  ``scg_lhs_entropic`` stays an independent route.
+
 The entropic index is accepted on (0, 2], the range where the mutually
 unbiased bound applies; q = 1 is routed to the Shannon forms, where the
 dimension-parity bound replaces the generic one.
@@ -24,8 +28,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qentropy
-from .measure import AXES, JointDistribution, correlation, joint_distribution
-from .qmat import make_werner_like
+from .measure import (AXES, JointDistribution, correlations, joint_distribution,
+                      joint_tensor)
+from .qmat import make_werner_like, werner_like_matrices
 
 Q_MAX = 2.0
 
@@ -47,6 +52,21 @@ def _check_q_range(q: float) -> float:
     if not math.isfinite(q) or q <= 0.0 or q > Q_MAX:
         raise ValueError(f"entropic index q must lie in (0, {Q_MAX:g}], got {q!r}")
     return q
+
+
+def scg_key(q: float) -> str:
+    """Report key of the SCG criterion at index q."""
+    return f"scg_q{q:g}"
+
+
+def check_qs(qs: Sequence[float]) -> tuple[float, ...]:
+    """Entropic indices in (0, Q_MAX] whose report keys are distinct."""
+    checked = tuple(_check_q_range(q) for q in qs)
+    keys = [scg_key(q) for q in checked]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"entropic indices {', '.join(f'{q!r}' for q in checked)} "
+                         f"collide in the report keys {keys}")
+    return checked
 
 
 def _check_settings(joints: Sequence[JointDistribution]) -> None:
@@ -141,7 +161,18 @@ def lsc_value(correlations: Sequence[float]) -> float:
         raise ValueError("expected exactly three correlations")
     if np.any(np.abs(arr) > 1.0 + 1e-9):
         raise ValueError(f"correlation outside [-1, 1]: {arr}")
-    return float(np.linalg.norm(arr))
+    return float(np.linalg.norm(arr, axis=-1))
+
+
+def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
+    """SCG at each q and LSC for a (..., 3, 2, 2) tensor of checked joint tables.
+
+    Returns arrays of shape (...) keyed scg_key(q) for each q and "lsc".
+    """
+    marginal = p.sum(axis=-1)
+    values = {scg_key(q): scg_lhs_cells(p, marginal, q) for q in check_qs(qs)}
+    values["lsc"] = np.linalg.norm(correlations(p), axis=-1)
+    return values
 
 
 @dataclass(frozen=True)
@@ -176,24 +207,9 @@ def analytic_joints(theta: float, chi: float):
     return tuple(joint_distribution(rho, axis) for axis in AXES)
 
 
-def _analytic_lhs_fn(theta: float, criterion: str, q: Optional[float]):
-    if criterion == SCG:
-        if q is None:
-            raise ValueError("SCG threshold requires an entropic index q")
-        bound = scg_bound(q)
-
-        def f(chi: float) -> float:
-            return scg_lhs(analytic_joints(theta, chi), q) - bound
-
-        return f, -1  # violation side: lhs below bound
-    if criterion == LSC:
-
-        def f(chi: float) -> float:
-            joints = analytic_joints(theta, chi)
-            return lsc_value([correlation(jd) for jd in joints]) - LSC_BOUND
-
-        return f, +1  # violation side: lhs above bound
-    raise ValueError(f"unknown criterion {criterion!r}")
+def analytic_tensor(theta: float, chis) -> np.ndarray:
+    """(len(chis), 3, 2, 2) joint tables of the Werner-like states over a chi vector."""
+    return joint_tensor(werner_like_matrices(theta, chis))
 
 
 class ChiThreshold(NamedTuple):
@@ -205,16 +221,29 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                   tol: float = 1e-6) -> ChiThreshold:
     """Smallest mixing weight chi at which the criterion is violated.
 
-    Samples the analytic profile at 21 points to verify strict monotonicity,
-    then bisects lhs(chi) = bound on [0, 1].  When no violation occurs on the
-    interval the result is (1.0, crossed=False).
+    Samples the analytic profile at 21 points in one batch to verify strict
+    monotonicity, then bisects lhs(chi) = bound on [0, 1].  When no violation
+    occurs on the interval the result is (1.0, crossed=False).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    f, violation_sign = _analytic_lhs_fn(theta, criterion, q)
+    if criterion == SCG:
+        if q is None:
+            raise ValueError("SCG threshold requires an entropic index q")
+        qs, key, bound = (q,), scg_key(q), scg_bound(q)
+        violation_sign = -1  # violation side: lhs below bound
+        label = f"{criterion}(q={q:g})"
+    elif criterion == LSC:
+        qs, key, bound = (), "lsc", LSC_BOUND
+        violation_sign = +1  # violation side: lhs above bound
+        label = criterion
+    else:
+        raise ValueError(f"unknown criterion {criterion!r}")
 
-    label = f"{criterion}(q={q:g})" if criterion == SCG else criterion
-    samples = [f(c) for c in np.linspace(0.0, 1.0, MONOTONE_SAMPLES)]
+    def f(chis) -> np.ndarray:
+        return criterion_values(analytic_tensor(theta, chis), qs)[key] - bound
+
+    samples = f(np.linspace(0.0, 1.0, MONOTONE_SAMPLES))
     diffs = np.diff(samples)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise SolverError(
@@ -225,10 +254,9 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     def violated(value: float) -> bool:
         return value * violation_sign > 0.0
 
-    f0, f1 = samples[0], samples[-1]
-    if violated(f0):
+    if violated(samples[0]):
         return ChiThreshold(0.0, True)
-    if not violated(f1):
+    if not violated(samples[-1]):
         return ChiThreshold(1.0, False)
 
     lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
@@ -236,7 +264,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0
-        if violated(f(mid)):
+        if violated(f(mid)[0]):
             hi = mid
         else:
             lo = mid

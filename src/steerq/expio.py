@@ -20,10 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria
-from .measure import (AXES, CountRecord, correlation, estimate_distribution,
+from .measure import (AXES, CountRecord, JointDistribution, estimate_distribution,
                       simulate_counts, spawn_generator)
-from .measure import joint_distribution as _joint_distribution
-from .qmat import make_werner_like
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 CSV_HEADER = "setting,outcome,count"
@@ -85,14 +83,11 @@ def parse_counts_csv(text: str, label: str = "counts") -> ExperimentRecord:
                 f"line {lineno}: unknown outcome '{outcome}' "
                 f"(expected one of {', '.join(OUTCOME_LABELS)})"
             )
-        try:
-            count = int(count_text)
-        except ValueError:
-            count = -1
-        if count < 0:
+        if not (count_text.isascii() and count_text.isdigit()):
             raise CountsFormatError(
                 f"line {lineno}: count '{count_text}' is not a non-negative integer"
             )
+        count = int(count_text)
         key = (setting, outcome)
         if key in seen:
             raise CountsFormatError(
@@ -140,7 +135,7 @@ class EvaluationReport:
 def _criterion_key(report: criteria.CriterionReport) -> str:
     if report.criterion == criteria.LSC:
         return "lsc"
-    return f"scg_q{report.q:g}"
+    return criteria.scg_key(report.q)
 
 
 def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
@@ -163,23 +158,25 @@ def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
         "bounds": {_criterion_key(c): c.bound for c in report.criteria},
         "seed": report.seed,
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=indent, allow_nan=False)
 
 
-def _criteria_from_joints(joints, qs: Sequence[float],
+def _criteria_from_values(values: dict, qs: Sequence[float],
                           error_bars: Optional[dict] = None):
-    reports = []
-    for q in qs:
-        bar = None if error_bars is None else error_bars.get(f"scg_q{q:g}")
-        reports.append(criteria.verdict(
-            criteria.SCG, criteria.scg_lhs(joints, q), criteria.scg_bound(q),
-            q=q, error_bar=bar,
-        ))
-    lsc_lhs = criteria.lsc_value([correlation(jd) for jd in joints])
-    bar = None if error_bars is None else error_bars.get("lsc")
-    reports.append(criteria.verdict(criteria.LSC, lsc_lhs, criteria.LSC_BOUND,
-                                    error_bar=bar))
+    """Verdicts from criterion_values output, in report order (each q, then LSC)."""
+    bars = error_bars or {}
+    reports = [criteria.verdict(criteria.SCG, float(values[criteria.scg_key(q)]),
+                                criteria.scg_bound(q), q=q,
+                                error_bar=bars.get(criteria.scg_key(q)))
+               for q in qs]
+    reports.append(criteria.verdict(criteria.LSC, float(values["lsc"]),
+                                    criteria.LSC_BOUND, error_bar=bars.get("lsc")))
     return tuple(reports)
+
+
+def _probabilities(p: np.ndarray) -> dict:
+    return {axis.value: [float(v) for v in cells.reshape(-1)]
+            for axis, cells in zip(AXES, p)}
 
 
 def _bootstrap_error_bars(rec: ExperimentRecord, qs: Sequence[float],
@@ -188,41 +185,39 @@ def _bootstrap_error_bars(rec: ExperimentRecord, qs: Sequence[float],
 
     All resamples are drawn in one pass from the (seed, BOOTSTRAP_STREAM)
     generator, so results depend only on (record, seed, resamples).
+    Resamples with an empty setting are dropped; fewer than two left is an
+    error, since no spread can be estimated from them.
     """
     observed = np.stack([record.counts for record in rec.records]).astype(float)
     rng = spawn_generator(seed, BOOTSTRAP_STREAM)
     draws = rng.poisson(lam=observed, size=(resamples, 3, 2, 2)).astype(float)
     totals = draws.sum(axis=(2, 3))
-    valid = np.all(totals >= 1, axis=1)  # degenerate resamples are dropped
+    valid = np.all(totals >= 1, axis=1)
+    usable = int(np.count_nonzero(valid))
+    if usable < 2:
+        raise ValueError(
+            f"bootstrap: {usable} of {resamples} requested resamples have counts in "
+            "every setting, at least 2 are needed; the counts are too small for "
+            "error bars"
+        )
     draws, totals = draws[valid], totals[valid]
     p = draws / totals[:, :, np.newaxis, np.newaxis]
-    marginal = p.sum(axis=3)
-
-    bars = {}
-    for q in qs:
-        samples = criteria.scg_lhs_cells(p, marginal, q)
-        bars[f"scg_q{q:g}"] = float(np.std(samples, ddof=1))
-    corr = p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1]
-    bars["lsc"] = float(np.std(np.linalg.norm(corr, axis=1), ddof=1))
-    return bars
+    return {key: float(np.std(samples, ddof=1))
+            for key, samples in criteria.criterion_values(p, qs).items()}
 
 
 def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
                     bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> EvaluationReport:
     """Estimate probabilities from counts and evaluate SCG (per q) and LSC."""
-    for record in rec.records:
-        if record.total < 1:
-            raise ValueError(f"axis {record.axis.value} has zero total count")
     if bootstrap < 2:
         raise ValueError("bootstrap resample count must be at least 2")
-    joints = tuple(estimate_distribution(record) for record in rec.records)
+    p = np.stack([estimate_distribution(record).p for record in rec.records])
+    values = criteria.criterion_values(p, qs)
     error_bars = _bootstrap_error_bars(rec, qs, bootstrap, seed)
-    reports = _criteria_from_joints(joints, qs, error_bars)
     return EvaluationReport(
         label=rec.label,
-        criteria=reports,
-        probabilities={jd.axis.value: [float(v) for v in jd.p.reshape(-1)]
-                       for jd in joints},
+        criteria=_criteria_from_values(values, qs, error_bars),
+        probabilities=_probabilities(p),
         totals={record.axis.value: record.total for record in rec.records},
         seed=seed,
     )
@@ -231,15 +226,13 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
 def evaluate_state(theta: float, chi: float, qs: Sequence[float] = DEFAULT_QS,
                    label: Optional[str] = None) -> EvaluationReport:
     """Analytic evaluation of a Werner-like state; no error bars."""
-    rho = make_werner_like(theta, chi)
-    joints = tuple(_joint_distribution(rho, axis) for axis in AXES)
+    p = criteria.analytic_tensor(theta, chi)[0]
     if label is None:
         label = f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})"
     return EvaluationReport(
         label=label,
-        criteria=_criteria_from_joints(joints, qs),
-        probabilities={jd.axis.value: [float(v) for v in jd.p.reshape(-1)]
-                       for jd in joints},
+        criteria=_criteria_from_values(criteria.criterion_values(p, qs), qs),
+        probabilities=_probabilities(p),
         totals=None,
         seed=None,
     )
@@ -251,10 +244,10 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int,
 
     Axis k uses stream index k (x=0, y=1, z=2) under the master seed.
     """
-    rho = make_werner_like(theta, chi)
+    p = criteria.analytic_tensor(theta, chi)[0]
     records = tuple(
-        simulate_counts(_joint_distribution(rho, axis), shots, seed, stream=idx)
-        for idx, axis in enumerate(AXES)
+        simulate_counts(JointDistribution.from_cells(axis, cells), shots, seed, stream=idx)
+        for idx, (axis, cells) in enumerate(zip(AXES, p))
     )
     if label is None:
         label = (f"simulated werner_like(theta={math.degrees(theta):g}deg, "
@@ -273,18 +266,12 @@ def sweep_curve(theta: float, chi_steps: int,
         raise ValueError("chi_steps must be at least 2")
     if len(qs) != 2:
         raise ValueError("sweep_curve expects exactly two entropic indices")
-    rows = np.empty((chi_steps, 7))
+    chis = np.linspace(0.0, 1.0, chi_steps)
+    values = criteria.criterion_values(criteria.analytic_tensor(theta, chis), qs)
+    columns = [chis, values[criteria.scg_key(qs[0])], values[criteria.scg_key(qs[1])],
+               values["lsc"]]
     bounds = (criteria.scg_bound(qs[0]), criteria.scg_bound(qs[1]), criteria.LSC_BOUND)
-    for row, chi in enumerate(np.linspace(0.0, 1.0, chi_steps)):
-        joints = criteria.analytic_joints(theta, chi)
-        rows[row] = (
-            chi,
-            criteria.scg_lhs(joints, qs[0]),
-            criteria.scg_lhs(joints, qs[1]),
-            criteria.lsc_value([correlation(jd) for jd in joints]),
-            *bounds,
-        )
-    return rows
+    return np.column_stack(columns + [np.full(chi_steps, bound) for bound in bounds])
 
 
 def curve_to_csv(rows: np.ndarray) -> str:
@@ -356,16 +343,12 @@ def reproduce_tables() -> TableComparison:
     """Analytic predictions next to the reference measurements, row by row."""
     rows = []
     for family, theta, table in REFERENCE_FAMILIES:
-        for chi, measured_q2, measured_q1, measured_lsc in table:
-            joints = criteria.analytic_joints(theta, chi)
-            analytic = (
-                ("scg_q2", criteria.scg_lhs(joints, 2.0), measured_q2),
-                ("scg_q1", criteria.scg_lhs(joints, 1.0), measured_q1),
-                ("lsc", criteria.lsc_value([correlation(jd) for jd in joints]),
-                 measured_lsc),
-            )
-            for name, value, measured in analytic:
-                rows.append(ComparisonRow(family, chi, name, value, measured))
+        values = criteria.criterion_values(
+            criteria.analytic_tensor(theta, [row[0] for row in table]), (2.0, 1.0))
+        for idx, (chi, *measured) in enumerate(table):
+            for name, value in zip(("scg_q2", "scg_q1", "lsc"), measured):
+                rows.append(ComparisonRow(family, chi, name, float(values[name][idx]),
+                                          value))
     return TableComparison(tuple(rows))
 
 

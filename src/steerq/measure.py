@@ -20,6 +20,7 @@ import numpy as np
 from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix
 
 PROBABILITY_TOL = 1e-10
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class Axis(enum.Enum):
@@ -55,17 +56,29 @@ class JointDistribution:
 
     @classmethod
     def from_cells(cls, axis: Axis, cells) -> "JointDistribution":
-        p = np.asarray(cells, dtype=float).reshape(2, 2)
-        if np.any(p < -PROBABILITY_TOL):
-            raise ValueError(f"negative cell probability: {p.min()}")
-        p = np.clip(p, 0.0, None)
-        total = float(p.sum())
-        if abs(total - 1.0) > PROBABILITY_TOL:
-            raise ValueError(f"cell probabilities sum to {total}, not 1")
+        p = _checked_cells(np.asarray(cells, dtype=float).reshape(2, 2))
         p.setflags(write=False)
         marginal = p.sum(axis=1)
         marginal.setflags(write=False)
         return cls(axis, p, marginal)
+
+
+def _checked_cells(p: np.ndarray) -> np.ndarray:
+    """Checked copy of a (..., 2, 2) stack of joint tables, negative cells zeroed.
+
+    No cell may lie below -PROBABILITY_TOL and every table must sum to 1
+    within PROBABILITY_TOL; the error names an offending value.  Cells
+    below the smallest normal float are set to zero: no criterion can tell
+    them from zero, and their negative powers overflow.
+    """
+    if np.any(p < -PROBABILITY_TOL):
+        raise ValueError(f"negative cell probability: {p.min()}")
+    p = np.where(p < _SMALLEST_NORMAL, 0.0, p)
+    totals = p.sum(axis=(-1, -2))
+    off = np.abs(totals - 1.0) > PROBABILITY_TOL
+    if np.any(off):
+        raise ValueError(f"cell probabilities sum to {float(totals[off][0])}, not 1")
+    return p
 
 
 @dataclass(frozen=True)
@@ -76,9 +89,12 @@ class CountRecord:
     counts: np.ndarray  # shape (2, 2), non-negative integers
 
     def __post_init__(self):
+        raw = np.asarray(self.counts)
+        integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and bool(
+            np.all(np.isfinite(raw) & (raw == np.round(raw)))))
+        if not integral or np.any(raw < 0):
+            raise ValueError(f"counts must be non-negative integers, got {raw.tolist()}")
         arr = np.asarray(self.counts, dtype=np.int64).reshape(2, 2)
-        if np.any(arr < 0):
-            raise ValueError("counts must be non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
@@ -87,24 +103,32 @@ class CountRecord:
         return int(self.counts.sum())
 
 
+# _PROJECTORS[k, i, j] = Pi_i x Pi_j for axis k, outcome i (Alice), j (Bob)
+_PROJECTORS = np.array([[[np.kron(pa, pb) for pb in pauli_projectors(axis)]
+                         for pa in pauli_projectors(axis)] for axis in AXES])
+
+
+def joint_tensor(matrices) -> np.ndarray:
+    """Checked (..., 3, 2, 2) joint tables p[k, i, j] = tr(rho Pi_i x Pi_j) of a state stack."""
+    cells = np.einsum("...ab,kijba->...kij", matrices, _PROJECTORS).real
+    return _checked_cells(cells)
+
+
 def joint_distribution(rho: DensityMatrix, axis: Axis) -> JointDistribution:
     """p_ij = tr(rho  Pi_i x Pi_j) for the given axis."""
     if rho.dim != 4:
         raise ValueError("joint_distribution requires a two-qubit state")
-    p0, p1 = pauli_projectors(axis)
-    projs = (p0, p1)
-    cells = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            val = complex(np.trace(rho.matrix @ np.kron(projs[i], projs[j])))
-            cells[i, j] = val.real
-    return JointDistribution.from_cells(axis, cells)
+    return JointDistribution.from_cells(axis, joint_tensor(rho.matrix)[AXES.index(axis)])
+
+
+def correlations(p: np.ndarray) -> np.ndarray:
+    """Same-axis correlations p00 - p01 - p10 + p11 of a (..., 2, 2) table stack."""
+    return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
 
 
 def correlation(jd: JointDistribution) -> float:
-    """Same-axis correlation estimate p00 - p01 - p10 + p11."""
-    p = jd.p
-    return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+    """Same-axis correlation estimate of one joint table."""
+    return float(correlations(jd.p))
 
 
 def simulate_counts(jd: JointDistribution, mean_total: int, seed: int,

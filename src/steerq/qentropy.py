@@ -86,17 +86,20 @@ def correction_term(joint, q: float) -> float:
     q = _check_q(q)
     cells = np.asarray(joint.p, dtype=float)
     marginal = np.asarray(joint.alice_marginal, dtype=float)
+    # empty entries are moved to 1, where ln_q and p^q ln_q(p) vanish
+    safe_m = np.where(marginal > 0.0, marginal, 1.0)
+    safe_p = np.where(cells > 0.0, cells, 1.0)
+    lq_m = _ln_q_array(safe_m, q)
+    first = np.sum(_pq_ln_q(safe_m, q) * lq_m)
+    second = np.sum(_pq_ln_q(safe_p, q) * lq_m[:, np.newaxis])
+    return float(first - second)
 
-    first = 0.0
-    for pi in marginal:
-        if pi > 0.0:
-            first += pi ** q * ln_q(pi, q) ** 2
-    second = 0.0
-    for i in range(cells.shape[0]):
-        if marginal[i] <= 0.0:
-            continue
-        lq_marg = ln_q(marginal[i], q)
-        for pij in cells[i]:
-            if pij > 0.0:
-                second += pij ** q * lq_marg * ln_q(pij, q)
-    return first - second
+
+def _ln_q_array(x: np.ndarray, q: float) -> np.ndarray:
+    return np.log(x) if is_shannon(q) else (x ** (1.0 - q) - 1.0) / (1.0 - q)
+
+
+def _pq_ln_q(x: np.ndarray, q: float) -> np.ndarray:
+    """x^q ln_q(x), written as (x - x^q) / (1 - q) so that it stays finite
+    where x^q underflows and ln_q(x) overflows."""
+    return x ** q * np.log(x) if is_shannon(q) else (x - x ** q) / (1.0 - q)

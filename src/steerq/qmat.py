@@ -23,9 +23,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 BLOCH_TOL = 1e-9
 
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
 
 class MatrixValidationError(ValueError):
     """A matrix failed a structural requirement (shape, Hermiticity, trace, PSD)."""
@@ -49,72 +46,24 @@ def as_complex_matrix(m) -> np.ndarray:
     return arr
 
 
-def _as_square_hermitian(m) -> np.ndarray:
-    arr = as_complex_matrix(m)
-    rows, cols = arr.shape
+def _hermitian_part(arr: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of a square (..., n, n) stack, after checking M = M^H."""
+    rows, cols = arr.shape[-2:]
     if rows != cols:
         raise MatrixValidationError(f"expected a square matrix, got {rows}x{cols}")
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
+    adjoint = arr.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(arr - adjoint)))
     if dev > HERMITICITY_TOL:
         raise MatrixValidationError(
-            f"matrix is not Hermitian: max |M - M^H| = {dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
+            f"not Hermitian: max |M - M^H| = {dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
-    return (arr + arr.conj().T) / 2.0
+    return (arr + adjoint) / 2.0
 
 
-def hermitian_eigendecompose(m, off_tol: float = JACOBI_OFF_TOL,
-                             max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
-
-    Cyclic Jacobi with complex Givens rotations; each pivot (p, q) is first
-    phase-rotated so the off-diagonal entry is real, then annihilated by a
-    plane rotation.  Converges when the off-diagonal Frobenius norm drops
-    below ``off_tol``.
-    """
-    a = _as_square_hermitian(m)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    def _off_norm() -> float:
-        return math.sqrt(float(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2)))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_norm() <= off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r <= off_tol / (n * n):
-                    continue
-                phase = a[p, q] / r
-                theta = 0.5 * math.atan2(2.0 * r, a[p, p].real - a[q, q].real)
-                c, s = math.cos(theta), math.sin(theta)
-                # column rotation A <- A J with J[p,p]=J[q,q]=c,
-                # J[q,p] = s*conj(phase), J[p,q] = -s*phase
-                col_p = a[:, p] * c + a[:, q] * (s * np.conj(phase))
-                col_q = -a[:, p] * (s * phase) + a[:, q] * c
-                a[:, p], a[:, q] = col_p, col_q
-                # row rotation A <- J^H A
-                row_p = a[p, :] * c + a[q, :] * (s * phase)
-                row_q = -a[p, :] * (s * np.conj(phase)) + a[q, :] * c
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p] * c + v[:, q] * (s * np.conj(phase))
-                vec_q = -v[:, p] * (s * phase) + v[:, q] * c
-                v[:, p], v[:, q] = vec_p, vec_q
-    if not converged and _off_norm() > off_tol:
-        raise ArithmeticError(
-            f"Jacobi eigendecomposition did not converge in {max_sweeps} sweeps"
-        )
-
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+def hermitian_eigendecompose(m):
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    eigenvalues, vectors = np.linalg.eigh(_hermitian_part(as_complex_matrix(m)))
+    return eigenvalues, vectors
 
 
 @dataclass(frozen=True)
@@ -128,54 +77,62 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def validate_density(m) -> DensityMatrix:
-    """Validate Hermiticity, unit trace and positivity; report the failing check."""
-    arr = as_complex_matrix(m)
-    rows, cols = arr.shape
-    if rows != cols:
-        raise MatrixValidationError(f"density matrix must be square, got {rows}x{cols}")
-    herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_dev > HERMITICITY_TOL:
-        raise MatrixValidationError(
-            f"not Hermitian: max |M - M^H| = {herm_dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    trace_dev = abs(complex(np.trace(arr)) - 1.0)
+def _check_density(arr: np.ndarray) -> np.ndarray:
+    """Hermitian part of a (..., n, n) stack of unit-trace PSD matrices.
+
+    Each check reports the worst matrix of the stack; positivity takes one
+    batched eigvalsh call.
+    """
+    herm = _hermitian_part(arr)
+    trace_dev = float(np.max(np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0)))
     if trace_dev > TRACE_TOL:
         raise MatrixValidationError(
             f"trace differs from 1 by {trace_dev:.3e} (tolerance {TRACE_TOL:.0e})"
         )
-    eigenvalues, _ = hermitian_eigendecompose(arr)
-    lambda_min = float(eigenvalues[0])
+    lambda_min = float(np.min(np.linalg.eigvalsh(herm)))
     if lambda_min < -PSD_TOL:
         raise MatrixValidationError(
             f"not positive semidefinite: min eigenvalue {lambda_min:.3e} "
             f"below -{PSD_TOL:.0e}"
         )
-    return DensityMatrix(_freeze((arr + arr.conj().T) / 2.0))
+    return herm
+
+
+def validate_density(m) -> DensityMatrix:
+    """Validate Hermiticity, unit trace and positivity; report the failing check."""
+    return DensityMatrix(_freeze(_check_density(as_complex_matrix(m))))
 
 
 def maximally_mixed(dim: int = 4) -> DensityMatrix:
     return DensityMatrix(_freeze(np.eye(dim, dtype=complex) / dim))
 
 
-def _check_werner_params(theta: float, chi: float) -> None:
+def werner_like_matrices(theta: float, chis) -> np.ndarray:
+    """Validated (len(chis), 4, 4) stack of Werner-like states at one theta.
+
+    chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>,
+    theta in [0, pi/4], every chi in [0, 1].
+    """
     if not 0.0 <= theta <= math.pi / 4 + 1e-12:
         raise ValueError(f"theta={theta!r} outside [0, pi/4]")
-    if not 0.0 <= chi <= 1.0:
-        raise ValueError(f"chi={chi!r} outside [0, 1]")
-
-
-def make_werner_like(theta: float, chi: float) -> DensityMatrix:
-    """chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>.
-
-    theta in [0, pi/4]; theta = pi/8 gives the maximally entangled state.
-    """
-    _check_werner_params(theta, chi)
+    chis = np.asarray(chis, dtype=float).reshape(-1)
+    outside = ~((chis >= 0.0) & (chis <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"chi={float(chis[outside][0])!r} outside [0, 1]")
     phi = np.zeros(4, dtype=complex)
     phi[0] = math.cos(2.0 * theta)
     phi[3] = math.sin(2.0 * theta)
-    rho = chi * np.outer(phi, phi.conj()) + (1.0 - chi) * np.eye(4) / 4.0
-    return validate_density(rho)
+    weights = chis[:, np.newaxis, np.newaxis]
+    rho = weights * np.outer(phi, phi.conj()) + (1.0 - weights) * np.eye(4) / 4.0
+    return _check_density(rho)
+
+
+def make_werner_like(theta: float, chi: float) -> DensityMatrix:
+    """One Werner-like state; see werner_like_matrices.
+
+    theta = pi/8 gives the maximally entangled state.
+    """
+    return DensityMatrix(_freeze(werner_like_matrices(theta, chi)[0]))
 
 
 def bell_phi_plus() -> DensityMatrix:
@@ -230,16 +187,13 @@ def bloch_reconstruct(bd: BlochDecomposition) -> DensityMatrix:
     return validate_density(rho / 4.0)
 
 
-# unit-trace PSD matrices have entries of order 1, so the fidelity path can
-# afford a tighter Jacobi tolerance than the general-purpose default
-_FIDELITY_OFF_TOL = 1e-14
 # eigenvalues this far (relatively) below the largest are rounding noise and
 # must not survive the sqrt, which would amplify them to ~1e-9
 _SQRT_CLAMP_RTOL = 1e-14
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    eigenvalues, vectors = hermitian_eigendecompose(m, off_tol=_FIDELITY_OFF_TOL)
+    eigenvalues, vectors = hermitian_eigendecompose(m)
     clamped = np.clip(eigenvalues, 0.0, None)
     clamped[clamped < _SQRT_CLAMP_RTOL * clamped.max()] = 0.0
     return (vectors * np.sqrt(clamped)) @ vectors.conj().T
@@ -248,20 +202,14 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F = [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1].
 
-    Evaluated as the squared trace norm of sqrt(rho) sqrt(sigma).  The
-    singular values come from the Hermitian block embedding [[0, B], [B^H, 0]]
-    (eigenvalues +-s_i), which avoids the sqrt-of-near-zero-eigenvalue noise
-    of the direct formula.
+    Evaluated as the squared trace norm (sum of singular values) of
+    sqrt(rho) sqrt(sigma), which avoids the sqrt-of-near-zero-eigenvalue
+    noise of the direct formula.
     """
     if rho.dim != sigma.dim:
         raise MatrixValidationError(
             f"dimension mismatch: {rho.dim} vs {sigma.dim}"
         )
     b = _psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)
-    n = b.shape[0]
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, n:] = b
-    block[n:, :n] = b.conj().T
-    eigenvalues, _ = hermitian_eigendecompose(block, off_tol=_FIDELITY_OFF_TOL)
-    value = float(np.sum(eigenvalues[eigenvalues > 0.0])) ** 2
+    value = float(np.sum(np.linalg.svd(b, compute_uv=False))) ** 2
     return min(max(value, 0.0), 1.0)

@@ -22,7 +22,8 @@ from steerq import (AXES, LSC, SCG, chi_threshold, correlation, fidelity,
                     maximally_mixed, mub_bound, reproduce_tables, scg_bound,
                     scg_lhs, scg_lhs_entropic, shannon_bound, shannon_entropy,
                     tsallis_entropy, verdict)
-from steerq.criteria import LSC_BOUND, analytic_joints
+from steerq.criteria import (LSC_BOUND, analytic_joints, analytic_tensor,
+                             criterion_values)
 from steerq.expio import evaluate_record, simulate_record
 
 THETA_W = math.radians(22.5)
@@ -58,8 +59,8 @@ def test_criterion_03_tilted_grid_consistency():
     thr = chi_threshold(THETA_T, SCG, q=2.0, tol=1e-6).chi
     # independent oracle: brute-force scan at step 1e-4 for the first violation
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-4)
-    scan_first = next(chi for chi in grid
-                      if scg_lhs(analytic_joints(THETA_T, chi), 2.0) < 1.0)
+    scan = criterion_values(analytic_tensor(THETA_T, grid), (2.0,))["scg_q2"]
+    scan_first = next(chi for chi, lhs in zip(grid, scan) if lhs < 1.0)
     ok = (lhs_075 > 1.0 and lhs_081 < 1.0
           and abs(thr - 0.802) < 1e-3
           and scan_first - 1e-4 <= thr <= scan_first)

@@ -92,6 +92,21 @@ class TestEval:
         assert code == EXIT_INPUT
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_too_few_usable_resamples_is_input_error(self, tmp_path, capsys):
+        # one count per setting: every resample of this seed empties a setting
+        path = tmp_path / "tiny.csv"
+        rows = ["setting,outcome,count"] + [
+            f"{s},{o},{int(o == '00')}" for s in "xyz" for o in ("00", "01", "10", "11")
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "eval", "--counts", str(path),
+                             "--bootstrap", "2", "--seed", "0")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "0 of 2 requested resamples" in err
+
+
 class TestEvalState:
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "eval-state", "--theta", "22.5",
@@ -109,6 +124,13 @@ class TestEvalState:
         assert doc["criteria"][0]["q"] == 1.0
         assert doc["criteria"][0]["lhs"] == pytest.approx(3 * math.log(2))
         assert doc["criteria"][0]["bound"] == pytest.approx(2 * math.log(2))
+
+    def test_colliding_q_keys_are_input_error(self, capsys):
+        for qs in ("2,2", "1,1.0000001"):
+            code, out, err = run(capsys, "eval-state", "--theta", "22.5",
+                                 "--chi", "0.5", "--q", qs)
+            assert code == EXIT_INPUT
+            assert out == "" and "collide" in err
 
     def test_bad_theta_is_input_error(self, capsys):
         code, _, _ = run(capsys, "eval-state", "--theta", "80", "--chi", "0.5")

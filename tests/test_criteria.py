@@ -169,10 +169,11 @@ class TestChiThreshold:
         # V-shaped stand-in profile: bisection preconditions must be rejected
         from steerq import criteria
 
-        original = criteria.scg_lhs
+        original = criteria.criterion_values
         monkeypatch.setattr(
-            criteria, "scg_lhs",
-            lambda joints, q: (original(joints, q) / 3.0 - 0.25) ** 2,
+            criteria, "criterion_values",
+            lambda p, qs: {key: (v / 3.0 - 0.25) ** 2
+                           for key, v in original(p, qs).items()},
         )
         with pytest.raises(SolverError, match="monotone"):
             chi_threshold(math.radians(22.5), SCG, q=2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,7 +72,7 @@ class TestParseCountsCsv:
             parse_counts_csv(text)
 
     def test_bad_count_cites_line(self):
-        for bad in ("-3", "1.5", "abc"):
+        for bad in ("-3", "1.5", "abc", "1_0", "+5", "\u0663"):
             text = uniform_csv().replace("y,10,250", f"y,10,{bad}")
             with pytest.raises(CountsFormatError, match="line 8.*non-negative integer"):
                 parse_counts_csv(text)
@@ -154,6 +155,14 @@ class TestEvaluateRecord:
             assert entry["error_bar"] is not None
 
 
+    def test_report_json_rejects_nan(self):
+        rep = evaluate_state(THETA_W, 0.5)
+        bad = dataclasses.replace(
+            rep, criteria=(dataclasses.replace(rep.criteria[0], error_bar=math.nan),))
+        with pytest.raises(ValueError):
+            report_to_json(bad)
+
+
 class TestEvaluateState:
     def test_werner_just_steerable(self):
         rep = evaluate_state(THETA_W, 0.58)
@@ -166,6 +175,12 @@ class TestEvaluateState:
     def test_tilted_value(self):
         rep = evaluate_state(THETA_T, 0.55)
         assert rep.criteria[0].lhs == pytest.approx(1.2434129951495554, abs=1e-10)
+
+    def test_colliding_q_keys_rejected(self):
+        with pytest.raises(ValueError, match="collide"):
+            evaluate_state(THETA_W, 0.5, qs=(2.0, 2))
+        with pytest.raises(ValueError, match="collide"):
+            evaluate_record(parse_counts_csv(uniform_csv()), qs=(1.0, 1.0000001))
 
     def test_no_correlation_limit(self):
         rep = evaluate_state(THETA_W, 0.0)

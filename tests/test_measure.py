@@ -122,8 +122,9 @@ class TestEstimateDistribution:
             estimate_distribution(CountRecord(Axis.X, [[0, 0], [0, 0]]))
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            CountRecord(Axis.X, [[1, -1], [0, 0]])
+        for bad in ([[1, -1], [0, 0]], [[1.9, 0], [0, 0]]):
+            with pytest.raises(ValueError, match="non-negative"):
+                CountRecord(Axis.X, bad)
 
     def test_convergence_with_sample_size(self):
         jd = joint_distribution(make_werner_like(math.pi / 8, 0.5), Axis.Z)
