@@ -8,16 +8,16 @@ measured probabilities.
 """
 import math
 
-from steerq import evaluate_record, evaluate_state, simulate_record
+from steerq import AXES, evaluate_record, evaluate_state, simulate_record
 
 THETA = math.radians(22.5)
 CHI = 0.74
 SHOTS = 100_000
 
 rec = simulate_record(THETA, CHI, SHOTS, seed=7)
-for record in rec.records:
-    print(f"setting {record.axis.value}: counts {record.counts.reshape(-1).tolist()}"
-          f"  (total {record.total})")
+for axis, counts in zip(AXES, rec.counts):
+    print(f"setting {axis.value}: counts {counts.reshape(-1).tolist()}"
+          f"  (total {counts.sum()})")
 
 report = evaluate_record(rec, bootstrap=1000, seed=11)
 reference = evaluate_state(THETA, CHI)

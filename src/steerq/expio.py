@@ -8,6 +8,8 @@ starting with ``#`` are comments; row order is free.
 Error bars are parametric bootstrap: each observed cell is resampled as
 Poisson with mean equal to the observed count, the criteria are re-evaluated
 per resample, and the error bar is the standard deviation over resamples.
+Resamples are drawn and evaluated BOOTSTRAP_CHUNK at a time, so memory stays
+bounded for any count up to MAX_BOOTSTRAP.
 """
 
 from __future__ import annotations
@@ -20,16 +22,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria
-from .measure import (AXES, CountRecord, JointDistribution, estimate_distribution,
-                      simulate_counts, spawn_generator)
+from .measure import AXES, frequencies, spawn_generator
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
+_CELLS = tuple((axis.value, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
 CSV_HEADER = "setting,outcome,count"
 CURVE_CSV_HEADER = "chi,scg_q2,scg_q1,lsc,bound_q2,bound_q1,bound_lsc"
 
 DEFAULT_QS = (2.0, 1.0)
 DEFAULT_BOOTSTRAP = 1000
 BOOTSTRAP_STREAM = 3  # streams 0..2 are reserved for per-axis simulation
+BOOTSTRAP_CHUNK = 4096
+MAX_BOOTSTRAP = 10**6
+COUNT_LIMIT = 2**53  # float64 holds every integer below it: n_ij / total rounds once
 
 
 class CountsFormatError(ValueError):
@@ -38,24 +43,39 @@ class CountsFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One full experiment: a label and one CountRecord per axis (x, y, z)."""
+    """One full experiment: a label and read-only int64 counts n[k, i, j].
+
+    k is the setting (x, y, z), i Alice's and j Bob's outcome.  Counts must be
+    non-negative integers and every setting total must lie in [1, COUNT_LIMIT).
+    """
 
     label: str
-    records: tuple[CountRecord, CountRecord, CountRecord]
+    counts: np.ndarray  # shape (3, 2, 2)
 
     def __post_init__(self):
-        axes = tuple(rec.axis for rec in self.records)
-        if axes != AXES:
-            raise ValueError(f"records must cover axes x, y, z in order, got "
-                             f"{[a.value for a in axes]}")
-        for rec in self.records:
-            if rec.total < 1:
-                raise ValueError(f"axis {rec.axis.value} has zero total count")
+        raw = np.asarray(self.counts)
+        if raw.shape != (3, 2, 2):
+            raise ValueError(f"counts must have shape (3, 2, 2), got {raw.shape}")
+        cells = raw.reshape(-1).tolist()
+        if not all((type(v) is int or (type(v) is float and v.is_integer())) and v >= 0
+                   for v in cells):
+            raise ValueError(f"counts must be non-negative integers, got {raw.tolist()}")
+        for axis, k in zip(AXES, range(0, 12, 4)):
+            total = sum(int(v) for v in cells[k:k + 4])
+            if total < 1:
+                raise ValueError(f"axis {axis.value} has zero total count")
+            if total >= COUNT_LIMIT:
+                raise ValueError(f"axis {axis.value} total count {total} is not below "
+                                 f"2**53 = {COUNT_LIMIT}")
+        counts = np.array([int(v) for v in cells], dtype=np.int64).reshape(3, 2, 2)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
 
 def parse_counts_csv(text: str, label: str = "counts") -> ExperimentRecord:
     """Parse the strict 12-row counts CSV; errors cite the offending line."""
-    seen: dict[tuple[str, str], tuple[int, int]] = {}
+    cells = [0] * 12
+    lines = [0] * 12  # line of each cell's row, 0 while unseen
     header_found = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -87,38 +107,31 @@ def parse_counts_csv(text: str, label: str = "counts") -> ExperimentRecord:
             raise CountsFormatError(
                 f"line {lineno}: count '{count_text}' is not a non-negative integer"
             )
-        count = int(count_text)
-        key = (setting, outcome)
-        if key in seen:
+        idx = _CELLS.index((setting, outcome))
+        if lines[idx]:
             raise CountsFormatError(
                 f"line {lineno}: duplicate entry for ({setting}, {outcome}), "
-                f"first seen at line {seen[key][0]}"
+                f"first seen at line {lines[idx]}"
             )
-        seen[key] = (lineno, count)
+        cells[idx] = int(count_text)
+        if cells[idx] >= COUNT_LIMIT:
+            raise CountsFormatError(
+                f"line {lineno}: count {count_text} is not below 2**53 = {COUNT_LIMIT}"
+            )
+        lines[idx] = lineno
     if not header_found:
         raise CountsFormatError(f"empty input: expected header '{CSV_HEADER}'")
-    missing = [f"({axis.value}, {out})" for axis in AXES for out in OUTCOME_LABELS
-               if (axis.value, out) not in seen]
+    missing = [f"({setting}, {out})" for (setting, out), seen in zip(_CELLS, lines) if not seen]
     if missing:
         raise CountsFormatError(f"missing rows: {', '.join(missing)}")
-
-    records = []
-    for axis in AXES:
-        cells = np.array(
-            [[seen[(axis.value, "00")][1], seen[(axis.value, "01")][1]],
-             [seen[(axis.value, "10")][1], seen[(axis.value, "11")][1]]]
-        )
-        records.append(CountRecord(axis, cells))
-    return ExperimentRecord(label, tuple(records))
+    return ExperimentRecord(label, np.reshape(cells, (3, 2, 2)))
 
 
 def serialize_counts_csv(rec: ExperimentRecord) -> str:
     """Render the canonical counts CSV (axes x, y, z; outcomes in order)."""
-    lines = [CSV_HEADER]
-    for record in rec.records:
-        for idx, outcome in enumerate(OUTCOME_LABELS):
-            lines.append(f"{record.axis.value},{outcome},{record.counts[idx // 2, idx % 2]}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{setting},{outcome},{count}"
+            for (setting, outcome), count in zip(_CELLS, rec.counts.reshape(-1).tolist())]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -183,42 +196,46 @@ def _bootstrap_error_bars(rec: ExperimentRecord, qs: Sequence[float],
                           resamples: int, seed: int) -> dict:
     """Std deviation of each criterion over Poisson resamples of the counts.
 
-    All resamples are drawn in one pass from the (seed, BOOTSTRAP_STREAM)
-    generator, so results depend only on (record, seed, resamples).
-    Resamples with an empty setting are dropped; fewer than two left is an
-    error, since no spread can be estimated from them.
+    Resamples are drawn BOOTSTRAP_CHUNK at a time from the one
+    (seed, BOOTSTRAP_STREAM) generator, which gives the same draws as one
+    pass, so results depend only on (record, seed, resamples).  Resamples
+    with an empty setting are dropped; fewer than two left is an error,
+    since no spread can be estimated from them.
     """
-    observed = np.stack([record.counts for record in rec.records]).astype(float)
     rng = spawn_generator(seed, BOOTSTRAP_STREAM)
-    draws = rng.poisson(lam=observed, size=(resamples, 3, 2, 2)).astype(float)
-    totals = draws.sum(axis=(2, 3))
-    valid = np.all(totals >= 1, axis=1)
-    usable = int(np.count_nonzero(valid))
+    samples: dict[str, list] = {}
+    for start in range(0, resamples, BOOTSTRAP_CHUNK):
+        size = min(BOOTSTRAP_CHUNK, resamples - start)
+        draws = rng.poisson(lam=rec.counts, size=(size, 3, 2, 2))
+        draws = draws[np.all(np.einsum("rkij->rk", draws) >= 1, axis=1)]
+        for key, values in criteria.criterion_values(frequencies(draws), qs).items():
+            samples.setdefault(key, []).append(values)
+    values = {key: np.concatenate(parts) for key, parts in samples.items()}
+    usable = len(values["lsc"])
     if usable < 2:
         raise ValueError(
             f"bootstrap: {usable} of {resamples} requested resamples have counts in "
             "every setting, at least 2 are needed; the counts are too small for "
             "error bars"
         )
-    draws, totals = draws[valid], totals[valid]
-    p = draws / totals[:, :, np.newaxis, np.newaxis]
-    return {key: float(np.std(samples, ddof=1))
-            for key, samples in criteria.criterion_values(p, qs).items()}
+    return {key: float(np.std(column, ddof=1)) for key, column in values.items()}
 
 
 def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
                     bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> EvaluationReport:
     """Estimate probabilities from counts and evaluate SCG (per q) and LSC."""
-    if bootstrap < 2:
-        raise ValueError("bootstrap resample count must be at least 2")
-    p = np.stack([estimate_distribution(record).p for record in rec.records])
+    if not 2 <= bootstrap <= MAX_BOOTSTRAP:
+        raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
+                         f"got {bootstrap}")
+    p = frequencies(rec.counts)
     values = criteria.criterion_values(p, qs)
     error_bars = _bootstrap_error_bars(rec, qs, bootstrap, seed)
     return EvaluationReport(
         label=rec.label,
         criteria=_criteria_from_values(values, qs, error_bars),
         probabilities=_probabilities(p),
-        totals={record.axis.value: record.total for record in rec.records},
+        totals={axis.value: int(total)
+                for axis, total in zip(AXES, rec.counts.sum(axis=(1, 2)))},
         seed=seed,
     )
 
@@ -240,19 +257,20 @@ def evaluate_state(theta: float, chi: float, qs: Sequence[float] = DEFAULT_QS,
 
 def simulate_record(theta: float, chi: float, shots: int, seed: int,
                     label: Optional[str] = None) -> ExperimentRecord:
-    """Simulate one full experiment: Poisson counts for each axis.
+    """Simulate one full experiment: Poisson counts with mean shots * p_ij per cell.
 
-    Axis k uses stream index k (x=0, y=1, z=2) under the master seed.
+    Setting k draws from stream k (x=0, y=1, z=2) under the master seed.  The
+    realized totals fluctuate around shots; zero-probability cells stay zero.
     """
     p = criteria.analytic_tensor(theta, chi)[0]
-    records = tuple(
-        simulate_counts(JointDistribution.from_cells(axis, cells), shots, seed, stream=idx)
-        for idx, (axis, cells) in enumerate(zip(AXES, p))
-    )
+    if shots < 1:
+        raise ValueError("shots must be a positive integer")
+    counts = np.stack([spawn_generator(seed, k).poisson(lam=shots * p[k])
+                       for k in range(len(AXES))])
     if label is None:
         label = (f"simulated werner_like(theta={math.degrees(theta):g}deg, "
                  f"chi={chi:g}, shots={shots}, seed={seed})")
-    return ExperimentRecord(label, records)
+    return ExperimentRecord(label, counts)
 
 
 def sweep_curve(theta: float, chi_steps: int,

@@ -1,8 +1,7 @@
 """Pauli measurement statistics on two-qubit states.
 
 Joint outcome distributions for the X, Y, Z mutually unbiased settings,
-same-axis correlations, Poisson coincidence-count simulation, and probability
-estimation from counts.
+same-axis correlations, and relative frequencies of count tables.
 
 Reproducibility: every stochastic routine draws from a PCG64 generator keyed
 by ``SeedSequence((seed, stream))``.  Distinct stream indices under one master
@@ -81,28 +80,6 @@ def _checked_cells(p: np.ndarray) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Coincidence counts n[i, j] for one setting."""
-
-    axis: Axis
-    counts: np.ndarray  # shape (2, 2), non-negative integers
-
-    def __post_init__(self):
-        raw = np.asarray(self.counts)
-        integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and bool(
-            np.all(np.isfinite(raw) & (raw == np.round(raw)))))
-        if not integral or np.any(raw < 0):
-            raise ValueError(f"counts must be non-negative integers, got {raw.tolist()}")
-        arr = np.asarray(self.counts, dtype=np.int64).reshape(2, 2)
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 # _PROJECTORS[k, i, j] = Pi_i x Pi_j for axis k, outcome i (Alice), j (Bob)
 _PROJECTORS = np.array([[[np.kron(pa, pb) for pb in pauli_projectors(axis)]
                          for pa in pauli_projectors(axis)] for axis in AXES])
@@ -131,24 +108,11 @@ def correlation(jd: JointDistribution) -> float:
     return float(correlations(jd.p))
 
 
-def simulate_counts(jd: JointDistribution, mean_total: int, seed: int,
-                    stream: int = 0) -> CountRecord:
-    """Independent Poisson draws with mean mean_total * p_ij per cell.
+def frequencies(counts: np.ndarray) -> np.ndarray:
+    """Relative frequencies n_ij / total of a (..., 2, 2) stack of count tables.
 
-    The realized total fluctuates around mean_total; cells with zero
-    probability always stay exactly zero.
+    Every table must have a positive total; a validated ExperimentRecord
+    guarantees it, so the result is not checked again.
     """
-    if mean_total < 1:
-        raise ValueError("mean_total must be a positive integer")
-    rng = spawn_generator(seed, stream)
-    counts = rng.poisson(lam=mean_total * jd.p)
-    return CountRecord(jd.axis, counts)
-
-
-def estimate_distribution(record: CountRecord) -> JointDistribution:
-    """Relative frequencies n_ij / total."""
-    total = record.total
-    if total < 1:
-        raise ValueError(f"cannot estimate probabilities from an empty record "
-                         f"(axis {record.axis.value}, total 0)")
-    return JointDistribution.from_cells(record.axis, record.counts / total)
+    counts = np.asarray(counts, dtype=float)
+    return counts / np.einsum("...ij->...", counts)[..., np.newaxis, np.newaxis]

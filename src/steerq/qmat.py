@@ -156,35 +156,27 @@ class BlochDecomposition:
             raise MatrixValidationError("correlation matrix entry exceeds 1 in modulus")
 
 
-def _real_trace(rho: np.ndarray, op: np.ndarray) -> float:
-    val = complex(np.trace(rho @ op))
-    if abs(val.imag) > HERMITICITY_TOL:
-        raise MatrixValidationError(
-            f"expectation value has imaginary residue {val.imag:.3e}"
-        )
-    return val.real
+# _BLOCH_BASIS[i, j] = sigma_i x sigma_j with sigma_0 = I
+_PAULI_BASIS = np.array([I2, *PAULIS])
+_BLOCH_BASIS = np.einsum("iab,jcd->ijacbd", _PAULI_BASIS, _PAULI_BASIS).reshape(4, 4, 4, 4)
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
     """a_i = tr(rho sigma_i x I), b_j = tr(rho I x sigma_j), c_ij = tr(rho sigma_i x sigma_j)."""
     if rho.dim != 4:
         raise MatrixValidationError("Bloch decomposition requires a two-qubit state")
-    m = rho.matrix
-    a = np.array([_real_trace(m, np.kron(s, I2)) for s in PAULIS])
-    b = np.array([_real_trace(m, np.kron(I2, s)) for s in PAULIS])
-    c = np.array([[_real_trace(m, np.kron(si, sj)) for sj in PAULIS] for si in PAULIS])
-    return BlochDecomposition(_freeze(a), _freeze(b), _freeze(c))
+    t = np.einsum("xy,ijyx->ij", rho.matrix, _BLOCH_BASIS)
+    if np.any(np.abs(t.imag) > HERMITICITY_TOL):
+        raise MatrixValidationError(
+            f"expectation value has imaginary residue {np.max(np.abs(t.imag)):.3e}")
+    t = t.real
+    return BlochDecomposition(_freeze(t[1:, 0]), _freeze(t[0, 1:]), _freeze(t[1:, 1:]))
 
 
 def bloch_reconstruct(bd: BlochDecomposition) -> DensityMatrix:
     """Rebuild the state from its Bloch data; inverse of bloch_decompose."""
-    rho = np.eye(4, dtype=complex)
-    for i, s in enumerate(PAULIS):
-        rho += bd.a[i] * np.kron(s, I2) + bd.b[i] * np.kron(I2, s)
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            rho += bd.c[i, j] * np.kron(si, sj)
-    return validate_density(rho / 4.0)
+    t = np.block([[np.ones((1, 1)), bd.b[np.newaxis]], [bd.a[:, np.newaxis], bd.c]])
+    return validate_density(np.einsum("ij,ijab->ab", t, _BLOCH_BASIS) / 4.0)
 
 
 # eigenvalues this far (relatively) below the largest are rounding noise and

@@ -9,6 +9,14 @@ from steerq.criteria import SolverError
 from steerq.expio import CountsFormatError, parse_counts_csv
 
 
+def counts_csv(cells: dict, default: int = 10) -> str:
+    """Counts CSV with every cell at default, except the (setting, outcome) keys given."""
+    rows = ["setting,outcome,count"] + [
+        f"{s},{o},{cells.get((s, o), default)}" for s in "xyz" for o in ("00", "01", "10", "11")
+    ]
+    return "\n".join(rows) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -22,7 +30,7 @@ class TestSimulate:
                          "--shots", "20000", "--seed", "7", "--out", str(out))
         assert code == EXIT_OK
         rec = parse_counts_csv(out.read_text())
-        assert all(r.total > 15000 for r in rec.records)
+        assert all(total > 15000 for total in rec.counts.sum(axis=(1, 2)))
 
     def test_bell_state_zero_cells(self, tmp_path, capsys):
         out = tmp_path / "bell.csv"
@@ -30,8 +38,8 @@ class TestSimulate:
                          "--shots", "1000000", "--seed", "7", "--out", str(out))
         assert code == EXIT_OK
         rec = parse_counts_csv(out.read_text())
-        z = rec.records[2]
-        assert z.counts[0, 1] == 0 and z.counts[1, 0] == 0
+        z = rec.counts[2]
+        assert z[0, 1] == 0 and z[1, 0] == 0
 
     def test_byte_identical_for_same_seed(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -105,6 +113,47 @@ class TestEval:
         assert code == EXIT_INPUT
         assert out == ""
         assert "0 of 2 requested resamples" in err
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_count_beyond_float_limit_is_input_error(self, tmp_path, capsys):
+        for big in (2**63 - 1, 10**19, 10**25):
+            path = tmp_path / "big.csv"
+            path.write_text(counts_csv({("x", "11"): big}))
+            code, out, err = run(capsys, "eval", "--counts", str(path))
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert f"line 5: count {big} is not below 2**53" in err
+            assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_setting_total_at_float_limit_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "total.csv"
+        path.write_text(counts_csv({("y", o): 2**51 for o in ("00", "01", "10", "11")}))
+        code, out, err = run(capsys, "eval", "--counts", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "axis y total count 9007199254740992 is not below 2**53" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_setting_total_just_below_float_limit_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "edge.csv"
+        path.write_text(counts_csv({("z", "00"): 2**53 - 1 - 30, ("z", "01"): 0,
+                                    ("z", "10"): 0, ("z", "11"): 30}))
+        code, out, _ = run(capsys, "eval", "--counts", str(path), "--bootstrap", "50")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["totals"]["z"] == 2**53 - 1
+        assert doc["probabilities"]["z"][1:3] == [0.0, 0.0]
+
+    def test_huge_bootstrap_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "u.csv"
+        path.write_text(counts_csv({}))
+        code, out, err = run(capsys, "eval", "--counts", str(path),
+                             "--bootstrap", "1000000000000")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "bootstrap resample count must be in [2, 1000000]" in err
 
 
 class TestEvalState:

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from steerq import (CountsFormatError, evaluate_record, evaluate_state,
-                    parse_counts_csv, report_to_json, reproduce_tables,
-                    serialize_counts_csv, simulate_record, sweep_curve)
-from steerq.expio import CURVE_CSV_HEADER, curve_to_csv, comparison_to_text
+from steerq import (CountsFormatError, ExperimentRecord, evaluate_record,
+                    evaluate_state, expio, parse_counts_csv, report_to_json,
+                    reproduce_tables, serialize_counts_csv, simulate_record,
+                    sweep_curve)
+from steerq.expio import (COUNT_LIMIT, CURVE_CSV_HEADER, MAX_BOOTSTRAP,
+                          comparison_to_text, curve_to_csv)
 
 THETA_W = math.radians(22.5)
 THETA_T = math.radians(7.5)
@@ -38,15 +40,23 @@ def bell_csv(n=500_000):
 class TestParseCountsCsv:
     def test_uniform(self):
         rec = parse_counts_csv(uniform_csv())
-        assert [r.axis.value for r in rec.records] == ["x", "y", "z"]
-        assert all(r.total == 1000 for r in rec.records)
+        assert rec.counts.shape == (3, 2, 2) and rec.counts.dtype == np.int64
+        assert np.array_equal(rec.counts, np.full((3, 2, 2), 250))
 
     def test_accepts_comments_and_reordering(self):
         text = uniform_csv()
         lines = text.strip().split("\n")
         shuffled = [lines[0], "# a comment"] + lines[:0:-1] + ["# trailing"]
         rec = parse_counts_csv("\n".join(shuffled))
-        assert all(r.total == 1000 for r in rec.records)
+        assert np.array_equal(rec.counts, np.full((3, 2, 2), 250))
+
+    def test_cells_land_at_setting_and_outcome(self):
+        text = "setting,outcome,count\n" + "".join(
+            f"{s},{o},{10 * k + i}\n" for k, s in enumerate("xyz")
+            for i, o in enumerate(("00", "01", "10", "11")))
+        rec = parse_counts_csv(text)
+        assert rec.counts.tolist() == [[[0, 1], [2, 3]], [[10, 11], [12, 13]],
+                                       [[20, 21], [22, 23]]]
 
     def test_accepts_missing_trailing_newline(self):
         parse_counts_csv(uniform_csv().rstrip("\n"))
@@ -77,6 +87,12 @@ class TestParseCountsCsv:
             with pytest.raises(CountsFormatError, match="line 8.*non-negative integer"):
                 parse_counts_csv(text)
 
+    def test_count_at_float_limit_cites_line(self):
+        for big in (str(COUNT_LIMIT), str(2**63 - 1), "10000000000000000000", "1" + "0" * 25):
+            text = uniform_csv().replace("y,10,250", f"y,10,{big}")
+            with pytest.raises(CountsFormatError, match=r"line 8: .* not below 2\*\*53"):
+                parse_counts_csv(text)
+
     def test_bad_header(self):
         with pytest.raises(CountsFormatError, match="expected header"):
             parse_counts_csv("a,b,c\nx,00,1\n")
@@ -86,10 +102,33 @@ class TestParseCountsCsv:
         text = serialize_counts_csv(rec)
         back = parse_counts_csv(text, label=rec.label)
         assert back.label == rec.label
-        for a, b in zip(rec.records, back.records):
-            assert a.axis == b.axis
-            assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(rec.counts, back.counts)
         assert serialize_counts_csv(back) == text
+
+
+class TestExperimentRecord:
+    def test_holds_read_only_int64_counts(self):
+        rec = ExperimentRecord("r", [[[1.0, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 0], [0, 0]]])
+        assert rec.counts.dtype == np.int64 and rec.counts.shape == (3, 2, 2)
+        assert rec.counts.tolist() == [[[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 0], [0, 0]]]
+        with pytest.raises(ValueError):
+            rec.counts[0, 0, 0] = 7
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 2, 2\)"):
+            ExperimentRecord("r", np.ones((3, 4), dtype=int))
+
+    def test_setting_total_bound(self):
+        limit = np.full((3, 2, 2), 1, dtype=np.int64)
+        limit[2] = [[2**51, 2**51], [2**51, 2**51]]  # total exactly 2**53
+        with pytest.raises(ValueError, match=r"axis z total count 9007199254740992 .*2\*\*53"):
+            ExperimentRecord("r", limit)
+        for dtype, cell in ((np.int64, 2**63 - 1), (np.uint64, 2**64 - 1),
+                            (float, 1e19), (object, 10**25)):
+            counts = np.ones((3, 2, 2), dtype=dtype)
+            counts[0, 1, 1] = cell
+            with pytest.raises(ValueError, match=r"axis x total count .*2\*\*53"):
+                ExperimentRecord("r", counts)
 
 
 class TestEvaluateRecord:
@@ -121,6 +160,32 @@ class TestEvaluateRecord:
         assert [c.error_bar for c in a.criteria] == [c.error_bar for c in b.criteria]
         c = evaluate_record(rec, bootstrap=400, seed=10)
         assert a.criteria[0].error_bar != c.criteria[0].error_bar
+
+    def test_bootstrap_chunks_match_one_pass(self, monkeypatch):
+        rec = simulate_record(THETA_T, 0.7, 3_000, seed=4)
+        chunked = evaluate_record(rec, qs=(2.0, 1.0, 1.5), bootstrap=10_001, seed=8)
+        monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", 10**9)
+        one_pass = evaluate_record(rec, qs=(2.0, 1.0, 1.5), bootstrap=10_001, seed=8)
+        assert [c.error_bar for c in chunked.criteria] == [
+            c.error_bar for c in one_pass.criteria]
+
+    def test_usable_resamples_counted_across_chunks(self, monkeypatch):
+        # one count per setting: about (1 - e^-1)^3 = 25% of resamples are
+        # usable, so many 3-resample chunks hold fewer than 2, some none
+        counts = np.zeros((3, 2, 2), dtype=int)
+        counts[:, 0, 0] = 1
+        rec = ExperimentRecord("tiny", counts)
+        monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", 3)
+        rep = evaluate_record(rec, bootstrap=40, seed=0)
+        monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", 10**9)
+        assert [c.error_bar for c in rep.criteria] == [
+            c.error_bar for c in evaluate_record(rec, bootstrap=40, seed=0).criteria]
+
+    def test_bootstrap_count_bounds(self):
+        rec = parse_counts_csv(uniform_csv())
+        for bad in (1, MAX_BOOTSTRAP + 1, 10**12):
+            with pytest.raises(ValueError, match="bootstrap resample count"):
+                evaluate_record(rec, bootstrap=bad)
 
     def test_estimate_within_three_error_bars(self):
         chi = 0.74

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import random_density
-from steerq import (AXES, Axis, bloch_decompose, correlation,
-                    estimate_distribution, joint_distribution, make_werner_like,
-                    maximally_mixed, pauli_projectors, simulate_counts,
+from steerq import (AXES, Axis, ExperimentRecord, bloch_decompose, correlation,
+                    frequencies, joint_distribution, make_werner_like,
+                    maximally_mixed, pauli_projectors, simulate_record,
                     spawn_generator)
-from steerq.measure import CountRecord, JointDistribution
+from steerq.criteria import analytic_tensor
+from steerq.measure import JointDistribution
 
 
 class TestPauliProjectors:
@@ -78,59 +79,77 @@ class TestCorrelation:
 
 
 class TestSimulateCounts:
+    """simulate_record: Poisson counts with mean shots * p_ij, setting k on stream k."""
+
     def test_zero_probability_cells_stay_zero(self):
-        jd = JointDistribution.from_cells(Axis.Z, [1.0, 0.0, 0.0, 0.0])
-        rec = simulate_counts(jd, 10_000, seed=5)
-        assert rec.counts[0, 1] == rec.counts[1, 0] == rec.counts[1, 1] == 0
-        assert rec.counts[0, 0] > 0
+        counts = simulate_record(math.pi / 8, 1.0, 10_000, seed=5).counts
+        assert counts[0, 0, 1] == counts[0, 1, 0] == 0  # x: perfectly correlated
+        assert counts[1, 0, 0] == counts[1, 1, 1] == 0  # y: perfectly anticorrelated
+        assert counts[2, 0, 1] == counts[2, 1, 0] == 0  # z: perfectly correlated
+        assert counts[0, 0, 0] > 0 and counts[2, 1, 1] > 0
 
     def test_uniform_counts_within_poisson_range(self):
-        jd = JointDistribution.from_cells(Axis.X, [0.25] * 4)
-        rec = simulate_counts(jd, 1_000_000, seed=9)
+        counts = simulate_record(math.pi / 8, 0.0, 1_000_000, seed=9).counts
         # each cell Poisson(250000): 5 sigma = 2500
-        assert np.all(np.abs(rec.counts - 250_000) < 2500)
+        assert np.all(np.abs(counts - 250_000) < 2500)
 
     def test_deterministic_for_fixed_seed(self):
-        jd = JointDistribution.from_cells(Axis.Y, [0.4, 0.1, 0.2, 0.3])
-        a = simulate_counts(jd, 50_000, seed=123, stream=1)
-        b = simulate_counts(jd, 50_000, seed=123, stream=1)
+        a = simulate_record(math.radians(7.5), 0.3, 50_000, seed=123)
+        b = simulate_record(math.radians(7.5), 0.3, 50_000, seed=123)
         assert np.array_equal(a.counts, b.counts)
 
     def test_streams_are_distinct(self):
-        jd = JointDistribution.from_cells(Axis.Y, [0.25] * 4)
-        a = simulate_counts(jd, 50_000, seed=123, stream=0)
-        b = simulate_counts(jd, 50_000, seed=123, stream=1)
-        assert not np.array_equal(a.counts, b.counts)
+        # chi = 0 gives every setting the same table, so shared streams
+        # would give equal counts
+        theta, shots, seed = math.pi / 8, 50_000, 123
+        counts = simulate_record(theta, 0.0, shots, seed).counts
+        assert not np.array_equal(counts[0], counts[1])
+        assert not np.array_equal(counts[1], counts[2])
+        p = analytic_tensor(theta, 0.0)[0]
+        for k in range(3):
+            expected = spawn_generator(seed, k).poisson(lam=shots * p[k])
+            assert np.array_equal(counts[k], expected)
 
     def test_rejects_bad_args(self):
-        jd = JointDistribution.from_cells(Axis.X, [0.25] * 4)
-        with pytest.raises(ValueError):
-            simulate_counts(jd, 0, seed=1)
+        for shots in (0, -5):
+            with pytest.raises(ValueError, match="shots"):
+                simulate_record(math.pi / 8, 0.5, shots, seed=1)
         with pytest.raises(ValueError):
             spawn_generator(-1)
 
 
 class TestEstimateDistribution:
+    """frequencies on count stacks, and the ExperimentRecord checks it relies on."""
+
     def test_exact_ratios(self):
-        rec = CountRecord(Axis.Z, [[250, 250], [250, 250]])
-        assert np.allclose(estimate_distribution(rec).p, 0.25)
-        rec = CountRecord(Axis.Z, [[500, 0], [0, 500]])
-        assert np.allclose(estimate_distribution(rec).p, [[0.5, 0], [0, 0.5]])
+        assert np.array_equal(frequencies(np.full((2, 2), 250)), np.full((2, 2), 0.25))
+        counts = np.array([[[500, 0], [0, 500]], [[1, 3], [0, 0]], [[2, 2], [2, 2]]])
+        expected = [[[0.5, 0], [0, 0.5]], [[0.25, 0.75], [0, 0]], [[0.25] * 2] * 2]
+        assert np.array_equal(frequencies(counts), expected)
+        counts = np.random.default_rng(4).integers(1, 1000, size=(5, 3, 2, 2))
+        p = frequencies(counts)
+        for idx in np.ndindex(5, 3):
+            assert np.array_equal(p[idx], counts[idx] / counts[idx].sum())
 
     def test_empty_record_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            estimate_distribution(CountRecord(Axis.X, [[0, 0], [0, 0]]))
+        counts = np.ones((3, 2, 2), dtype=int)
+        counts[1] = 0
+        with pytest.raises(ValueError, match="axis y has zero total count"):
+            ExperimentRecord("r", counts)
 
     def test_negative_counts_rejected(self):
-        for bad in ([[1, -1], [0, 0]], [[1.9, 0], [0, 0]]):
-            with pytest.raises(ValueError, match="non-negative"):
-                CountRecord(Axis.X, bad)
+        for bad in (-1, 1.9, math.nan, math.inf, 1j):
+            counts = np.ones((3, 2, 2)).tolist()
+            counts[0][0][1] = bad
+            with pytest.raises(ValueError, match="non-negative integers"):
+                ExperimentRecord("r", counts)
 
     def test_convergence_with_sample_size(self):
-        jd = joint_distribution(make_werner_like(math.pi / 8, 0.5), Axis.Z)
+        theta, chi = math.pi / 8, 0.5
+        p = analytic_tensor(theta, chi)[0]
         errors = {}
         for n in (1_000, 100_000):
-            rec = simulate_counts(jd, n, seed=77)
-            errors[n] = np.max(np.abs(estimate_distribution(rec).p - jd.p))
+            rec = simulate_record(theta, chi, n, seed=77)
+            errors[n] = np.max(np.abs(frequencies(rec.counts) - p))
         assert errors[100_000] < errors[1_000]
         assert errors[100_000] < 0.01

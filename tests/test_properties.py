@@ -1,4 +1,8 @@
-"""Property tests: the batched tensor route against the per-state route."""
+"""Property tests of the tensor core and the counts pipeline.
+
+That both SCG forms agree is the first test: the batched kernel against
+the entropic route ``scg_lhs_entropic``, state by state.
+"""
 
 import math
 
@@ -6,13 +10,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerq import correlation, lsc_value, scg_lhs_entropic
+from steerq import (correlation, evaluate_record, lsc_value, parse_counts_csv,
+                    report_to_json, scg_lhs_entropic, serialize_counts_csv)
 from steerq.criteria import analytic_joints, analytic_tensor, criterion_values
+from steerq.expio import COUNT_LIMIT, ExperimentRecord
 
 QS = (2.0, 1.5, 1.0)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@PROPERTY
 @given(theta=st.floats(0.0, math.pi / 4),
        chis=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
 def test_batched_kernel_matches_per_state_route(theta, chis):
@@ -25,3 +32,50 @@ def test_batched_kernel_matches_per_state_route(theta, chis):
         assert abs(values["lsc"][idx] - lsc) <= 1e-12
     assert set(values) == {"scg_q2", "scg_q1.5", "scg_q1", "lsc"}
     assert np.shape(values["lsc"]) == (len(chis),)
+
+
+@st.composite
+def count_tensors(draw, low=1, limit=COUNT_LIMIT):
+    """Valid (3, 2, 2) counts: each setting's total in [low, limit), split at random."""
+    tables = []
+    for _ in range(3):
+        total = draw(st.integers(low, limit - 1))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
+        tables.append(np.diff([0, *cuts, total]))
+    return np.array(tables, dtype=np.int64).reshape(3, 2, 2)
+
+
+@PROPERTY
+@given(counts=count_tensors())
+def test_counts_csv_round_trip(counts):
+    text = serialize_counts_csv(ExperimentRecord("r", counts))
+    back = parse_counts_csv(text)
+    assert np.array_equal(back.counts, counts)
+    assert serialize_counts_csv(back) == text
+
+
+@PROPERTY
+@given(counts=count_tensors(low=100, limit=10**7), data=st.data())
+def test_report_invariant_under_row_order_and_comments(counts, data):
+    canonical = serialize_counts_csv(ExperimentRecord("r", counts))
+    header, *rows = canonical.splitlines()
+    rows = data.draw(st.permutations(rows))
+    lines = [header, *rows]
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, "# " + data.draw(st.text("abc ,#01xyz", max_size=12)))
+
+    def report(text):
+        rec = parse_counts_csv(text, label="run")
+        return report_to_json(evaluate_record(rec, qs=QS, bootstrap=50, seed=3))
+
+    assert report("\n".join(lines)) == report(canonical)
+
+
+@PROPERTY
+@given(theta=st.floats(0.0, math.pi / 4),
+       chis=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
+def test_scg_non_increasing_in_chi(theta, chis):
+    values = criterion_values(analytic_tensor(theta, sorted(chis)), QS)
+    for q in QS:
+        assert np.all(np.diff(values[f"scg_q{q:g}"]) <= 1e-12)

@@ -7,7 +7,7 @@ from helpers import random_density
 from steerq import (MatrixValidationError, bell_phi_plus, bloch_decompose,
                     bloch_reconstruct, fidelity, hermitian_eigendecompose,
                     make_werner_like, maximally_mixed, validate_density)
-from steerq.qmat import PAULIS, I2
+from steerq.qmat import I2, PAULIS, DensityMatrix
 
 
 class TestEigendecompose:
@@ -151,6 +151,18 @@ class TestBloch:
         for i, sigma in enumerate(PAULIS):
             assert bd.a[i] == pytest.approx(
                 np.trace(rho.matrix @ np.kron(sigma, I2)).real, abs=1e-12)
+            for j, other in enumerate(PAULIS):
+                assert bd.c[i, j] == pytest.approx(
+                    np.trace(rho.matrix @ np.kron(sigma, other)).real, abs=1e-12)
+            assert bd.b[i] == pytest.approx(
+                np.trace(rho.matrix @ np.kron(I2, sigma)).real, abs=1e-12)
+
+    def test_imaginary_residue_rejected(self):
+        # an unvalidated non-Hermitian matrix: tr(m sigma_x x I) picks up 1e-6 i
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 0] += 1e-6j
+        with pytest.raises(MatrixValidationError, match="imaginary residue 1.000e-06"):
+            bloch_decompose(DensityMatrix(m))
 
 
 class TestFidelity:
