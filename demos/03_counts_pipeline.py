@@ -16,7 +16,7 @@ SHOTS = 100_000
 
 rec = simulate_record(THETA, CHI, SHOTS, seed=7)
 for axis, counts in zip(AXES, rec.counts):
-    print(f"setting {axis.value}: counts {counts.reshape(-1).tolist()}"
+    print(f"setting {axis}: counts {counts.reshape(-1).tolist()}"
           f"  (total {counts.sum()})")
 
 report = evaluate_record(rec, bootstrap=1000, seed=11)

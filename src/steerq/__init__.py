@@ -7,14 +7,13 @@ bars.
 """
 
 from .criteria import (LSC, SCG, ChiThreshold, CriterionReport, SolverError,
-                       chi_threshold, lsc_value, mub_bound, scg_bound, scg_lhs,
-                       scg_lhs_entropic, shannon_bound, verdict)
+                       analytic_tensor, chi_threshold, criterion_values, mub_bound,
+                       scg_bound, scg_lhs_entropic, shannon_bound, verdict)
 from .expio import (CountsFormatError, EvaluationReport, ExperimentRecord,
                     evaluate_record, evaluate_state, parse_counts_csv,
                     report_to_json, reproduce_tables, serialize_counts_csv,
                     simulate_record, sweep_curve)
-from .measure import (AXES, Axis, JointDistribution, correlation, frequencies,
-                      joint_distribution, pauli_projectors, spawn_generator)
+from .measure import AXES, correlations, frequencies, joint_tensor, spawn_generator
 from .qentropy import (conditional_tsallis, correction_term, ln_q,
                        shannon_entropy, tsallis_entropy)
 from .qmat import (BlochDecomposition, DensityMatrix, MatrixValidationError,
@@ -25,16 +24,15 @@ from .qmat import (BlochDecomposition, DensityMatrix, MatrixValidationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXES", "Axis", "BlochDecomposition", "ChiThreshold", "CountsFormatError",
+    "AXES", "BlochDecomposition", "ChiThreshold", "CountsFormatError",
     "CriterionReport", "DensityMatrix", "EvaluationReport", "ExperimentRecord",
-    "JointDistribution", "LSC", "MatrixValidationError", "SCG", "SolverError",
+    "LSC", "MatrixValidationError", "SCG", "SolverError", "analytic_tensor",
     "bell_phi_plus", "bloch_decompose", "bloch_reconstruct", "chi_threshold",
-    "conditional_tsallis", "correction_term", "correlation", "evaluate_record",
-    "evaluate_state", "fidelity", "frequencies", "hermitian_eigendecompose",
-    "joint_distribution", "ln_q", "lsc_value", "make_werner_like",
-    "maximally_mixed", "mub_bound", "parse_counts_csv", "pauli_projectors",
-    "report_to_json", "reproduce_tables", "scg_bound", "scg_lhs",
-    "scg_lhs_entropic", "serialize_counts_csv", "shannon_bound",
-    "shannon_entropy", "simulate_record", "spawn_generator", "sweep_curve",
-    "tsallis_entropy", "validate_density", "verdict",
+    "conditional_tsallis", "correction_term", "correlations", "criterion_values",
+    "evaluate_record", "evaluate_state", "fidelity", "frequencies",
+    "hermitian_eigendecompose", "joint_tensor", "ln_q", "make_werner_like",
+    "maximally_mixed", "mub_bound", "parse_counts_csv", "report_to_json",
+    "reproduce_tables", "scg_bound", "scg_lhs_entropic", "serialize_counts_csv",
+    "shannon_bound", "shannon_entropy", "simulate_record", "spawn_generator",
+    "sweep_curve", "tsallis_entropy", "validate_density", "verdict",
 ]

@@ -28,9 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qentropy
-from .measure import (AXES, JointDistribution, correlations, joint_distribution,
-                      joint_tensor)
-from .qmat import make_werner_like, werner_like_matrices
+from .measure import _checked_cells, correlations, joint_tensor
+from .qmat import werner_like_matrices
 
 Q_MAX = 2.0
 
@@ -69,14 +68,6 @@ def check_qs(qs: Sequence[float]) -> tuple[float, ...]:
     return checked
 
 
-def _check_settings(joints: Sequence[JointDistribution]) -> None:
-    if not 1 <= len(joints) <= 3:
-        raise ValueError(f"expected 1 to 3 measurement settings, got {len(joints)}")
-    axes = [jd.axis for jd in joints]
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate measurement axes: {[a.value for a in axes]}")
-
-
 def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
     """Vectorized SCG left-hand side from probability arrays.
 
@@ -98,32 +89,22 @@ def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
     return np.sum((1.0 - inner) / (q - 1.0), axis=-1)
 
 
-def scg_lhs(joints: Sequence[JointDistribution], q: float) -> float:
-    """SCG left-hand side in the probability form.
+def scg_lhs_entropic(p, q: float) -> float:
+    """SCG left-hand side as sum_k [S_q(B|A) + (1-q) C(A, B)] of an (S, 2, 2) table stack.
 
-    (1/(q-1)) sum_k [1 - sum_ij p_ij^q / p_i^(q-1)]; the q = 1 route returns
-    the summed Shannon conditional entropies.
+    Algebraically identical to criterion_values; kept as an independent route.
     """
     q = _check_q_range(q)
-    _check_settings(joints)
-    p = np.stack([jd.p for jd in joints])
-    marginal = np.stack([jd.alice_marginal for jd in joints])
-    return float(scg_lhs_cells(p, marginal, q))
-
-
-def scg_lhs_entropic(joints: Sequence[JointDistribution], q: float) -> float:
-    """SCG left-hand side as sum_k [S_q(B|A) + (1-q) C(A, B)].
-
-    Algebraically identical to scg_lhs; kept as an independent route.
-    """
-    q = _check_q_range(q)
-    _check_settings(joints)
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 3 or p.shape[1:] != (2, 2):
+        raise ValueError(f"expected an (S, 2, 2) stack of joint tables, got shape {p.shape}")
+    tables = _checked_cells(p)
     if qentropy.is_shannon(q):
-        return float(sum(qentropy.conditional_tsallis(jd, 1.0) for jd in joints))
+        return float(sum(qentropy.conditional_tsallis(table, 1.0) for table in tables))
     total = 0.0
-    for jd in joints:
-        total += qentropy.conditional_tsallis(jd, q)
-        total += (1.0 - q) * qentropy.correction_term(jd, q)
+    for table in tables:
+        total += qentropy.conditional_tsallis(table, q)
+        total += (1.0 - q) * qentropy.correction_term(table, q)
     return total
 
 
@@ -154,18 +135,11 @@ def scg_bound(q: float, d: int = 2, m: int = 3) -> float:
     return mub_bound(d, m, q)
 
 
-def lsc_value(correlations: Sequence[float]) -> float:
-    """Euclidean norm of the three same-axis correlations."""
-    arr = np.asarray(correlations, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError("expected exactly three correlations")
-    if np.any(np.abs(arr) > 1.0 + 1e-9):
-        raise ValueError(f"correlation outside [-1, 1]: {arr}")
-    return float(np.linalg.norm(arr, axis=-1))
-
-
 def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
     """SCG at each q and LSC for a (..., 3, 2, 2) tensor of checked joint tables.
+
+    SCG is (1/(q-1)) sum_k [1 - sum_ij p_ij^q / p_i^(q-1)], the summed Shannon
+    conditional entropies at q = 1; LSC is the norm of the same-axis correlations.
 
     Returns arrays of shape (...) keyed scg_key(q) for each q and "lsc".
     """
@@ -199,12 +173,6 @@ def verdict(criterion: str, lhs: float, bound: float, q: Optional[float] = None,
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
     return CriterionReport(criterion, q, lhs, bound, steerable, error_bar)
-
-
-def analytic_joints(theta: float, chi: float):
-    """The three same-axis joint distributions of a Werner-like state."""
-    rho = make_werner_like(theta, chi)
-    return tuple(joint_distribution(rho, axis) for axis in AXES)
 
 
 def analytic_tensor(theta: float, chis) -> np.ndarray:

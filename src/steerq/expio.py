@@ -25,7 +25,7 @@ from . import criteria
 from .measure import AXES, frequencies, spawn_generator
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
-_CELLS = tuple((axis.value, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
+_CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
 CSV_HEADER = "setting,outcome,count"
 CURVE_CSV_HEADER = "chi,scg_q2,scg_q1,lsc,bound_q2,bound_q1,bound_lsc"
 
@@ -63,9 +63,9 @@ class ExperimentRecord:
         for axis, k in zip(AXES, range(0, 12, 4)):
             total = sum(int(v) for v in cells[k:k + 4])
             if total < 1:
-                raise ValueError(f"axis {axis.value} has zero total count")
+                raise ValueError(f"axis {axis} has zero total count")
             if total >= COUNT_LIMIT:
-                raise ValueError(f"axis {axis.value} total count {total} is not below "
+                raise ValueError(f"axis {axis} total count {total} is not below "
                                  f"2**53 = {COUNT_LIMIT}")
         counts = np.array([int(v) for v in cells], dtype=np.int64).reshape(3, 2, 2)
         counts.setflags(write=False)
@@ -94,7 +94,7 @@ def parse_counts_csv(text: str, label: str = "counts") -> ExperimentRecord:
                 f"line {lineno}: expected 3 comma-separated fields, got {len(fields)}"
             )
         setting, outcome, count_text = fields
-        if setting not in ("x", "y", "z"):
+        if setting not in AXES:
             raise CountsFormatError(
                 f"line {lineno}: unknown setting '{setting}' (expected x, y or z)"
             )
@@ -188,7 +188,7 @@ def _criteria_from_values(values: dict, qs: Sequence[float],
 
 
 def _probabilities(p: np.ndarray) -> dict:
-    return {axis.value: [float(v) for v in cells.reshape(-1)]
+    return {axis: [float(v) for v in cells.reshape(-1)]
             for axis, cells in zip(AXES, p)}
 
 
@@ -234,7 +234,7 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
         label=rec.label,
         criteria=_criteria_from_values(values, qs, error_bars),
         probabilities=_probabilities(p),
-        totals={axis.value: int(total)
+        totals={axis: int(total)
                 for axis, total in zip(AXES, rec.counts.sum(axis=(1, 2)))},
         seed=seed,
     )
@@ -263,8 +263,9 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int,
     realized totals fluctuate around shots; zero-probability cells stay zero.
     """
     p = criteria.analytic_tensor(theta, chi)[0]
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
+    if not 1 <= shots < COUNT_LIMIT:
+        raise ValueError(f"shots must be a positive integer below 2**53 = {COUNT_LIMIT}, "
+                         f"got {shots}")
     counts = np.stack([spawn_generator(seed, k).poisson(lam=shots * p[k])
                        for k in range(len(AXES))])
     if label is None:

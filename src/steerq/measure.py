@@ -11,25 +11,13 @@ seed give statistically independent, scheduling-independent draws; the same
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
-from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix
+from .qmat import I2, PAULIS
 
 PROBABILITY_TOL = 1e-10
 _SMALLEST_NORMAL = np.finfo(float).tiny
-
-
-class Axis(enum.Enum):
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-
-AXES = (Axis.X, Axis.Y, Axis.Z)
-_PAULI_BY_AXIS = {Axis.X: SIGMA_X, Axis.Y: SIGMA_Y, Axis.Z: SIGMA_Z}
+AXES = ("x", "y", "z")  # the Pauli settings, in the order of the tensor axis k
 
 
 def spawn_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -37,29 +25,6 @@ def spawn_generator(seed: int, stream: int = 0) -> np.random.Generator:
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream index must be non-negative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
-
-
-def pauli_projectors(axis: Axis):
-    """Rank-1 eigenprojectors (outcome 0 <-> eigenvalue +1, outcome 1 <-> -1)."""
-    sigma = _PAULI_BY_AXIS[axis]
-    return (I2 + sigma) / 2.0, (I2 - sigma) / 2.0
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Outcome probabilities p[i, j] for one same-axis setting, i = Alice."""
-
-    axis: Axis
-    p: np.ndarray               # shape (2, 2)
-    alice_marginal: np.ndarray  # shape (2,)
-
-    @classmethod
-    def from_cells(cls, axis: Axis, cells) -> "JointDistribution":
-        p = _checked_cells(np.asarray(cells, dtype=float).reshape(2, 2))
-        p.setflags(write=False)
-        marginal = p.sum(axis=1)
-        marginal.setflags(write=False)
-        return cls(axis, p, marginal)
 
 
 def _checked_cells(p: np.ndarray) -> np.ndarray:
@@ -80,32 +45,23 @@ def _checked_cells(p: np.ndarray) -> np.ndarray:
     return p
 
 
-# _PROJECTORS[k, i, j] = Pi_i x Pi_j for axis k, outcome i (Alice), j (Bob)
-_PROJECTORS = np.array([[[np.kron(pa, pb) for pb in pauli_projectors(axis)]
-                         for pa in pauli_projectors(axis)] for axis in AXES])
+# _PROJECTORS[k, i, j] = Pi_i x Pi_j for axis k, outcome i (Alice), j (Bob), with
+# rank-1 eigenprojectors Pi_0 = (I + sigma_k)/2 (eigenvalue +1), Pi_1 = (I - sigma_k)/2
+_PROJECTORS = np.array([[[np.kron(pa, pb) for pb in pair] for pa in pair]
+                        for pair in (((I2 + s) / 2.0, (I2 - s) / 2.0) for s in PAULIS)])
 
 
 def joint_tensor(matrices) -> np.ndarray:
     """Checked (..., 3, 2, 2) joint tables p[k, i, j] = tr(rho Pi_i x Pi_j) of a state stack."""
+    if np.shape(matrices)[-2:] != (4, 4):
+        raise ValueError(f"joint tables need two-qubit states, got shape {np.shape(matrices)}")
     cells = np.einsum("...ab,kijba->...kij", matrices, _PROJECTORS).real
     return _checked_cells(cells)
-
-
-def joint_distribution(rho: DensityMatrix, axis: Axis) -> JointDistribution:
-    """p_ij = tr(rho  Pi_i x Pi_j) for the given axis."""
-    if rho.dim != 4:
-        raise ValueError("joint_distribution requires a two-qubit state")
-    return JointDistribution.from_cells(axis, joint_tensor(rho.matrix)[AXES.index(axis)])
 
 
 def correlations(p: np.ndarray) -> np.ndarray:
     """Same-axis correlations p00 - p01 - p10 + p11 of a (..., 2, 2) table stack."""
     return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
-
-
-def correlation(jd: JointDistribution) -> float:
-    """Same-axis correlation estimate of one joint table."""
-    return float(correlations(jd.p))
 
 
 def frequencies(counts: np.ndarray) -> np.ndarray:

@@ -70,25 +70,22 @@ def tsallis_entropy(p: Sequence[float], q: float) -> float:
     return float(-np.sum(vals ** q * (vals ** (1.0 - q) - 1.0) / (1.0 - q)))
 
 
-def conditional_tsallis(joint, q: float) -> float:
-    """S_q(B|A) = S_q(A, B) - S_q(A) for one measurement setting."""
-    cells = np.asarray(joint.p, dtype=float).reshape(-1)
-    marginal = np.asarray(joint.alice_marginal, dtype=float)
-    return tsallis_entropy(cells, q) - tsallis_entropy(marginal, q)
+def conditional_tsallis(p: np.ndarray, q: float) -> float:
+    """S_q(B|A) = S_q(A, B) - S_q(A) of one checked (2, 2) joint table p[i, j], i = Alice."""
+    return tsallis_entropy(p.reshape(-1), q) - tsallis_entropy(p.sum(axis=1), q)
 
 
-def correction_term(joint, q: float) -> float:
-    """sum_i p_i^q [ln_q p_i]^2 - sum_ij p_ij^q ln_q(p_i) ln_q(p_ij).
+def correction_term(p: np.ndarray, q: float) -> float:
+    """sum_i p_i^q [ln_q p_i]^2 - sum_ij p_ij^q ln_q(p_i) ln_q(p_ij) of a checked (2, 2) table.
 
     p_i is the marginal of the conditioning side (Alice); cells or marginals
     equal to zero contribute nothing.
     """
     q = _check_q(q)
-    cells = np.asarray(joint.p, dtype=float)
-    marginal = np.asarray(joint.alice_marginal, dtype=float)
+    marginal = p.sum(axis=1)
     # empty entries are moved to 1, where ln_q and p^q ln_q(p) vanish
     safe_m = np.where(marginal > 0.0, marginal, 1.0)
-    safe_p = np.where(cells > 0.0, cells, 1.0)
+    safe_p = np.where(p > 0.0, p, 1.0)
     lq_m = _ln_q_array(safe_m, q)
     first = np.sum(_pq_ln_q(safe_m, q) * lq_m)
     second = np.sum(_pq_ln_q(safe_p, q) * lq_m[:, np.newaxis])

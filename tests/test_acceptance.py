@@ -16,14 +16,13 @@ import math
 
 import numpy as np
 
-from helpers import BELL_CORRELATIONS, random_bell_diagonal, random_density
-from steerq import (AXES, LSC, SCG, chi_threshold, correlation, fidelity,
-                    joint_distribution, lsc_value, make_werner_like,
-                    maximally_mixed, mub_bound, reproduce_tables, scg_bound,
-                    scg_lhs, scg_lhs_entropic, shannon_bound, shannon_entropy,
+from helpers import (BELL_CORRELATIONS, random_bell_diagonal, random_density, scg,
+                     werner_tables)
+from steerq import (LSC, SCG, chi_threshold, correlations, fidelity, joint_tensor,
+                    make_werner_like, maximally_mixed, mub_bound, reproduce_tables,
+                    scg_bound, scg_lhs_entropic, shannon_bound, shannon_entropy,
                     tsallis_entropy, verdict)
-from steerq.criteria import (LSC_BOUND, analytic_joints, analytic_tensor,
-                             criterion_values)
+from steerq.criteria import LSC_BOUND, analytic_tensor, criterion_values, scg_key
 from steerq.expio import evaluate_record, simulate_record
 
 THETA_W = math.radians(22.5)
@@ -54,8 +53,8 @@ def test_criterion_02_werner_thresholds():
 
 
 def test_criterion_03_tilted_grid_consistency():
-    lhs_075 = scg_lhs(analytic_joints(THETA_T, 0.75), 2.0)
-    lhs_081 = scg_lhs(analytic_joints(THETA_T, 0.81), 2.0)
+    lhs_075 = scg(werner_tables(THETA_T, 0.75), 2.0)
+    lhs_081 = scg(werner_tables(THETA_T, 0.81), 2.0)
     thr = chi_threshold(THETA_T, SCG, q=2.0, tol=1e-6).chi
     # independent oracle: brute-force scan at step 1e-4 for the first violation
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-4)
@@ -127,9 +126,10 @@ def test_criterion_05_form_equivalence():
     worst = 0.0
     for _ in range(1000):
         rho = random_density(rng)
-        joints = [joint_distribution(rho, axis) for axis in AXES]
+        p = joint_tensor(rho.matrix)
+        values = criterion_values(p, (1.3, 1.7, 2.0))
         for q in (1.3, 1.7, 2.0):
-            worst = max(worst, abs(scg_lhs(joints, q) - scg_lhs_entropic(joints, q)))
+            worst = max(worst, abs(values[scg_key(q)] - scg_lhs_entropic(p, q)))
     _report(5, "probability and entropic forms agree within 1e-10 on 1000 states",
             worst < 1e-10, f"worst {worst:.2e}")
 
@@ -142,9 +142,9 @@ def test_criterion_06_verdict_equivalence_bell_diagonal():
         c_diag = weights @ BELL_CORRELATIONS
         if abs(float(np.sum(c_diag ** 2)) - 1.0) < 1e-9:
             continue
-        joints = [joint_distribution(rho, axis) for axis in AXES]
-        scg_rep = verdict(SCG, scg_lhs(joints, 2.0), scg_bound(2.0), q=2.0)
-        lsc_rep = verdict(LSC, lsc_value([correlation(jd) for jd in joints]), 1.0)
+        p = joint_tensor(rho.matrix)
+        scg_rep = verdict(SCG, scg(p, 2.0), scg_bound(2.0), q=2.0)
+        lsc_rep = verdict(LSC, float(np.linalg.norm(correlations(p))), 1.0)
         agreements += scg_rep.steerable == lsc_rep.steerable
         checked += 1
     _report(6, "SCG(q=2) and LSC verdicts agree on 1000 Bell-diagonal states",

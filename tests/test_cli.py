@@ -48,6 +48,15 @@ class TestSimulate:
                 "--shots", "5000", "--seed", "42", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("shots", [10**20, 2**63 - 1])
+    def test_shots_beyond_count_bound(self, tmp_path, capsys, shots):
+        out = tmp_path / "counts.csv"
+        code, stdout, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
+                                "--shots", str(shots), "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == "" and not out.exists()
+        assert f"shots must be a positive integer below 2**53 = {2**53}, got {shots}" in err
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
                            "--out", str(tmp_path / "nodir" / "x.csv"))

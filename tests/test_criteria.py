@@ -3,15 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from helpers import BELL_CORRELATIONS, random_bell_diagonal, random_density
-from steerq import (AXES, LSC, SCG, SolverError, chi_threshold, correlation,
-                    joint_distribution, lsc_value, mub_bound, scg_bound,
-                    scg_lhs, scg_lhs_entropic, shannon_bound, verdict)
-from steerq.criteria import analytic_joints
+from helpers import (BELL_CORRELATIONS, random_bell_diagonal, random_density, scg,
+                     werner_tables)
+from steerq import (LSC, SCG, SolverError, chi_threshold, correlations, criterion_values,
+                    joint_tensor, mub_bound, scg_bound, scg_lhs_entropic, shannon_bound,
+                    verdict)
+from steerq.criteria import scg_key, scg_lhs_cells
 
 
 def werner_joints(chi, theta=math.pi / 8):
-    return analytic_joints(theta, chi)
+    return werner_tables(theta, chi)
+
+
+def tables_with_correlations(c):
+    """(3, 2, 2) tables with uniform marginals and same-axis correlations c."""
+    c = np.asarray(c, dtype=float)[:, np.newaxis, np.newaxis]
+    return np.where(np.eye(2, dtype=bool), 1.0 + c, 1.0 - c) / 4.0
+
+
+def lsc(c):
+    return float(criterion_values(tables_with_correlations(c), ())["lsc"])
 
 
 class TestBounds:
@@ -45,34 +56,29 @@ class TestScgLhs:
     @pytest.mark.parametrize("chi,expected", [(0.0, 1.5), (0.5, 1.125), (1.0, 0.0)])
     def test_werner_closed_form_q2(self, chi, expected):
         # 3 (1 - chi^2) / 2
-        assert scg_lhs(werner_joints(chi), 2.0) == pytest.approx(expected, abs=1e-12)
+        assert scg(werner_joints(chi), 2.0) == pytest.approx(expected, abs=1e-12)
 
     def test_werner_half_shannon(self):
-        val = scg_lhs(werner_joints(0.5), 1.0)
+        val = scg(werner_joints(0.5), 1.0)
         assert val == pytest.approx(1.6870054338564247, abs=1e-12)
 
     def test_tilted_pure_q2(self):
-        joints = analytic_joints(math.radians(7.5), 1.0)
-        assert scg_lhs(joints, 2.0) == pytest.approx(0.75, abs=1e-12)
+        p = werner_tables(math.radians(7.5), 1.0)
+        assert scg(p, 2.0) == pytest.approx(0.75, abs=1e-12)
 
     def test_maximally_mixed_q2(self):
-        assert scg_lhs(werner_joints(0.0), 2.0) == pytest.approx(1.5, abs=1e-12)
-
-    def test_rejects_duplicate_axes(self):
-        joints = werner_joints(0.5)
-        with pytest.raises(ValueError, match="duplicate"):
-            scg_lhs([joints[0], joints[0]], 2.0)
+        assert scg(werner_joints(0.0), 2.0) == pytest.approx(1.5, abs=1e-12)
 
     def test_rejects_q_out_of_range(self):
-        joints = werner_joints(0.5)
+        p = werner_joints(0.5)
         for q in (0.0, -1.0, 2.1):
             with pytest.raises(ValueError):
-                scg_lhs(joints, q)
+                criterion_values(p, (q,))
 
     def test_subset_of_settings_allowed(self):
-        joints = werner_joints(0.5)
-        one = scg_lhs(joints[:1], 2.0)
-        three = scg_lhs(joints, 2.0)
+        p = werner_joints(0.5)
+        one = float(scg_lhs_cells(p[:1], p[:1].sum(axis=-1), 2.0))
+        three = scg(p, 2.0)
         assert 0.0 < one < three
 
 
@@ -86,30 +92,30 @@ class TestFormEquivalence:
     def test_forms_agree_on_random_states(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            rho = random_density(rng)
-            joints = [joint_distribution(rho, axis) for axis in AXES]
+            p = joint_tensor(random_density(rng).matrix)
             for q in (1.3, 1.7, 2.0):
-                assert abs(scg_lhs(joints, q) - scg_lhs_entropic(joints, q)) < 1e-10
+                assert abs(scg(p, q) - scg_lhs_entropic(p, q)) < 1e-10
 
     def test_forms_agree_at_q1(self):
-        joints = werner_joints(0.7)
-        assert scg_lhs(joints, 1.0) == pytest.approx(scg_lhs_entropic(joints, 1.0),
-                                                     abs=1e-12)
+        p = werner_joints(0.7)
+        assert scg(p, 1.0) == pytest.approx(scg_lhs_entropic(p, 1.0), abs=1e-12)
+
+    def test_entropic_route_rejects_bad_tables(self):
+        with pytest.raises(ValueError, match="shape"):
+            scg_lhs_entropic(np.full((2, 2), 0.25), 2.0)
+        with pytest.raises(ValueError, match="sum to"):
+            scg_lhs_entropic(np.full((3, 2, 2), 0.3), 2.0)
 
 
 class TestLscValue:
     def test_zero_vector(self):
-        assert lsc_value([0.0, 0.0, 0.0]) == 0.0
+        assert lsc([0.0, 0.0, 0.0]) == 0.0
 
     def test_bell_state(self):
-        assert lsc_value([1.0, -1.0, 1.0]) == pytest.approx(math.sqrt(3), abs=1e-12)
+        assert lsc([1.0, -1.0, 1.0]) == pytest.approx(math.sqrt(3), abs=1e-12)
 
     def test_tilted_pure(self):
-        assert lsc_value([0.5, -0.5, 1.0]) == pytest.approx(math.sqrt(1.5), abs=1e-12)
-
-    def test_rejects_out_of_range_correlation(self):
-        with pytest.raises(ValueError):
-            lsc_value([1.5, 0.0, 0.0])
+        assert lsc([0.5, -0.5, 1.0]) == pytest.approx(math.sqrt(1.5), abs=1e-12)
 
 
 class TestVerdict:
@@ -183,14 +189,14 @@ class TestProperties:
     def test_lhs_non_increasing_in_chi(self):
         for theta in (math.radians(22.5), math.radians(7.5)):
             for q in (2.0, 1.0):
-                values = [scg_lhs(analytic_joints(theta, chi), q)
+                values = [scg(werner_tables(theta, chi), q)
                           for chi in np.linspace(0, 1, 101)]
                 assert np.all(np.diff(values) <= 1e-12)
 
     def test_q2_gives_widest_violation_margin(self):
         # for a steerable Werner state the bound-minus-lhs margin peaks at q = 2
-        joints = werner_joints(0.7)
-        margins = {q: scg_bound(q) - scg_lhs(joints, q)
+        values = criterion_values(werner_joints(0.7), (1.25, 1.5, 1.75, 2.0))
+        margins = {q: scg_bound(q) - values[scg_key(q)]
                    for q in (1.25, 1.5, 1.75, 2.0)}
         assert margins[2.0] == max(margins.values())
         assert margins[2.0] > 0
@@ -204,9 +210,9 @@ class TestProperties:
             c_diag = weights @ BELL_CORRELATIONS
             if abs(np.sum(c_diag ** 2) - 1.0) < 1e-9:
                 continue  # tie band
-            joints = [joint_distribution(rho, axis) for axis in AXES]
-            scg_rep = verdict(SCG, scg_lhs(joints, 2.0), scg_bound(2.0), q=2.0)
-            lsc_rep = verdict(LSC, lsc_value([correlation(jd) for jd in joints]), 1.0)
+            p = joint_tensor(rho.matrix)
+            scg_rep = verdict(SCG, scg(p, 2.0), scg_bound(2.0), q=2.0)
+            lsc_rep = verdict(LSC, float(np.linalg.norm(correlations(p))), 1.0)
             assert scg_rep.steerable == lsc_rep.steerable
             checked += 1
         assert checked > 250

@@ -3,79 +3,97 @@ import math
 import numpy as np
 import pytest
 
+from helpers import checked_table as table
 from helpers import random_density
-from steerq import (AXES, Axis, ExperimentRecord, bloch_decompose, correlation,
-                    frequencies, joint_distribution, make_werner_like,
-                    maximally_mixed, pauli_projectors, simulate_record,
-                    spawn_generator)
+from steerq import (AXES, ExperimentRecord, bloch_decompose, correlations,
+                    frequencies, joint_tensor, make_werner_like, maximally_mixed,
+                    simulate_record, spawn_generator)
 from steerq.criteria import analytic_tensor
-from steerq.measure import JointDistribution
+from steerq.measure import _PROJECTORS
+from steerq.qmat import I2, PAULIS
 
 
 class TestPauliProjectors:
-    @pytest.mark.parametrize("axis", AXES)
-    def test_completeness_and_orthogonality(self, axis):
-        p0, p1 = pauli_projectors(axis)
-        assert np.allclose(p0 + p1, np.eye(2), atol=1e-15)
-        assert np.allclose(p0 @ p0, p0, atol=1e-12)
-        assert np.allclose(p1 @ p1, p1, atol=1e-12)
-        assert np.allclose(p0 @ p1, 0, atol=1e-12)
+    """_PROJECTORS[k, i, j] = Pi_i x Pi_j, the product eigenprojectors of setting k."""
+
+    @pytest.mark.parametrize("k", range(3), ids=AXES)
+    def test_completeness_and_orthogonality(self, k):
+        products = _PROJECTORS[k].reshape(4, 4, 4)
+        assert np.allclose(products.sum(axis=0), np.eye(4), atol=1e-15)
+        for a, pa in enumerate(products):
+            for b, pb in enumerate(products):
+                assert np.allclose(pa @ pb, pa if a == b else 0, atol=1e-12)
+        sign = (1.0, -1.0)  # outcome 0 <-> eigenvalue +1, outcome 1 <-> -1
+        alice, bob = np.kron(PAULIS[k], I2), np.kron(I2, PAULIS[k])
+        for i in range(2):
+            for j in range(2):
+                proj = _PROJECTORS[k, i, j]
+                assert np.allclose(alice @ proj, sign[i] * proj, atol=1e-12)
+                assert np.allclose(bob @ proj, sign[j] * proj, atol=1e-12)
 
     def test_z_is_computational_basis(self):
-        p0, p1 = pauli_projectors(Axis.Z)
-        assert np.allclose(p0, np.diag([1.0, 0.0]))
-        assert np.allclose(p1, np.diag([0.0, 1.0]))
+        for i in range(2):
+            for j in range(2):
+                expected = np.zeros(4)
+                expected[2 * i + j] = 1.0
+                assert np.allclose(_PROJECTORS[2, i, j], np.diag(expected))
 
 
 class TestJointDistribution:
+    """joint_tensor: the (3, 2, 2) tables p[k, i, j] of a state or a stack of states."""
+
     def test_maximally_mixed_is_uniform(self):
-        for axis in AXES:
-            jd = joint_distribution(maximally_mixed(), axis)
-            assert np.allclose(jd.p, 0.25, atol=1e-12)
-            assert np.allclose(jd.alice_marginal, 0.5, atol=1e-12)
+        p = joint_tensor(maximally_mixed().matrix)
+        assert np.allclose(p, 0.25, atol=1e-12)
+        assert np.allclose(p.sum(axis=-1), 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("chi,expected", [
         (1.0, [0.5, 0.0, 0.0, 0.5]),
         (0.5, [0.375, 0.125, 0.125, 0.375]),
     ])
     def test_werner_z_pattern(self, chi, expected):
-        jd = joint_distribution(make_werner_like(math.pi / 8, chi), Axis.Z)
-        assert np.allclose(jd.p.reshape(-1), expected, atol=1e-12)
+        p = joint_tensor(make_werner_like(math.pi / 8, chi).matrix)
+        assert np.allclose(p[2].reshape(-1), expected, atol=1e-12)
 
     def test_tilted_pure_x_pattern(self):
-        jd = joint_distribution(make_werner_like(math.radians(7.5), 1.0), Axis.X)
-        assert np.allclose(jd.p.reshape(-1), [0.375, 0.125, 0.125, 0.375], atol=1e-12)
+        p = joint_tensor(make_werner_like(math.radians(7.5), 1.0).matrix)
+        assert np.allclose(p[0].reshape(-1), [0.375, 0.125, 0.125, 0.375], atol=1e-12)
 
     def test_invariants_on_random_states(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            rho = random_density(rng)
-            for axis in AXES:
-                jd = joint_distribution(rho, axis)
-                assert np.all(jd.p >= 0)
-                assert jd.p.sum() == pytest.approx(1.0, abs=1e-10)
-                assert np.allclose(jd.alice_marginal, jd.p.sum(axis=1), atol=1e-10)
+        states = [random_density(rng) for _ in range(100)]
+        stacked = joint_tensor(np.stack([rho.matrix for rho in states]))
+        assert stacked.shape == (100, 3, 2, 2)
+        for rho, from_stack in zip(states, stacked):
+            p = joint_tensor(rho.matrix)
+            assert np.all(p >= 0)
+            assert np.allclose(p.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-10)
+            assert np.allclose(from_stack, p, atol=1e-15)
 
     def test_rejects_negative_cells(self):
         with pytest.raises(ValueError, match="negative"):
-            JointDistribution.from_cells(Axis.X, [0.5, 0.6, -0.1, 0.0])
+            table([0.5, 0.6, -0.1, 0.0])
+
+    def test_rejects_states_that_are_not_two_qubit(self):
+        for dim in (2, 8):
+            with pytest.raises(ValueError, match="two-qubit"):
+                joint_tensor(np.eye(dim) / dim)
 
 
 class TestCorrelation:
     def test_simple_values(self):
-        assert correlation(JointDistribution.from_cells(Axis.Z, [0.5, 0, 0, 0.5])) == 1.0
-        assert correlation(JointDistribution.from_cells(Axis.Z, [0.25] * 4)) == 0.0
-        jd = JointDistribution.from_cells(Axis.X, [0.375, 0.125, 0.125, 0.375])
-        assert correlation(jd) == pytest.approx(0.5, abs=1e-15)
+        assert correlations(table([0.5, 0, 0, 0.5])) == 1.0
+        assert correlations(table([0.25] * 4)) == 0.0
+        assert correlations(table([0.375, 0.125, 0.125, 0.375])) == pytest.approx(
+            0.5, abs=1e-15)
 
     def test_matches_bloch_diagonal(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             rho = random_density(rng)
             c = bloch_decompose(rho).c
-            for k, axis in enumerate(AXES):
-                jd = joint_distribution(rho, axis)
-                assert correlation(jd) == pytest.approx(c[k, k], abs=1e-10)
+            assert np.allclose(correlations(joint_tensor(rho.matrix)), np.diag(c),
+                               rtol=0, atol=1e-10)
 
 
 class TestSimulateCounts:
@@ -116,6 +134,17 @@ class TestSimulateCounts:
                 simulate_record(math.pi / 8, 0.5, shots, seed=1)
         with pytest.raises(ValueError):
             spawn_generator(-1)
+
+    def test_rejects_shots_at_count_bound_before_drawing(self, monkeypatch):
+        from steerq import expio
+
+        def no_draws(*args):
+            raise AssertionError("drew counts for out-of-range shots")
+
+        monkeypatch.setattr(expio, "spawn_generator", no_draws)
+        for shots in (2**53, 10**20, 2**63 - 1):
+            with pytest.raises(ValueError, match=r"shots .*2\*\*53"):
+                simulate_record(math.pi / 8, 0.5, shots, seed=1)
 
 
 class TestEstimateDistribution:

@@ -1,7 +1,9 @@
 """Property tests of the tensor core and the counts pipeline.
 
-That both SCG forms agree is the first test: the batched kernel against
-the entropic route ``scg_lhs_entropic``, state by state.
+That both SCG forms agree is checked twice against the entropic route
+``scg_lhs_entropic``: on analytic states, where the batched kernel is also
+compared with the per-state matrix route, and on relative frequencies of
+sparse counts, with empty cells and empty Alice rows.
 """
 
 import math
@@ -10,9 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerq import (correlation, evaluate_record, lsc_value, parse_counts_csv,
+from helpers import werner_tables
+from steerq import (correlations, evaluate_record, frequencies, parse_counts_csv,
                     report_to_json, scg_lhs_entropic, serialize_counts_csv)
-from steerq.criteria import analytic_joints, analytic_tensor, criterion_values
+from steerq.criteria import analytic_tensor, criterion_values, scg_key
 from steerq.expio import COUNT_LIMIT, ExperimentRecord
 
 QS = (2.0, 1.5, 1.0)
@@ -25,13 +28,34 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 def test_batched_kernel_matches_per_state_route(theta, chis):
     values = criterion_values(analytic_tensor(theta, chis), QS)
     for idx, chi in enumerate(chis):
-        joints = analytic_joints(theta, chi)
+        p = werner_tables(theta, chi)
         for q in QS:
-            assert abs(values[f"scg_q{q:g}"][idx] - scg_lhs_entropic(joints, q)) <= 1e-12
-        lsc = lsc_value([correlation(jd) for jd in joints])
+            assert abs(values[f"scg_q{q:g}"][idx] - scg_lhs_entropic(p, q)) <= 1e-12
+        lsc = np.linalg.norm(correlations(p))
         assert abs(values["lsc"][idx] - lsc) <= 1e-12
     assert set(values) == {"scg_q2", "scg_q1.5", "scg_q1", "lsc"}
     assert np.shape(values["lsc"]) == (len(chis),)
+
+
+@st.composite
+def sparse_count_tensors(draw):
+    """(3, 2, 2) counts below 2**51 per cell, often with empty cells and Alice rows."""
+    cell = st.one_of(st.integers(1, 2**51 - 1), st.just(0))
+    counts = np.array(draw(st.lists(cell, min_size=12, max_size=12))).reshape(3, 2, 2)
+    for k in range(3):  # a setting needs one count; put it in a drawn cell
+        if not counts[k].any():
+            counts[k].flat[draw(st.integers(0, 3))] = 1
+    return counts
+
+
+@settings(PROPERTY, max_examples=300)
+@given(counts=sparse_count_tensors())
+def test_kernel_matches_entropic_route_on_counts(counts):
+    qs = (2.0, 1.5, 1.0, 0.5)
+    p = frequencies(counts)
+    values = criterion_values(p, qs)
+    for q in qs:
+        assert abs(values[scg_key(q)] - scg_lhs_entropic(p, q)) <= 1e-12
 
 
 @st.composite

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import checked_table as joint
 from steerq import (conditional_tsallis, correction_term, ln_q,
                     shannon_entropy, tsallis_entropy)
-from steerq.measure import Axis, JointDistribution
-
-
-def joint(cells):
-    return JointDistribution.from_cells(Axis.Z, cells)
 
 
 UNIFORM = joint([0.25, 0.25, 0.25, 0.25])
