@@ -40,6 +40,11 @@ LSC_BOUND = 1.0
 
 MONOTONE_SAMPLES = 21
 BISECTION_MAX_ITER = 200
+MULTISECTION_BITS = 5
+# A batch of states and one state take different einsum summation orders, so
+# their criterion values can differ in the last bits (about 1e-14 seen).  A
+# batched value this close to zero is re-evaluated as one state, as bisection does.
+ONE_POINT_MARGIN = 1e-9
 
 
 class SolverError(ArithmeticError):
@@ -190,11 +195,15 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     """Smallest mixing weight chi at which the criterion is violated.
 
     Samples the analytic profile at 21 points in one batch to verify strict
-    monotonicity, then bisects lhs(chi) = bound on [0, 1].  When no violation
-    occurs on the interval the result is (1.0, crossed=False).
+    monotonicity, then solves lhs(chi) = bound on [0, 1] to width tol in (0, 1).
+    Each round evaluates the 2^k - 1 interior dyadic points of the bracket in
+    one batch, k being the halvings still needed (at most MULTISECTION_BITS),
+    and replays bisection's k decisions on them, so the result is bisection's
+    bracket midpoint bit for bit.  When no violation occurs on the interval
+    the result is (1.0, crossed=False).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if criterion == SCG:
         if q is None:
             raise ValueError("SCG threshold requires an entropic index q")
@@ -228,12 +237,22 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         return ChiThreshold(1.0, False)
 
     lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= tol:
-            break
-        mid = (lo + hi) / 2.0
-        if violated(f(mid)[0]):
-            hi = mid
-        else:
-            lo = mid
+    halvings = 0
+    while halvings < BISECTION_MAX_ITER and hi - lo > tol:
+        k, width = 0, hi - lo
+        while width > tol and k < min(MULTISECTION_BITS, BISECTION_MAX_ITER - halvings):
+            k, width = k + 1, width / 2.0
+        n = 2 ** k
+        interior = lo + (hi - lo) * (np.arange(1, n) / n)
+        values = f(interior)
+        grid = [lo, *interior.tolist(), hi]
+        a, b = 0, n  # replay of bisection's k decisions on the grid
+        for _ in range(k):
+            m = (a + b) // 2
+            value = values[m - 1]
+            if abs(value) < ONE_POINT_MARGIN:
+                value = f(grid[m])[0]
+            a, b = (a, m) if violated(value) else (m, b)
+        lo, hi = grid[a], grid[b]
+        halvings += k
     return ChiThreshold((lo + hi) / 2.0, True)

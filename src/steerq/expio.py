@@ -35,6 +35,7 @@ BOOTSTRAP_STREAM = 3  # streams 0..2 are reserved for per-axis simulation
 BOOTSTRAP_CHUNK = 4096
 MAX_BOOTSTRAP = 10**6
 COUNT_LIMIT = 2**53  # float64 holds every integer below it: n_ij / total rounds once
+MAX_SWEEP_STEPS = 10**5
 
 
 class CountsFormatError(ValueError):
@@ -268,6 +269,10 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int,
                          f"got {shots}")
     counts = np.stack([spawn_generator(seed, k).poisson(lam=shots * p[k])
                        for k in range(len(AXES))])
+    for axis, total in zip(AXES, counts.sum(axis=(1, 2)).tolist()):
+        if total >= COUNT_LIMIT:
+            raise ValueError(f"shots = {shots} drew an axis {axis} total count of {total}, "
+                             f"which is not below 2**53 = {COUNT_LIMIT}; use fewer shots")
     if label is None:
         label = (f"simulated werner_like(theta={math.degrees(theta):g}deg, "
                  f"chi={chi:g}, shots={shots}, seed={seed})")
@@ -281,8 +286,8 @@ def sweep_curve(theta: float, chi_steps: int,
     Columns: chi, SCG lhs for qs[0] and qs[1], LSC lhs, then the three
     bounds.  With the default qs this matches the curve CSV header.
     """
-    if chi_steps < 2:
-        raise ValueError("chi_steps must be at least 2")
+    if not 2 <= chi_steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"chi_steps must be in [2, {MAX_SWEEP_STEPS}], got {chi_steps}")
     if len(qs) != 2:
         raise ValueError("sweep_curve expects exactly two entropic indices")
     chis = np.linspace(0.0, 1.0, chi_steps)
@@ -294,10 +299,8 @@ def sweep_curve(theta: float, chi_steps: int,
 
 
 def curve_to_csv(rows: np.ndarray) -> str:
-    lines = [CURVE_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(f"{value:.12g}" for value in row))
-    return "\n".join(lines) + "\n"
+    line = ",".join(["{:.12g}"] * rows.shape[1]).format
+    return "\n".join([CURVE_CSV_HEADER, *(line(*row) for row in rows.tolist())]) + "\n"
 
 
 # Reference measurements from a published coincidence-count experiment on the

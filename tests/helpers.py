@@ -4,7 +4,9 @@ import numpy as np
 
 from steerq import (DensityMatrix, criterion_values, joint_tensor, make_werner_like,
                     validate_density)
-from steerq.criteria import scg_key
+from steerq.criteria import (BISECTION_MAX_ITER, LSC_BOUND, MONOTONE_SAMPLES, SCG,
+                             ChiThreshold, SolverError, analytic_tensor, scg_bound,
+                             scg_key)
 from steerq.measure import _checked_cells
 
 # Bell basis: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
@@ -59,3 +61,42 @@ def scg(p: np.ndarray, q: float) -> float:
 def checked_table(cells) -> np.ndarray:
     """One (2, 2) joint table from four cells p00, p01, p10, p11, through the one check."""
     return _checked_cells(np.asarray(cells, dtype=float).reshape(2, 2))
+
+
+def bisection_threshold(theta: float, criterion: str = SCG, q=2.0,
+                        tol: float = 1e-6) -> ChiThreshold:
+    """Plain bisection for the chi threshold: the reference criteria.chi_threshold must match.
+
+    Same preconditions and early returns as chi_threshold; one scalar
+    evaluation per halving.
+    """
+    if criterion == SCG:
+        qs, key, bound, violation_sign = (q,), scg_key(q), scg_bound(q), -1
+    else:
+        qs, key, bound, violation_sign = (), "lsc", LSC_BOUND, +1
+
+    def f(chis) -> np.ndarray:
+        return criterion_values(analytic_tensor(theta, chis), qs)[key] - bound
+
+    def violated(value: float) -> bool:
+        return value * violation_sign > 0.0
+
+    samples = f(np.linspace(0.0, 1.0, MONOTONE_SAMPLES))
+    diffs = np.diff(samples)
+    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+        raise SolverError("profile over chi is not strictly monotone")
+    if violated(samples[0]):
+        return ChiThreshold(0.0, True)
+    if not violated(samples[-1]):
+        return ChiThreshold(1.0, False)
+
+    lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
+    for _ in range(BISECTION_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        mid = (lo + hi) / 2.0
+        if violated(f(mid)[0]):
+            hi = mid
+        else:
+            lo = mid
+    return ChiThreshold((lo + hi) / 2.0, True)

@@ -57,6 +57,17 @@ class TestSimulate:
         assert stdout == "" and not out.exists()
         assert f"shots must be a positive integer below 2**53 = {2**53}, got {shots}" in err
 
+    def test_drawn_total_at_count_bound_names_shots(self, tmp_path, capsys):
+        shots = 2**53 - 1
+        out = tmp_path / "counts.csv"
+        code, stdout, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
+                                "--shots", str(shots), "--seed", "0", "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == "" and not out.exists()
+        assert err == (f"error: shots = {shots} drew an axis y total count of "
+                       f"9007199257698276, which is not below 2**53 = {2**53}; "
+                       "use fewer shots\n")
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
                            "--out", str(tmp_path / "nodir" / "x.csv"))
@@ -213,6 +224,19 @@ class TestThreshold:
         assert code == EXIT_OK
         assert "not violated" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "1.5"])
+    def test_tol_outside_unit_interval_is_input_error(self, capsys, tol):
+        code, out, err = run(capsys, "threshold", "--theta", "7.5", "--tol", tol)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.count("error:") == 1 and "tol must lie in (0, 1)" in err
+
+    def test_large_tol_still_prints_six_digits(self, capsys):
+        # one halving of [0, 1]: the threshold near 0.80 lies in [0.5, 1]
+        code, out, _ = run(capsys, "threshold", "--theta", "7.5", "--tol", "0.9")
+        assert code == EXIT_OK
+        assert out.endswith("chi = 0.750000\n")
+
 
 class TestSweepAndTables:
     def test_sweep_writes_curve(self, tmp_path, capsys):
@@ -223,6 +247,22 @@ class TestSweepAndTables:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "chi,scg_q2,scg_q1,lsc,bound_q2,bound_q1,bound_lsc"
         assert len(lines) == 12
+
+    @pytest.mark.parametrize("steps", [10**5 + 1, 10**18])
+    def test_steps_beyond_cap_rejected_before_evaluating(self, tmp_path, capsys,
+                                                         monkeypatch, steps):
+        from steerq import criteria
+
+        def fail(*args):
+            raise AssertionError("analytic_tensor called")
+
+        monkeypatch.setattr(criteria, "analytic_tensor", fail)
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run(capsys, "sweep", "--theta", "7.5", "--steps", str(steps),
+                                "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == "" and not out.exists()
+        assert f"chi_steps must be in [2, 100000], got {steps}" in err
 
     def test_tables_to_stdout(self, capsys):
         code, out, _ = run(capsys, "tables")

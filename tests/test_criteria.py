@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (BELL_CORRELATIONS, random_bell_diagonal, random_density, scg,
-                     werner_tables)
+from helpers import (BELL_CORRELATIONS, bisection_threshold, random_bell_diagonal,
+                     random_density, scg, werner_tables)
 from steerq import (LSC, SCG, SolverError, chi_threshold, correlations, criterion_values,
                     joint_tensor, mub_bound, scg_bound, scg_lhs_entropic, shannon_bound,
                     verdict)
@@ -170,6 +170,34 @@ class TestChiThreshold:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             chi_threshold(math.radians(22.5), SCG, q=2.0, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [0.9, 1e-3, 1e-6, 3e-7, 1e-12, 1e-300])
+    @pytest.mark.parametrize("criterion, q", [(SCG, 2.0), (SCG, 1.5), (SCG, 1.0),
+                                              (SCG, 0.5), (LSC, None)])
+    def test_matches_bisection_bit_for_bit(self, criterion, q, tol):
+        for theta in np.linspace(0.0, math.pi / 4, 19):
+            try:
+                expected = bisection_threshold(theta, criterion, q, tol)
+            except SolverError:
+                with pytest.raises(SolverError):
+                    chi_threshold(theta, criterion, q, tol)
+                continue
+            got = chi_threshold(theta, criterion, q, tol)
+            assert (got.chi.hex(), got.crossed) == (expected.chi.hex(), expected.crossed), theta
+
+    @pytest.mark.parametrize("theta_deg, criterion, q", [(22.5, SCG, 2.0), (7.5, SCG, 2.0),
+                                                         (7.5, SCG, 1.0), (7.5, LSC, None)])
+    def test_default_tol_takes_at_most_five_kernel_calls(self, monkeypatch, theta_deg,
+                                                          criterion, q):
+        # one monotonicity batch plus four rounds of 2^5 - 1 points; bisection made 21 calls
+        from steerq import criteria
+
+        calls = []
+        original = criteria.criterion_values
+        monkeypatch.setattr(criteria, "criterion_values",
+                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        assert chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
+        assert len(calls) <= 5
 
     def test_non_monotone_profile_raises(self, monkeypatch):
         # V-shaped stand-in profile: bisection preconditions must be rejected

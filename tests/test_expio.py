@@ -292,6 +292,14 @@ class TestSweepCurve:
         with pytest.raises(ValueError):
             sweep_curve(THETA_W, 1)
 
+    @pytest.mark.parametrize("steps", [2, 3, 1001])
+    @pytest.mark.parametrize("theta_deg", [0.0, 7.5, 22.5])
+    def test_csv_matches_per_value_formatting(self, theta_deg, steps):
+        rows = sweep_curve(math.radians(theta_deg), steps)
+        lines = [CURVE_CSV_HEADER] + [",".join(f"{value:.12g}" for value in row)
+                                      for row in rows]
+        assert curve_to_csv(rows) == "\n".join(lines) + "\n"
+
 
 class TestReproduceTables:
     def test_sixty_entries(self):
