@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qentropy
-from .measure import _checked_cells, correlations, joint_tensor
+from .measure import _checked_cells, correlations, joint_tensor, table_totals
 from .qmat import werner_like_matrices
 
 Q_MAX = 2.0
@@ -82,16 +82,18 @@ def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     marginal = np.asarray(marginal, dtype=float)
-    if qentropy.is_shannon(q):
-        safe_p = np.where(p > 0.0, p, 1.0)
-        joint_h = -np.sum(p * np.log(safe_p), axis=(-1, -2))
-        safe_m = np.where(marginal > 0.0, marginal, 1.0)
-        marg_h = -np.sum(marginal * np.log(safe_m), axis=-1)
-        return np.sum(joint_h - marg_h, axis=-1)
-    safe_m = np.where(marginal > 0.0, marginal, 1.0)[..., :, np.newaxis]
-    terms = np.where(p > 0.0, p ** q * safe_m ** (1.0 - q), 0.0)
-    inner = np.sum(terms, axis=(-1, -2))
-    return np.sum((1.0 - inner) / (q - 1.0), axis=-1)
+    safe_m = np.where(marginal > 0.0, marginal, 1.0)
+    if qentropy.is_shannon(q):  # H(A, B) - H(A) = sum m ln m - sum p ln p per setting
+        marginal_h = marginal * np.log(safe_m)
+        per_setting = ((marginal_h[..., 0] + marginal_h[..., 1])
+                       - table_totals(p * np.log(np.where(p > 0.0, p, 1.0))))
+    else:
+        terms = np.where(p > 0.0, p ** q * safe_m[..., np.newaxis] ** (1.0 - q), 0.0)
+        per_setting = (1.0 - table_totals(terms)) / (q - 1.0)
+    total = 0.0  # np.sum's start: +0.0 when every setting gives -0.0 (deterministic, q < 1)
+    for k in range(per_setting.shape[-1]):
+        total = total + per_setting[..., k]
+    return total
 
 
 def scg_lhs_entropic(p, q: float) -> float:
@@ -146,9 +148,11 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
     SCG is (1/(q-1)) sum_k [1 - sum_ij p_ij^q / p_i^(q-1)], the summed Shannon
     conditional entropies at q = 1; LSC is the norm of the same-axis correlations.
 
-    Returns arrays of shape (...) keyed scg_key(q) for each q and "lsc".
+    Returns arrays of shape (...) keyed scg_key(q) for each q and "lsc".  Powers and
+    logs are elementwise and each sum over cells, outcomes or settings is a chain of
+    slice adds in np.sum's order, so a stack gets the same bits in any batch.
     """
-    marginal = p.sum(axis=-1)
+    marginal = p[..., 0] + p[..., 1]
     values = {scg_key(q): scg_lhs_cells(p, marginal, q) for q in check_qs(qs)}
     values["lsc"] = np.linalg.norm(correlations(p), axis=-1)
     return values

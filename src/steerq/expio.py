@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria
-from .measure import AXES, frequencies, spawn_generator
+from .measure import AXES, frequencies, spawn_generator, table_totals
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 _CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
@@ -146,30 +146,15 @@ class EvaluationReport:
     seed: Optional[int]       # bootstrap seed (None when analytic)
 
 
-def _criterion_key(report: criteria.CriterionReport) -> str:
-    if report.criterion == criteria.LSC:
-        return "lsc"
-    return criteria.scg_key(report.q)
-
-
 def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
     """Structured-text rendering with fixed field names."""
     doc = {
         "label": report.label,
-        "criteria": [
-            {
-                "criterion": c.criterion,
-                "q": c.q,
-                "lhs": c.lhs,
-                "bound": c.bound,
-                "steerable": c.steerable,
-                "error_bar": c.error_bar,
-            }
-            for c in report.criteria
-        ],
+        "criteria": [vars(c) for c in report.criteria],  # CriterionReport fields, in order
         "probabilities": report.probabilities,
         "totals": report.totals,
-        "bounds": {_criterion_key(c): c.bound for c in report.criteria},
+        "bounds": {"lsc" if c.criterion == criteria.LSC else criteria.scg_key(c.q): c.bound
+                   for c in report.criteria},
         "seed": report.seed,
     }
     return json.dumps(doc, indent=indent, allow_nan=False)
@@ -208,8 +193,12 @@ def _bootstrap_error_bars(rec: ExperimentRecord, qs: Sequence[float],
     for start in range(0, resamples, BOOTSTRAP_CHUNK):
         size = min(BOOTSTRAP_CHUNK, resamples - start)
         draws = rng.poisson(lam=rec.counts, size=(size, 3, 2, 2))
-        draws = draws[np.all(np.einsum("rkij->rk", draws) >= 1, axis=1)]
-        for key, values in criteria.criterion_values(frequencies(draws), qs).items():
+        totals = table_totals(draws)
+        usable = np.all(totals >= 1, axis=1)
+        if not usable.all():
+            draws, totals = draws[usable], totals[usable]
+        p = draws / totals[..., np.newaxis, np.newaxis]
+        for key, values in criteria.criterion_values(p, qs).items():
             samples.setdefault(key, []).append(values)
     values = {key: np.concatenate(parts) for key, parts in samples.items()}
     usable = len(values["lsc"])

@@ -64,11 +64,16 @@ def correlations(p: np.ndarray) -> np.ndarray:
     return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
 
 
+def table_totals(t: np.ndarray) -> np.ndarray:
+    """Per-table sums ((t00 + t01) + t10) + t11 of a (..., 2, 2) stack, in np.sum's order."""
+    return ((t[..., 0, 0] + t[..., 0, 1]) + t[..., 1, 0]) + t[..., 1, 1]
+
+
 def frequencies(counts: np.ndarray) -> np.ndarray:
     """Relative frequencies n_ij / total of a (..., 2, 2) stack of count tables.
 
     Every table must have a positive total; a validated ExperimentRecord
     guarantees it, so the result is not checked again.
     """
-    counts = np.asarray(counts, dtype=float)
-    return counts / np.einsum("...ij->...", counts)[..., np.newaxis, np.newaxis]
+    counts = np.asarray(counts)
+    return counts / table_totals(counts)[..., np.newaxis, np.newaxis]

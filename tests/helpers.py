@@ -3,11 +3,12 @@
 import numpy as np
 
 from steerq import (DensityMatrix, criterion_values, joint_tensor, make_werner_like,
-                    validate_density)
+                    qentropy, validate_density)
 from steerq.criteria import (BISECTION_MAX_ITER, LSC_BOUND, MONOTONE_SAMPLES, SCG,
-                             ChiThreshold, SolverError, analytic_tensor, scg_bound,
-                             scg_key)
-from steerq.measure import _checked_cells
+                             ChiThreshold, SolverError, analytic_tensor, check_qs,
+                             scg_bound, scg_key)
+from steerq.expio import BOOTSTRAP_STREAM
+from steerq.measure import _checked_cells, correlations, spawn_generator
 
 # Bell basis: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
 _BELL_VECTORS = np.array([
@@ -100,3 +101,58 @@ def bisection_threshold(theta: float, criterion: str = SCG, q=2.0,
         else:
             lo = mid
     return ChiThreshold((lo + hi) / 2.0, True)
+
+
+def assert_same_bits(a, b) -> None:
+    """a and b hold the same float64 bit patterns: values, signed zeros and shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
+    """The SCG kernel as numpy reductions over the tiny axes: the reference the
+    slice-sum criteria.scg_lhs_cells must match bit for bit."""
+    p = np.asarray(p, dtype=float)
+    marginal = np.asarray(marginal, dtype=float)
+    if qentropy.is_shannon(q):
+        safe_p = np.where(p > 0.0, p, 1.0)
+        joint_h = -np.sum(p * np.log(safe_p), axis=(-1, -2))
+        safe_m = np.where(marginal > 0.0, marginal, 1.0)
+        marg_h = -np.sum(marginal * np.log(safe_m), axis=-1)
+        return np.sum(joint_h - marg_h, axis=-1)
+    safe_m = np.where(marginal > 0.0, marginal, 1.0)[..., :, np.newaxis]
+    terms = np.where(p > 0.0, p ** q * safe_m ** (1.0 - q), 0.0)
+    inner = np.sum(terms, axis=(-1, -2))
+    return np.sum((1.0 - inner) / (q - 1.0), axis=-1)
+
+
+def reference_criterion_values(p: np.ndarray, qs) -> dict:
+    """criteria.criterion_values with axis reductions, through reference_scg_lhs_cells."""
+    marginal = p.sum(axis=-1)
+    values = {scg_key(q): reference_scg_lhs_cells(p, marginal, q) for q in check_qs(qs)}
+    values["lsc"] = np.linalg.norm(correlations(p), axis=-1)
+    return values
+
+
+def reference_frequencies(counts: np.ndarray) -> np.ndarray:
+    """measure.frequencies as float counts over an einsum total."""
+    counts = np.asarray(counts, dtype=float)
+    return counts / np.einsum("...ij->...", counts)[..., np.newaxis, np.newaxis]
+
+
+def reference_bootstrap_error_bars(counts, qs, resamples: int, seed: int,
+                                   chunk: int) -> dict:
+    """Bootstrap error bars with the einsum filter, reference_frequencies and the
+    reference kernel; expio's error bars must match them bit for bit."""
+    rng = spawn_generator(seed, BOOTSTRAP_STREAM)
+    samples: dict = {}
+    for start in range(0, resamples, chunk):
+        size = min(chunk, resamples - start)
+        draws = rng.poisson(lam=counts, size=(size, 3, 2, 2))
+        draws = draws[np.all(np.einsum("rkij->rk", draws) >= 1, axis=1)]
+        p = reference_frequencies(draws)
+        for key, values in reference_criterion_values(p, qs).items():
+            samples.setdefault(key, []).append(values)
+    return {key: float(np.std(np.concatenate(parts), ddof=1))
+            for key, parts in samples.items()}

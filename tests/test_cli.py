@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerq.cli import (EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                         exit_code_for, main)
 from steerq.criteria import SolverError
-from steerq.expio import CountsFormatError, parse_counts_csv
+from steerq.expio import MAX_BOOTSTRAP, CountsFormatError, parse_counts_csv
 
 
 def counts_csv(cells: dict, default: int = 10) -> str:
@@ -174,6 +181,77 @@ class TestEval:
         assert code == EXIT_INPUT
         assert out == ""
         assert "bootstrap resample count must be in [2, 1000000]" in err
+
+
+@st.composite
+def _count_cells(draw):
+    """Twelve count texts, small integers, at times one replaced by a malformed or huge one."""
+    cells = [str(v) for v in draw(st.lists(st.integers(0, 40), min_size=12, max_size=12))]
+    if draw(st.booleans()):
+        cells[draw(st.integers(0, 11))] = draw(st.one_of(
+            st.integers(2**50, 2**64).map(str),
+            st.sampled_from(["", "-1", "1.5", "x", "\u0663", "+2", "1e3", "0x1", "2 3"])))
+    return cells
+
+
+def _valid_or(valid, invalid):
+    return st.one_of(valid.map(str), invalid)
+
+
+_BOOTSTRAP = _valid_or(st.integers(2, 200), st.one_of(
+    st.integers(-2, 1).map(str),
+    st.integers(MAX_BOOTSTRAP + 1, 10**30).map(str),  # rejected before any draw
+    st.sampled_from(["", "abc", "1.5", "1e3"])))
+_SEED = _valid_or(st.integers(0, 2**64), st.one_of(
+    st.integers(-3, -1).map(str), st.sampled_from(["", "x", "1.0"])))
+_Q = st.one_of(
+    st.lists(st.sampled_from(["2", "1", "1.5", "0.5", "0.1", "1.9", "1e-300"]),
+             min_size=1, max_size=4).map(",".join),
+    st.lists(st.floats(-0.5, 2.5).map("{:g}".format), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "nan", "inf", "2,2", "1,1.0000001", "2,,1", "two"]))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestEvalFuzz:
+    def test_every_outcome_is_a_clean_exit(self):
+        """Any --bootstrap, --seed, --q and cell text ends in exit 0, 2, 3 or 4: with strict
+        JSON and nothing on stderr, or with no stdout and exactly one error line."""
+        codes = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(cells=_count_cells(), bootstrap=_BOOTSTRAP, seed=_SEED, q=_Q)
+        def check(cells, bootstrap, seed, q):
+            keys = [(s, o) for s in "xyz" for o in ("00", "01", "10", "11")]
+            out, err = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "counts.csv")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(counts_csv(dict(zip(keys, cells))))
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main(["eval", "--counts", path, "--bootstrap", bootstrap,
+                                     "--seed", seed, "--q", q])
+                    except SystemExit as exc:  # argparse rejected the command line
+                        code = exc.code
+            out, err = out.getvalue(), err.getvalue()
+            assert not caught, [str(w.message) for w in caught]
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_IO)
+            assert "Traceback" not in err
+            if code == EXIT_OK:
+                assert err == ""
+                assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
+            else:
+                assert out == ""
+                assert sum("error:" in line for line in err.splitlines()) == 1
+            codes.append(code)
+
+        check()
+        assert codes.count(EXIT_OK) >= 10 and codes.count(EXIT_INPUT) >= 10
 
 
 class TestEvalState:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (BELL_CORRELATIONS, bisection_threshold, random_bell_diagonal,
-                     random_density, scg, werner_tables)
-from steerq import (LSC, SCG, SolverError, chi_threshold, correlations, criterion_values,
-                    joint_tensor, mub_bound, scg_bound, scg_lhs_entropic, shannon_bound,
-                    verdict)
+from helpers import (BELL_CORRELATIONS, assert_same_bits, bisection_threshold,
+                     random_bell_diagonal, random_density, reference_criterion_values,
+                     reference_scg_lhs_cells, scg, werner_tables)
+from steerq import (LSC, SCG, SolverError, analytic_tensor, chi_threshold, correlations,
+                    criterion_values, frequencies, joint_tensor, mub_bound, scg_bound,
+                    scg_lhs_entropic, shannon_bound, verdict)
 from steerq.criteria import scg_key, scg_lhs_cells
 
 
@@ -244,3 +245,94 @@ class TestProperties:
             assert scg_rep.steerable == lsc_rep.steerable
             checked += 1
         assert checked > 250
+
+
+KERNEL_QSETS = [(2.0, 1.0), (2.0, 1.0, 1.5), (0.5,), (0.1, 1.9)]
+
+
+@pytest.fixture(scope="module")
+def poisson_blocks():
+    """Frequency blocks of Poisson resamples like the bootstrap's, plus edge tables.
+
+    50 seeded records with cell means 0 to 29, a third of cells forced empty and
+    every fifth record with an Alice outcome never seen (a zero marginal);
+    resamples with an empty setting are dropped, as the bootstrap does.  Then
+    deterministic settings (each SCG term at q < 1 is -0.0) and a block whose
+    empty cells hold -0.0.
+    """
+    blocks = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        means = rng.integers(0, 30, size=(3, 2, 2)) * (rng.random((3, 2, 2)) > 0.3)
+        if seed % 5 == 0:
+            means[seed % 3, 1] = 0
+        draws = rng.poisson(lam=means, size=(200, 3, 2, 2))
+        draws = draws[np.all(draws.sum(axis=(-1, -2)) >= 1, axis=1)]
+        blocks.append(frequencies(draws))
+    deterministic = np.zeros((4, 3, 2, 2))
+    for i in range(4):
+        deterministic[i, :, i // 2, i % 2] = 1.0
+    blocks.append(deterministic)
+    blocks.append(np.where(blocks[0] == 0.0, -0.0, blocks[0]))
+    return blocks
+
+
+def analytic_grids():
+    """(101, 3, 2, 2) Werner-like tables at each of 19 thetas over [0, 45 deg]."""
+    return [analytic_tensor(theta, np.linspace(0.0, 1.0, 101))
+            for theta in np.linspace(0.0, math.pi / 4, 19)]
+
+
+class TestKernelReference:
+    """The slice-sum kernel against the axis-reduction reference, bit for bit."""
+
+    @pytest.mark.parametrize("qs", KERNEL_QSETS)
+    def test_poisson_blocks(self, poisson_blocks, qs):
+        assert any(np.any(block.sum(axis=-1) == 0.0) for block in poisson_blocks[:50])
+        assert sum(len(block) for block in poisson_blocks[:50]) > 5000
+        for block in poisson_blocks:
+            want = reference_criterion_values(block, qs)
+            for key, value in criterion_values(block, qs).items():
+                assert_same_bits(value, want[key])
+
+    @pytest.mark.parametrize("qs", KERNEL_QSETS)
+    def test_analytic_grids_and_points(self, qs):
+        for grid in analytic_grids():
+            points = [grid[i] for i in (0, 37, 81, 100)]
+            for p in [grid, *points]:
+                want = reference_criterion_values(p, qs)
+                for key, value in criterion_values(p, qs).items():
+                    assert_same_bits(value, want[key])
+
+    @pytest.mark.parametrize("q", [2.0, 1.0, 1.5, 0.5, 0.1])
+    def test_one_setting(self, poisson_blocks, q):
+        for p in [*poisson_blocks, *analytic_grids()]:
+            one = p[..., :1, :, :]
+            marginal = one.sum(axis=-1)
+            assert_same_bits(scg_lhs_cells(one, marginal, q),
+                             reference_scg_lhs_cells(one, marginal, q))
+
+    def test_deterministic_settings_give_positive_zero(self, poisson_blocks):
+        values = criterion_values(poisson_blocks[50], (0.5, 1.0, 2.0))
+        for key in ("scg_q0.5", "scg_q1", "scg_q2"):
+            assert_same_bits(values[key], np.zeros(4))
+
+
+class TestBatchInvariance:
+    """Each stack of a batch gets the bits it gets on its own (given tables)."""
+
+    QS = (2.0, 1.0, 1.5, 0.5)
+
+    def check(self, p):
+        batch = criterion_values(p, self.QS)
+        for i in range(len(p)):
+            for key, value in criterion_values(p[i], self.QS).items():
+                assert_same_bits(batch[key][i], value)
+
+    def test_poisson_blocks(self, poisson_blocks):
+        for block in poisson_blocks:
+            self.check(block)
+
+    def test_analytic_grids(self):
+        for grid in analytic_grids():
+            self.check(grid)

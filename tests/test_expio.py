@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_bootstrap_error_bars
 from steerq import (CountsFormatError, ExperimentRecord, evaluate_record,
                     evaluate_state, expio, parse_counts_csv, report_to_json,
                     reproduce_tables, serialize_counts_csv, simulate_record,
                     sweep_curve)
-from steerq.expio import (COUNT_LIMIT, CURVE_CSV_HEADER, MAX_BOOTSTRAP,
+from steerq.expio import (BOOTSTRAP_STREAM, COUNT_LIMIT, CURVE_CSV_HEADER, MAX_BOOTSTRAP,
                           comparison_to_text, curve_to_csv)
+from steerq.measure import spawn_generator
 
 THETA_W = math.radians(22.5)
 THETA_T = math.radians(7.5)
@@ -180,6 +182,31 @@ class TestEvaluateRecord:
         monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", 10**9)
         assert [c.error_bar for c in rep.criteria] == [
             c.error_bar for c in evaluate_record(rec, bootstrap=40, seed=0).criteria]
+
+    @pytest.mark.parametrize("chunk", [3, expio.BOOTSTRAP_CHUNK])
+    @pytest.mark.parametrize("qs", [(2.0, 1.0), (2.0, 1.0, 1.5, 0.5)])
+    def test_dropped_resamples_match_reference(self, monkeypatch, chunk, qs):
+        # settings with 3, 4 and 2 counts: about a fifth of resamples leave one empty
+        counts = np.array([[[1, 0], [2, 0]], [[0, 3], [1, 0]], [[0, 0], [0, 2]]])
+        draws = spawn_generator(5, BOOTSTRAP_STREAM).poisson(counts, (1000, 3, 2, 2))
+        assert np.sum(np.any(draws.sum(axis=(-1, -2)) == 0, axis=1)) > 100
+        want = reference_bootstrap_error_bars(counts, qs, 1000, 5, chunk)
+        monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
+        rep = evaluate_record(ExperimentRecord("sparse", counts), qs=qs, bootstrap=1000,
+                              seed=5)
+        got = {("lsc" if c.q is None else f"scg_q{c.q:g}"): c.error_bar.hex()
+               for c in rep.criteria}
+        assert got == {key: bar.hex() for key, bar in want.items()}
+
+    @pytest.mark.parametrize("seed, resamples, usable", [(0, 2, 0), (7, 2, 1), (1, 3, 1)])
+    def test_too_few_usable_resamples_message(self, seed, resamples, usable):
+        counts = np.zeros((3, 2, 2), dtype=int)
+        counts[:, 0, 0] = 1
+        with pytest.raises(ValueError) as info:
+            evaluate_record(ExperimentRecord("tiny", counts), bootstrap=resamples, seed=seed)
+        assert str(info.value) == (
+            f"bootstrap: {usable} of {resamples} requested resamples have counts in every "
+            "setting, at least 2 are needed; the counts are too small for error bars")
 
     def test_bootstrap_count_bounds(self):
         rec = parse_counts_csv(uniform_csv())
