@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qentropy
-from .measure import _checked_cells, correlations, joint_tensor, table_totals
-from .qmat import werner_like_matrices
+from .measure import _checked_cells, correlations, table_totals
+from .qmat import werner_like_parameters
 
 Q_MAX = 2.0
 
@@ -41,10 +41,6 @@ LSC_BOUND = 1.0
 MONOTONE_SAMPLES = 21
 BISECTION_MAX_ITER = 200
 MULTISECTION_BITS = 5
-# A batch of states and one state take different einsum summation orders, so
-# their criterion values can differ in the last bits (about 1e-14 seen).  A
-# batched value this close to zero is re-evaluated as one state, as bisection does.
-ONE_POINT_MARGIN = 1e-9
 
 
 class SolverError(ArithmeticError):
@@ -154,7 +150,8 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
     """
     marginal = p[..., 0] + p[..., 1]
     values = {scg_key(q): scg_lhs_cells(p, marginal, q) for q in check_qs(qs)}
-    values["lsc"] = np.linalg.norm(correlations(p), axis=-1)
+    squares = correlations(p) ** 2
+    values["lsc"] = np.sqrt((squares[..., 0] + squares[..., 1]) + squares[..., 2])
     return values
 
 
@@ -185,8 +182,20 @@ def verdict(criterion: str, lhs: float, bound: float, q: Optional[float] = None,
 
 
 def analytic_tensor(theta: float, chis) -> np.ndarray:
-    """(len(chis), 3, 2, 2) joint tables of the Werner-like states over a chi vector."""
-    return joint_tensor(werner_like_matrices(theta, chis))
+    """(len(chis), 3, 2, 2) joint tables of the Werner-like states over a chi vector.
+
+    joint_tensor(make_werner_like(theta, chi).matrix) in closed form and in its einsum's
+    one-state order, tr(rho Pi) = sum_a (sum_b rho_ab Pi_ba), so any batch has those bits.
+    """
+    # rho: diagonal (d0, m, m, d3), o at (0, 3) and (3, 0); x and y projector entries +-1/4
+    c, s, chis = werner_like_parameters(theta, chis)
+    m = (1.0 - chis) / 4.0
+    d0, d3, o = chis * (c * c) + m, chis * (s * s) + m, chis * (c * s)
+    q0, q3, qm, qo = 0.25 * d0, 0.25 * d3, 0.25 * m, 0.25 * o
+    same = ((q0 + qo + qm) + qm) + (qo + q3)  # x00, x11, y01, y10
+    differ = ((q0 - qo + qm) + qm) + (q3 - qo)  # x01, x10, y00, y11
+    cells = np.array([same, differ, differ, same, differ, same, same, differ, d0, m, m, d3])
+    return _checked_cells(cells.T.reshape(-1, 3, 2, 2))
 
 
 class ChiThreshold(NamedTuple):
@@ -253,10 +262,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         a, b = 0, n  # replay of bisection's k decisions on the grid
         for _ in range(k):
             m = (a + b) // 2
-            value = values[m - 1]
-            if abs(value) < ONE_POINT_MARGIN:
-                value = f(grid[m])[0]
-            a, b = (a, m) if violated(value) else (m, b)
+            a, b = (a, m) if violated(values[m - 1]) else (m, b)
         lo, hi = grid[a], grid[b]
         halvings += k
     return ChiThreshold((lo + hi) / 2.0, True)

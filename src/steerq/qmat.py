@@ -77,41 +77,33 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _check_density(arr: np.ndarray) -> np.ndarray:
-    """Hermitian part of a (..., n, n) stack of unit-trace PSD matrices.
-
-    Each check reports the worst matrix of the stack; positivity takes one
-    batched eigvalsh call.
-    """
+def validate_density(m) -> DensityMatrix:
+    """Validate Hermiticity, unit trace and positivity; report the failing check."""
+    arr = as_complex_matrix(m)
     herm = _hermitian_part(arr)
-    trace_dev = float(np.max(np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0)))
+    trace_dev = float(abs(np.trace(arr) - 1.0))
     if trace_dev > TRACE_TOL:
         raise MatrixValidationError(
             f"trace differs from 1 by {trace_dev:.3e} (tolerance {TRACE_TOL:.0e})"
         )
-    lambda_min = float(np.min(np.linalg.eigvalsh(herm)))
+    lambda_min = float(np.linalg.eigvalsh(herm)[0])
     if lambda_min < -PSD_TOL:
         raise MatrixValidationError(
             f"not positive semidefinite: min eigenvalue {lambda_min:.3e} "
             f"below -{PSD_TOL:.0e}"
         )
-    return herm
-
-
-def validate_density(m) -> DensityMatrix:
-    """Validate Hermiticity, unit trace and positivity; report the failing check."""
-    return DensityMatrix(_freeze(_check_density(as_complex_matrix(m))))
+    return DensityMatrix(_freeze(herm))
 
 
 def maximally_mixed(dim: int = 4) -> DensityMatrix:
     return DensityMatrix(_freeze(np.eye(dim, dtype=complex) / dim))
 
 
-def werner_like_matrices(theta: float, chis) -> np.ndarray:
-    """Validated (len(chis), 4, 4) stack of Werner-like states at one theta.
+def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray]:
+    """cos(2 theta), sin(2 theta) and the flat chi vector of checked Werner-like states.
 
     chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>,
-    theta in [0, pi/4], every chi in [0, 1].
+    theta in [0, pi/4] (pi/8 is maximally entangled), every chi in [0, 1].
     """
     if not 0.0 <= theta <= math.pi / 4 + 1e-12:
         raise ValueError(f"theta={theta!r} outside [0, pi/4]")
@@ -119,20 +111,17 @@ def werner_like_matrices(theta: float, chis) -> np.ndarray:
     outside = ~((chis >= 0.0) & (chis <= 1.0))
     if np.any(outside):
         raise ValueError(f"chi={float(chis[outside][0])!r} outside [0, 1]")
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = math.cos(2.0 * theta)
-    phi[3] = math.sin(2.0 * theta)
-    weights = chis[:, np.newaxis, np.newaxis]
-    rho = weights * np.outer(phi, phi.conj()) + (1.0 - weights) * np.eye(4) / 4.0
-    return _check_density(rho)
+    return math.cos(2.0 * theta), math.sin(2.0 * theta), chis
 
 
 def make_werner_like(theta: float, chi: float) -> DensityMatrix:
-    """One Werner-like state; see werner_like_matrices.
-
-    theta = pi/8 gives the maximally entangled state.
-    """
-    return DensityMatrix(_freeze(werner_like_matrices(theta, chi)[0]))
+    """One validated Werner-like state; see werner_like_parameters."""
+    c, s, chis = werner_like_parameters(theta, chi)
+    if chis.size != 1:
+        raise ValueError(f"make_werner_like takes one chi, got {chis.size}")
+    phi = np.array([c, 0.0, 0.0, s], dtype=complex)
+    rho = chis[0] * np.outer(phi, phi.conj()) + (1.0 - chis[0]) * np.eye(4) / 4.0
+    return validate_density(rho)
 
 
 def bell_phi_plus() -> DensityMatrix:

@@ -49,7 +49,8 @@ def random_bell_diagonal(rng: np.random.Generator):
 def werner_tables(theta: float, chi: float) -> np.ndarray:
     """(3, 2, 2) joint tables of one Werner-like state, through its density matrix.
 
-    This per-state route is independent of the batched criteria.analytic_tensor.
+    The reference criteria.analytic_tensor must match bit for bit: its closed form
+    takes this one-state einsum's summation order.
     """
     return joint_tensor(make_werner_like(theta, chi).matrix)
 

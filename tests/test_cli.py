@@ -6,6 +6,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from steerq.cli import (EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                         exit_code_for, main)
 from steerq.criteria import SolverError
-from steerq.expio import MAX_BOOTSTRAP, CountsFormatError, parse_counts_csv
+from steerq.expio import (MAX_BOOTSTRAP, MAX_SWEEP_STEPS, CountsFormatError,
+                          parse_counts_csv)
 
 
 def counts_csv(cells: dict, default: int = 10) -> str:
@@ -252,6 +254,116 @@ class TestEvalFuzz:
 
         check()
         assert codes.count(EXIT_OK) >= 10 and codes.count(EXIT_INPUT) >= 10
+
+
+def _mostly_valid(valid, invalid):
+    """Twice as likely valid as _valid_or, so that argv with several fields still succeed."""
+    return st.one_of(valid.map(str), valid.map(str), invalid)
+
+
+_THETA = _mostly_valid(st.floats(0.0, 45.0), st.one_of(
+    st.floats(-90.0, -1e-300).map(repr), st.floats(45.0000000001, 1e300).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "22.5deg"])))
+_CHI = _mostly_valid(st.floats(0.0, 1.0), st.one_of(
+    st.floats(-1e3, -1e-300).map(repr), st.floats(1.0000000000000002, 1e300).map(repr),
+    st.sampled_from(["nan", "inf", "-0.0", "", "x"])))
+_THRESHOLD_Q = _mostly_valid(st.floats(0.05, 2.0), st.one_of(
+    st.floats(-5.0, 0.0).map(repr), st.floats(2.0000000000000004, 1e10).map(repr),
+    st.sampled_from(["nan", "inf", "1e-300", "", "x"])))
+_CRITERION = st.sampled_from(["scg", "lsc", "scg", "lsc", "SCG", ""])
+_TOL = _mostly_valid(st.floats(1e-12, 0.5), st.sampled_from(
+    ["1e-300", "0", "1", "-1e-6", "nan", "inf", "1.5", "", "x"]))
+_STEPS = _mostly_valid(st.integers(2, 300), st.one_of(
+    st.integers(-3, 1).map(str),
+    st.integers(MAX_SWEEP_STEPS + 1, 10**30).map(str),  # rejected before any grid is built
+    st.sampled_from(["", "1.5", "x", "1e3"])))
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _clean_run(argv: list) -> tuple[int, str]:
+    """Exit code and stdout of main(argv), held to the contract of the argv fuzz tests:
+    exit 0, 2, 3 or 4 with no warning or traceback; on success nothing on stderr, on
+    failure no stdout and exactly one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_IO)
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+    return code, out
+
+
+class TestAnalyticVerbFuzz:
+    """eval-state, threshold and sweep over generated argv: clean exits only."""
+
+    @staticmethod
+    def assert_both_outcomes(codes):
+        assert codes.count(EXIT_OK) >= 10 and codes.count(EXIT_INPUT) >= 10
+
+    def test_eval_state(self):
+        codes = []
+
+        @_FUZZ
+        @given(theta=_THETA, chi=_CHI, q=_Q)
+        def check(theta, chi, q):
+            code, out = _clean_run(["eval-state", "--theta", theta, "--chi", chi, "--q", q])
+            if code == EXIT_OK:
+                assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
+            codes.append(code)
+
+        check()
+        self.assert_both_outcomes(codes)
+
+    def test_threshold(self):
+        codes = []
+
+        @_FUZZ
+        @given(theta=_THETA, criterion=_CRITERION, q=_THRESHOLD_Q, tol=_TOL)
+        def check(theta, criterion, q, tol):
+            code, out = _clean_run(["threshold", "--theta", theta, "--criterion", criterion,
+                                    "--q", q, "--tol", tol])
+            if code == EXIT_OK:
+                assert out.count("\n") == 1
+                assert " threshold at theta=" in out or " is not violated " in out
+            codes.append(code)
+
+        check()
+        self.assert_both_outcomes(codes)
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        from steerq import criteria
+
+        codes, grids = [], []
+        original = criteria.analytic_tensor
+        monkeypatch.setattr(criteria, "analytic_tensor",
+                            lambda theta, chis: grids.append(np.size(chis))
+                            or original(theta, chis))
+
+        @_FUZZ
+        @given(theta=_THETA, steps=_STEPS, writable=st.sampled_from([True, True, False]))
+        def check(theta, steps, writable):
+            path = tmp_path / ("curve.csv" if writable else "missing/curve.csv")
+            code, out = _clean_run(["sweep", "--theta", theta, "--steps", steps,
+                                    "--out", str(path)])
+            if code == EXIT_OK:
+                assert out == f"wrote {path}\n"
+                assert len(path.read_text().splitlines()) == int(steps) + 1
+            codes.append(code)
+
+        check()
+        self.assert_both_outcomes(codes)
+        assert grids and max(grids) <= MAX_SWEEP_STEPS
 
 
 class TestEvalState:

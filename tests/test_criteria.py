@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from helpers import (BELL_CORRELATIONS, assert_same_bits, bisection_threshold,
                      random_bell_diagonal, random_density, reference_criterion_values,
                      reference_scg_lhs_cells, scg, werner_tables)
 from steerq import (LSC, SCG, SolverError, analytic_tensor, chi_threshold, correlations,
-                    criterion_values, frequencies, joint_tensor, mub_bound, scg_bound,
-                    scg_lhs_entropic, shannon_bound, verdict)
+                    criterion_values, frequencies, joint_tensor, make_werner_like, mub_bound,
+                    scg_bound, scg_lhs_entropic, shannon_bound, verdict)
 from steerq.criteria import scg_key, scg_lhs_cells
 
 
@@ -336,3 +337,57 @@ class TestBatchInvariance:
     def test_analytic_grids(self):
         for grid in analytic_grids():
             self.check(grid)
+
+
+class TestAnalyticTensor:
+    """The closed-form Werner-like tables against one-state joint_tensor, bit for bit."""
+
+    EDGE_THETAS = (0.0, 5e-324, 1e-200, math.pi / 8, math.pi / 4, math.pi / 4 + 1e-12)
+    EDGE_CHIS = (-0.0, 0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
+    QS = (2.0, 1.0, 1.5, 0.5)
+
+    @classmethod
+    def points(cls):
+        rng = np.random.default_rng(12)
+        edges = [(theta, chi) for theta in cls.EDGE_THETAS for chi in cls.EDGE_CHIS]
+        return edges + list(zip(rng.uniform(0.0, math.pi / 4, 200), rng.uniform(0.0, 1.0, 200)))
+
+    def test_single_state_matches_joint_tensor(self):
+        for theta, chi in self.points():
+            assert_same_bits(analytic_tensor(theta, chi)[0], werner_tables(theta, chi))
+
+    def test_batch_matches_joint_tensor(self):
+        rng = np.random.default_rng(13)
+        chis = [*self.EDGE_CHIS, *rng.uniform(0.0, 1.0, 30)]
+        for theta in [*self.EDGE_THETAS, *rng.uniform(0.0, math.pi / 4, 10)]:
+            assert_same_bits(analytic_tensor(theta, chis),
+                             np.stack([werner_tables(theta, chi) for chi in chis]))
+
+    def test_batch_invariant(self):
+        chis = np.linspace(0.0, 1.0, 65)
+        for theta in np.linspace(0.0, math.pi / 4, 46):
+            batch = analytic_tensor(theta, chis)
+            values = criterion_values(batch, self.QS)
+            for i, chi in enumerate(chis):
+                one = analytic_tensor(theta, chi)
+                assert_same_bits(batch[i], one[0])
+                for key, value in criterion_values(one, self.QS).items():
+                    assert_same_bits(values[key][i], value[0])
+
+    @pytest.mark.parametrize("theta, chi, message", [
+        (math.nan, 0.5, "theta=nan outside [0, pi/4]"),
+        (math.inf, 0.5, "theta=inf outside [0, pi/4]"),
+        (-1e-300, 0.5, "theta=-1e-300 outside [0, pi/4]"),
+        (math.pi / 4 + 2e-12, 0.5, f"theta={math.pi / 4 + 2e-12!r} outside [0, pi/4]"),
+        (0.3, math.nan, "chi=nan outside [0, 1]"),
+        (0.3, math.inf, "chi=inf outside [0, 1]"),
+        (0.3, -1e-300, "chi=-1e-300 outside [0, 1]"),
+        (0.3, 1.0 + 2.0**-52, "chi=1.0000000000000002 outside [0, 1]"),
+        (0.3, [0.5, 1.0 + 2.0**-52, -1.0], "chi=1.0000000000000002 outside [0, 1]"),
+    ])
+    def test_range_messages(self, theta, chi, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analytic_tensor(theta, chi)
+        if np.ndim(chi) == 0:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make_werner_like(theta, chi)

@@ -109,6 +109,11 @@ class TestWernerLike:
         with pytest.raises(ValueError):
             make_werner_like(theta, chi)
 
+    @pytest.mark.parametrize("chis, size", [([], 0), ([0.2, 0.9], 2)])
+    def test_rejects_other_than_one_chi(self, chis, size):
+        with pytest.raises(ValueError, match=f"takes one chi, got {size}$"):
+            make_werner_like(0.3, chis)
+
     def test_always_valid_on_parameter_grid(self):
         for theta in np.linspace(0, math.pi / 4, 7):
             for chi in np.linspace(0, 1, 7):
