@@ -36,52 +36,59 @@ def _build_parser() -> argparse.ArgumentParser:
                     "generalized entropic criterion (SCG) and linear criterion (LSC).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    theta, chi, q_list = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    theta.add_argument("--theta", type=float, required=True, help="state angle in degrees [0, 45]")
+    chi.add_argument("--chi", type=float, required=True, help="mixing weight in [0, 1]")
+    q_list.add_argument("--q", default="2,1",
+                        help="comma-separated entropic indices (default 2,1)")
 
-    sim = sub.add_parser("simulate", help="simulate coincidence counts and write a CSV")
-    sim.add_argument("--theta", type=float, required=True, help="state angle in degrees [0, 45]")
-    sim.add_argument("--chi", type=float, required=True, help="mixing weight in [0, 1]")
+    sim = sub.add_parser("simulate", parents=[theta, chi],
+                         help="simulate coincidence counts and write a CSV")
     sim.add_argument("--shots", type=int, default=100_000,
                      help="mean total counts per setting (default 100000)")
     sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sim.add_argument("--out", required=True, help="output CSV path")
+    sim.set_defaults(handler=_cmd_simulate)
 
-    ev = sub.add_parser("eval", help="evaluate criteria on a counts CSV")
+    ev = sub.add_parser("eval", parents=[q_list], help="evaluate criteria on a counts CSV")
     ev.add_argument("--counts", required=True, help="input counts CSV path")
-    ev.add_argument("--q", default="2,1", help="comma-separated entropic indices (default 2,1)")
     ev.add_argument("--bootstrap", type=int, default=expio.DEFAULT_BOOTSTRAP,
                     help="bootstrap resamples for error bars (default 1000)")
     ev.add_argument("--seed", type=int, default=0, help="bootstrap seed (default 0)")
+    ev.set_defaults(handler=_cmd_eval)
 
-    evs = sub.add_parser("eval-state", help="evaluate criteria analytically on a state")
-    evs.add_argument("--theta", type=float, required=True, help="state angle in degrees [0, 45]")
-    evs.add_argument("--chi", type=float, required=True, help="mixing weight in [0, 1]")
-    evs.add_argument("--q", default="2,1", help="comma-separated entropic indices (default 2,1)")
+    evs = sub.add_parser("eval-state", parents=[theta, chi, q_list],
+                         help="evaluate criteria analytically on a state")
+    evs.set_defaults(handler=_cmd_eval_state)
 
-    th = sub.add_parser("threshold", help="solve for the critical mixing weight")
-    th.add_argument("--theta", type=float, required=True, help="state angle in degrees [0, 45]")
+    th = sub.add_parser("threshold", parents=[theta],
+                        help="solve for the critical mixing weight")
     th.add_argument("--criterion", choices=("scg", "lsc"), default="scg")
     th.add_argument("--q", type=float, default=2.0, help="entropic index for scg (default 2)")
     th.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance (default 1e-6)")
+    th.set_defaults(handler=_cmd_threshold)
 
-    sw = sub.add_parser("sweep", help="write analytic criterion curves over chi")
-    sw.add_argument("--theta", type=float, required=True, help="state angle in degrees [0, 45]")
+    sw = sub.add_parser("sweep", parents=[theta], help="write analytic criterion curves over chi")
     sw.add_argument("--steps", type=int, default=101, help="grid points on [0, 1] (default 101)")
     sw.add_argument("--out", required=True, help="output CSV path")
+    sw.set_defaults(handler=_cmd_sweep)
 
     tb = sub.add_parser("tables", help="compare analytic predictions to reference data")
     tb.add_argument("--out", default=None, help="optional output path (default stdout)")
+    tb.set_defaults(handler=_cmd_tables)
     return parser
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_out(path: str, text: str) -> None:
+    """Write an output file and name it on stdout."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+    print(f"wrote {path}")
 
 
 def _cmd_simulate(args) -> int:
     rec = expio.simulate_record(math.radians(args.theta), args.chi, args.shots, args.seed)
-    _write_text(args.out, expio.serialize_counts_csv(rec))
-    print(f"wrote {args.out}")
+    _write_out(args.out, expio.serialize_counts_csv(rec))
     return EXIT_OK
 
 
@@ -103,11 +110,11 @@ def _cmd_eval_state(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    criterion = criteria.SCG if args.criterion == "scg" else criteria.LSC
+    criterion = args.criterion.upper()
     q = args.q if criterion == criteria.SCG else None
     result = criteria.chi_threshold(math.radians(args.theta), criterion, q=q,
                                     tol=args.tol)
-    label = f"SCG(q={args.q:g})" if criterion == criteria.SCG else "LSC"
+    label = criterion if q is None else f"{criterion}(q={q:g})"
     if result.crossed:
         print(f"{label} threshold at theta={args.theta:g}deg: chi = {result.chi:.6f}")
     else:
@@ -118,8 +125,7 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = expio.sweep_curve(math.radians(args.theta), args.steps)
-    _write_text(args.out, expio.curve_to_csv(rows))
-    print(f"wrote {args.out}")
+    _write_out(args.out, expio.curve_to_csv(rows))
     return EXIT_OK
 
 
@@ -128,19 +134,8 @@ def _cmd_tables(args) -> int:
     if args.out is None:
         print(text, end="")
     else:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
+        _write_out(args.out, text)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "eval": _cmd_eval,
-    "eval-state": _cmd_eval_state,
-    "threshold": _cmd_threshold,
-    "sweep": _cmd_sweep,
-    "tables": _cmd_tables,
-}
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -156,7 +151,7 @@ def exit_code_for(exc: BaseException) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except (OSError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -37,6 +37,7 @@ SCG = "SCG"
 LSC = "LSC"
 
 LSC_BOUND = 1.0
+_VIOLATION_SIGN = {SCG: -1.0, LSC: 1.0}  # sign of lhs - bound when the criterion is violated
 
 MONOTONE_SAMPLES = 21
 BISECTION_MAX_ITER = 200
@@ -130,12 +131,27 @@ def shannon_bound(d: int) -> float:
     return (d / 2.0) * math.log(d / 2.0) + (d / 2.0 + 1.0) * math.log(d / 2.0 + 1.0)
 
 
-def scg_bound(q: float, d: int = 2, m: int = 3) -> float:
-    """Bound used for SCG verdicts: the MUB bound, or the parity bound at q = 1."""
+def scg_bound(q: float) -> float:
+    """SCG bound for qubits measured in three MUBs: the MUB bound, or the parity bound at q = 1."""
     q = _check_q_range(q)
-    if qentropy.is_shannon(q) and m == d + 1:
-        return shannon_bound(d)
-    return mub_bound(d, m, q)
+    if qentropy.is_shannon(q):
+        return shannon_bound(2)
+    return mub_bound(2, 3, q)
+
+
+class Criterion(NamedTuple):
+    """One reported criterion: its name, entropic index, report key and bound."""
+
+    name: str            # SCG or LSC
+    q: Optional[float]   # entropic index (None for LSC)
+    key: str             # key of its value in criterion_values and in the report bounds
+    bound: float
+
+
+def criteria_of(qs: Sequence[float]) -> tuple[Criterion, ...]:
+    """The reported criteria in report order: SCG at each checked q, then LSC."""
+    return (*(Criterion(SCG, q, scg_key(q), scg_bound(q)) for q in check_qs(qs)),
+            Criterion(LSC, None, "lsc", LSC_BOUND))
 
 
 def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
@@ -172,12 +188,9 @@ def verdict(criterion: str, lhs: float, bound: float, q: Optional[float] = None,
     """Strict-violation verdict; a value exactly at the bound is not steerable."""
     if not (math.isfinite(lhs) and math.isfinite(bound)):
         raise ValueError("verdict requires finite lhs and bound")
-    if criterion == SCG:
-        steerable = lhs < bound
-    elif criterion == LSC:
-        steerable = lhs > bound
-    else:
+    if criterion not in _VIOLATION_SIGN:
         raise ValueError(f"unknown criterion {criterion!r}")
+    steerable = (lhs - bound) * _VIOLATION_SIGN[criterion] > 0.0
     return CriterionReport(criterion, q, lhs, bound, steerable, error_bar)
 
 
@@ -217,21 +230,17 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    if criterion == SCG:
-        if q is None:
-            raise ValueError("SCG threshold requires an entropic index q")
-        qs, key, bound = (q,), scg_key(q), scg_bound(q)
-        violation_sign = -1  # violation side: lhs below bound
-        label = f"{criterion}(q={q:g})"
-    elif criterion == LSC:
-        qs, key, bound = (), "lsc", LSC_BOUND
-        violation_sign = +1  # violation side: lhs above bound
-        label = criterion
-    else:
+    if criterion not in _VIOLATION_SIGN:
         raise ValueError(f"unknown criterion {criterion!r}")
+    if criterion == SCG and q is None:
+        raise ValueError("SCG threshold requires an entropic index q")
+    qs = (q,) if criterion == SCG else ()
+    row = criteria_of(qs)[0]  # the SCG row when q is given, else LSC
+    label = criterion if row.q is None else f"{criterion}(q={row.q:g})"
 
-    def f(chis) -> np.ndarray:
-        return criterion_values(analytic_tensor(theta, chis), qs)[key] - bound
+    def f(chis) -> np.ndarray:  # above 0 where the criterion is violated
+        values = criterion_values(analytic_tensor(theta, chis), qs)[row.key]
+        return (values - row.bound) * _VIOLATION_SIGN[criterion]
 
     samples = f(np.linspace(0.0, 1.0, MONOTONE_SAMPLES))
     diffs = np.diff(samples)
@@ -241,12 +250,9 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
             "bisection preconditions do not hold"
         )
 
-    def violated(value: float) -> bool:
-        return value * violation_sign > 0.0
-
-    if violated(samples[0]):
+    if samples[0] > 0.0:
         return ChiThreshold(0.0, True)
-    if not violated(samples[-1]):
+    if not samples[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
     lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
@@ -262,7 +268,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         a, b = 0, n  # replay of bisection's k decisions on the grid
         for _ in range(k):
             m = (a + b) // 2
-            a, b = (a, m) if violated(values[m - 1]) else (m, b)
+            a, b = (a, m) if values[m - 1] > 0.0 else (m, b)
         lo, hi = grid[a], grid[b]
         halvings += k
     return ChiThreshold((lo + hi) / 2.0, True)

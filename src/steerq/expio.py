@@ -27,9 +27,11 @@ from .measure import AXES, frequencies, spawn_generator, table_totals
 OUTCOME_LABELS = ("00", "01", "10", "11")
 _CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
 CSV_HEADER = "setting,outcome,count"
-CURVE_CSV_HEADER = "chi,scg_q2,scg_q1,lsc,bound_q2,bound_q1,bound_lsc"
 
 DEFAULT_QS = (2.0, 1.0)
+DEFAULT_CRITERIA = criteria.criteria_of(DEFAULT_QS)  # the sweep's and tables' columns
+CURVE_CSV_HEADER = ",".join(["chi", *(c.key for c in DEFAULT_CRITERIA),
+                             *("bound_" + c.key.removeprefix("scg_") for c in DEFAULT_CRITERIA)])
 DEFAULT_BOOTSTRAP = 1000
 BOOTSTRAP_STREAM = 3  # streams 0..2 are reserved for per-axis simulation
 BOOTSTRAP_CHUNK = 4096
@@ -114,11 +116,12 @@ def parse_counts_csv(text: str, label: str = "counts") -> ExperimentRecord:
                 f"line {lineno}: duplicate entry for ({setting}, {outcome}), "
                 f"first seen at line {lines[idx]}"
             )
-        cells[idx] = int(count_text)
-        if cells[idx] >= COUNT_LIMIT:
+        digits = count_text.lstrip("0") or "0"  # 2**53 has 16 digits; int() caps at 4300
+        if len(digits) > 16 or int(digits) >= COUNT_LIMIT:
             raise CountsFormatError(
                 f"line {lineno}: count {count_text} is not below 2**53 = {COUNT_LIMIT}"
             )
+        cells[idx] = int(digits)
         lines[idx] = lineno
     if not header_found:
         raise CountsFormatError(f"empty input: expected header '{CSV_HEADER}'")
@@ -146,7 +149,7 @@ class EvaluationReport:
     seed: Optional[int]       # bootstrap seed (None when analytic)
 
 
-def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
+def report_to_json(report: EvaluationReport) -> str:
     """Structured-text rendering with fixed field names."""
     doc = {
         "label": report.label,
@@ -157,25 +160,19 @@ def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
                    for c in report.criteria},
         "seed": report.seed,
     }
-    return json.dumps(doc, indent=indent, allow_nan=False)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _criteria_from_values(values: dict, qs: Sequence[float],
-                          error_bars: Optional[dict] = None):
-    """Verdicts from criterion_values output, in report order (each q, then LSC)."""
+def _report(label: str, p: np.ndarray, qs: Sequence[float], error_bars: Optional[dict] = None,
+            totals: Optional[dict] = None, seed: Optional[int] = None) -> EvaluationReport:
+    """Verdicts on the (3, 2, 2) tables p, in criteria_of(qs) order, and p itself."""
+    values = criteria.criterion_values(p, qs)
     bars = error_bars or {}
-    reports = [criteria.verdict(criteria.SCG, float(values[criteria.scg_key(q)]),
-                                criteria.scg_bound(q), q=q,
-                                error_bar=bars.get(criteria.scg_key(q)))
-               for q in qs]
-    reports.append(criteria.verdict(criteria.LSC, float(values["lsc"]),
-                                    criteria.LSC_BOUND, error_bar=bars.get("lsc")))
-    return tuple(reports)
-
-
-def _probabilities(p: np.ndarray) -> dict:
-    return {axis: [float(v) for v in cells.reshape(-1)]
-            for axis, cells in zip(AXES, p)}
+    verdicts = tuple(criteria.verdict(c.name, float(values[c.key]), c.bound, q=c.q,
+                                      error_bar=bars.get(c.key))
+                     for c in criteria.criteria_of(qs))
+    probabilities = {axis: [float(v) for v in cells.reshape(-1)] for axis, cells in zip(AXES, p)}
+    return EvaluationReport(label, verdicts, probabilities, totals, seed)
 
 
 def _bootstrap_error_bars(rec: ExperimentRecord, qs: Sequence[float],
@@ -217,36 +214,20 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
     if not 2 <= bootstrap <= MAX_BOOTSTRAP:
         raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
                          f"got {bootstrap}")
-    p = frequencies(rec.counts)
-    values = criteria.criterion_values(p, qs)
+    qs = criteria.check_qs(qs)  # before the draws
     error_bars = _bootstrap_error_bars(rec, qs, bootstrap, seed)
-    return EvaluationReport(
-        label=rec.label,
-        criteria=_criteria_from_values(values, qs, error_bars),
-        probabilities=_probabilities(p),
-        totals={axis: int(total)
-                for axis, total in zip(AXES, rec.counts.sum(axis=(1, 2)))},
-        seed=seed,
-    )
+    totals = {axis: int(total) for axis, total in zip(AXES, rec.counts.sum(axis=(1, 2)))}
+    return _report(rec.label, frequencies(rec.counts), qs, error_bars, totals, seed)
 
 
-def evaluate_state(theta: float, chi: float, qs: Sequence[float] = DEFAULT_QS,
-                   label: Optional[str] = None) -> EvaluationReport:
+def evaluate_state(theta: float, chi: float,
+                   qs: Sequence[float] = DEFAULT_QS) -> EvaluationReport:
     """Analytic evaluation of a Werner-like state; no error bars."""
     p = criteria.analytic_tensor(theta, chi)[0]
-    if label is None:
-        label = f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})"
-    return EvaluationReport(
-        label=label,
-        criteria=_criteria_from_values(criteria.criterion_values(p, qs), qs),
-        probabilities=_probabilities(p),
-        totals=None,
-        seed=None,
-    )
+    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, qs)
 
 
-def simulate_record(theta: float, chi: float, shots: int, seed: int,
-                    label: Optional[str] = None) -> ExperimentRecord:
+def simulate_record(theta: float, chi: float, shots: int, seed: int) -> ExperimentRecord:
     """Simulate one full experiment: Poisson counts with mean shots * p_ij per cell.
 
     Setting k draws from stream k (x=0, y=1, z=2) under the master seed.  The
@@ -262,29 +243,20 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int,
         if total >= COUNT_LIMIT:
             raise ValueError(f"shots = {shots} drew an axis {axis} total count of {total}, "
                              f"which is not below 2**53 = {COUNT_LIMIT}; use fewer shots")
-    if label is None:
-        label = (f"simulated werner_like(theta={math.degrees(theta):g}deg, "
-                 f"chi={chi:g}, shots={shots}, seed={seed})")
+    label = (f"simulated werner_like(theta={math.degrees(theta):g}deg, "
+             f"chi={chi:g}, shots={shots}, seed={seed})")
     return ExperimentRecord(label, counts)
 
 
-def sweep_curve(theta: float, chi_steps: int,
-                qs: Sequence[float] = DEFAULT_QS) -> np.ndarray:
-    """Analytic criterion curves on a uniform chi grid.
-
-    Columns: chi, SCG lhs for qs[0] and qs[1], LSC lhs, then the three
-    bounds.  With the default qs this matches the curve CSV header.
-    """
+def sweep_curve(theta: float, chi_steps: int) -> np.ndarray:
+    """Analytic criterion curves on a uniform chi grid, in CURVE_CSV_HEADER's columns:
+    chi, the lhs of each DEFAULT_CRITERIA row, then their bounds."""
     if not 2 <= chi_steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"chi_steps must be in [2, {MAX_SWEEP_STEPS}], got {chi_steps}")
-    if len(qs) != 2:
-        raise ValueError("sweep_curve expects exactly two entropic indices")
     chis = np.linspace(0.0, 1.0, chi_steps)
-    values = criteria.criterion_values(criteria.analytic_tensor(theta, chis), qs)
-    columns = [chis, values[criteria.scg_key(qs[0])], values[criteria.scg_key(qs[1])],
-               values["lsc"]]
-    bounds = (criteria.scg_bound(qs[0]), criteria.scg_bound(qs[1]), criteria.LSC_BOUND)
-    return np.column_stack(columns + [np.full(chi_steps, bound) for bound in bounds])
+    values = criteria.criterion_values(criteria.analytic_tensor(theta, chis), DEFAULT_QS)
+    return np.column_stack([chis, *(values[c.key] for c in DEFAULT_CRITERIA),
+                            *(np.full(chi_steps, c.bound) for c in DEFAULT_CRITERIA)])
 
 
 def curve_to_csv(rows: np.ndarray) -> str:
@@ -294,7 +266,7 @@ def curve_to_csv(rows: np.ndarray) -> str:
 
 # Reference measurements from a published coincidence-count experiment on the
 # two Werner-like families, used to check the analytic predictions at desk
-# scale.  Rows: chi -> (SCG q=2, SCG q->1, LSC).
+# scale.  Rows: chi -> the DEFAULT_CRITERIA values (SCG q=2, SCG q->1, LSC).
 REFERENCE_WERNER = (  # theta = 22.5 deg
     (0.00, 1.4993, 2.0787, 0.0608),
     (0.10, 1.4807, 2.0601, 0.1668),
@@ -329,7 +301,7 @@ REFERENCE_FAMILIES = (
 class ComparisonRow:
     family: str
     chi: float
-    criterion: str  # scg_q2 | scg_q1 | lsc
+    criterion: str  # a DEFAULT_CRITERIA key
     analytic: float
     measured: float
 
@@ -355,10 +327,10 @@ def reproduce_tables() -> TableComparison:
     rows = []
     for family, theta, table in REFERENCE_FAMILIES:
         values = criteria.criterion_values(
-            criteria.analytic_tensor(theta, [row[0] for row in table]), (2.0, 1.0))
+            criteria.analytic_tensor(theta, [row[0] for row in table]), DEFAULT_QS)
         for idx, (chi, *measured) in enumerate(table):
-            for name, value in zip(("scg_q2", "scg_q1", "lsc"), measured):
-                rows.append(ComparisonRow(family, chi, name, float(values[name][idx]),
+            for c, value in zip(DEFAULT_CRITERIA, measured):
+                rows.append(ComparisonRow(family, chi, c.key, float(values[c.key][idx]),
                                           value))
     return TableComparison(tuple(rows))
 

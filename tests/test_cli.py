@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steerq.cli import (EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
@@ -154,6 +154,17 @@ class TestEval:
             assert out == ""
             assert f"line 5: count {big} is not below 2**53" in err
             assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_count_beyond_int_string_limit_is_input_error(self, tmp_path, capsys):
+        # 5000 digits: beyond int()'s 4300-digit limit, still one error citing the line
+        path = tmp_path / "long.csv"
+        path.write_text(counts_csv({("y", "10"): "9" * 5000}))
+        code, out, err = run(capsys, "eval", "--counts", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.count("error:") == 1
+        assert err.startswith("error: line 8: count 9999") and "not below 2**53" in err
 
     @pytest.mark.filterwarnings("error")
     def test_setting_total_at_float_limit_is_input_error(self, tmp_path, capsys):
@@ -364,6 +375,61 @@ class TestAnalyticVerbFuzz:
         check()
         self.assert_both_outcomes(codes)
         assert grids and max(grids) <= MAX_SWEEP_STEPS
+
+
+_SHOTS = _mostly_valid(st.integers(1, 10**6), st.sampled_from(
+    ["0", "-1", str(-10**30), str(2**53 - 1), str(2**53), str(2**63), "", "1.5", "x", "1e3"]))
+_SIMULATE_SEED = _mostly_valid(st.integers(0, 10**40), st.sampled_from(
+    ["-1", str(-10**30), "", "x", "1.0", "nan"]))
+
+
+class TestOutputVerbFuzz:
+    """simulate and tables over generated argv: clean exits only."""
+
+    def test_simulate(self, tmp_path):
+        codes = []
+
+        @_FUZZ
+        @given(theta=_mostly_valid(st.floats(0.0, 45.0), _THETA),
+               chi=_mostly_valid(st.floats(0.0, 1.0), _CHI), shots=_SHOTS, seed=_SIMULATE_SEED,
+               target=st.sampled_from(["file"] * 8 + ["directory", "missing"]))
+        @example(theta="22.5", chi="0.5", shots="1000", seed="0", target="directory")
+        def check(theta, chi, shots, seed, target):
+            path = {"file": tmp_path / "counts.csv", "directory": tmp_path,
+                    "missing": tmp_path / "missing" / "counts.csv"}[target]
+            code, out = _clean_run(["simulate", "--theta", theta, "--chi", chi,
+                                    "--shots", shots, "--seed", seed, "--out", str(path)])
+            if target != "file":
+                assert code != EXIT_OK
+            elif code == EXIT_OK:
+                assert out == f"wrote {path}\n"
+                parse_counts_csv(path.read_text())
+            codes.append(code)
+
+        check()
+        assert codes.count(EXIT_OK) >= 10 and codes.count(EXIT_INPUT) >= 10, codes
+        assert EXIT_IO in codes
+
+    def test_tables(self, tmp_path):
+        codes = []
+
+        @_FUZZ
+        @given(argv=st.sampled_from([[], ["--out", "file"], ["--out", "directory"],
+                                     ["--out", "missing"], ["--out"], ["--outt", "file"],
+                                     ["extra"]]))
+        def check(argv):
+            paths = {"file": tmp_path / "tables.txt", "directory": tmp_path,
+                     "missing": tmp_path / "missing" / "tables.txt"}
+            code, out = _clean_run(["tables", *(str(paths.get(a, a)) for a in argv)])
+            if argv in (["--out", "directory"], ["--out", "missing"]):
+                assert code == EXIT_IO
+            if code == EXIT_OK:
+                text = out if not argv else paths["file"].read_text()
+                assert "entries: 60" in text
+            codes.append(code)
+
+        check()
+        assert {EXIT_OK, EXIT_INPUT, EXIT_IO} <= set(codes)
 
 
 class TestEvalState:

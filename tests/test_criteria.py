@@ -53,6 +53,11 @@ class TestBounds:
         assert scg_bound(2.0) == mub_bound(2, 3, 2.0)
         assert scg_bound(1.0) == shannon_bound(2)
 
+    def test_scg_bound_shannon_route_edge(self):
+        # within 1e-9 of 1 takes the parity bound, just outside it the MUB bound
+        assert scg_bound(1 + 5e-10) == shannon_bound(2)
+        assert scg_bound(1 + 2e-9) == mub_bound(2, 3, 1 + 2e-9)
+
 
 class TestScgLhs:
     @pytest.mark.parametrize("chi,expected", [(0.0, 1.5), (0.5, 1.125), (1.0, 0.0)])
@@ -172,6 +177,21 @@ class TestChiThreshold:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             chi_threshold(math.radians(22.5), SCG, q=2.0, tol=0.0)
+
+    @pytest.mark.parametrize("criterion, q, message", [
+        ("XYZ", 2.0, "unknown criterion 'XYZ'"),
+        ("XYZ", None, "unknown criterion 'XYZ'"),
+        (SCG, None, "SCG threshold requires an entropic index q"),
+        (SCG, 3.0, r"entropic index q must lie in \(0, 2\], got 3.0"),
+        (SCG, math.nan, r"entropic index q must lie in \(0, 2\], got nan"),
+    ])
+    def test_dispatch_messages(self, criterion, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            chi_threshold(math.radians(22.5), criterion, q=q)
+
+    def test_lsc_ignores_q(self):
+        theta = math.radians(7.5)
+        assert chi_threshold(theta, LSC, q=3.0) == chi_threshold(theta, LSC, q=None)
 
     @pytest.mark.parametrize("tol", [0.9, 1e-3, 1e-6, 3e-7, 1e-12, 1e-300])
     @pytest.mark.parametrize("criterion, q", [(SCG, 2.0), (SCG, 1.5), (SCG, 1.0),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from steerq import (CountsFormatError, ExperimentRecord, evaluate_record,
                     evaluate_state, expio, parse_counts_csv, report_to_json,
                     reproduce_tables, serialize_counts_csv, simulate_record,
                     sweep_curve)
-from steerq.expio import (BOOTSTRAP_STREAM, COUNT_LIMIT, CURVE_CSV_HEADER, MAX_BOOTSTRAP,
-                          comparison_to_text, curve_to_csv)
+from steerq.criteria import criteria_of
+from steerq.expio import (BOOTSTRAP_STREAM, COUNT_LIMIT, CURVE_CSV_HEADER, DEFAULT_QS,
+                          MAX_BOOTSTRAP, comparison_to_text, curve_to_csv)
 from steerq.measure import spawn_generator
 
 THETA_W = math.radians(22.5)
@@ -94,6 +96,17 @@ class TestParseCountsCsv:
             text = uniform_csv().replace("y,10,250", f"y,10,{big}")
             with pytest.raises(CountsFormatError, match=r"line 8: .* not below 2\*\*53"):
                 parse_counts_csv(text)
+
+    def test_count_beyond_int_string_limit_cites_line(self):
+        # longer than Python's 4300-digit int() limit: rejected by length, with its line
+        text = uniform_csv().replace("y,10,250", "y,10," + "9" * 5000)
+        with pytest.raises(CountsFormatError, match=r"^line 8: count 9{5000} is not below 2\*\*53"):
+            parse_counts_csv(text)
+
+    def test_leading_zeros_are_stripped(self):
+        for padded, count in (("007", 7), ("0" * 5000 + "7", 7), ("0" * 20, 0)):
+            text = uniform_csv().replace("y,10,250", f"y,10,{padded}")
+            assert parse_counts_csv(text).counts[1, 1, 0] == count
 
     def test_bad_header(self):
         with pytest.raises(CountsFormatError, match="expected header"):
@@ -359,3 +372,19 @@ class TestReproduceTables:
         text = comparison_to_text(reproduce_tables())
         assert "max deviation: 0.0608" in text
         assert text.count("\n") == 62  # header + 60 rows + summary
+
+
+def test_reports_follow_one_criterion_order():
+    """The curve columns, each table group and a report list criteria_of(DEFAULT_QS)."""
+    keys = [c.key for c in criteria_of(DEFAULT_QS)]
+    columns = CURVE_CSV_HEADER.split(",")
+    assert columns[1:1 + len(keys)] == keys
+    assert columns[1 + len(keys):] == ["bound_" + key.removeprefix("scg_") for key in keys]
+    groups: dict = {}
+    for row in reproduce_tables().rows:
+        groups.setdefault((row.family, row.chi), []).append(row.criterion)
+    assert len(groups) == 20 and all(names == keys for names in groups.values())
+    report = evaluate_state(THETA_T, 0.81)
+    assert [(c.criterion, c.q) for c in report.criteria] == [
+        (c.name, c.q) for c in criteria_of(DEFAULT_QS)]
+    assert list(json.loads(report_to_json(report))["bounds"]) == keys
