@@ -41,7 +41,7 @@ _VIOLATION_SIGN = {SCG: -1.0, LSC: 1.0}  # sign of lhs - bound when the criterio
 
 MONOTONE_SAMPLES = 21
 BISECTION_MAX_ITER = 200
-MULTISECTION_BITS = 5
+MULTISECTION_BITS = 7
 
 
 class SolverError(ArithmeticError):
@@ -220,13 +220,15 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                   tol: float = 1e-6) -> ChiThreshold:
     """Smallest mixing weight chi at which the criterion is violated.
 
-    Samples the analytic profile at 21 points in one batch to verify strict
-    monotonicity, then solves lhs(chi) = bound on [0, 1] to width tol in (0, 1).
-    Each round evaluates the 2^k - 1 interior dyadic points of the bracket in
-    one batch, k being the halvings still needed (at most MULTISECTION_BITS),
-    and replays bisection's k decisions on them, so the result is bisection's
-    bracket midpoint bit for bit.  When no violation occurs on the interval
-    the result is (1.0, crossed=False).
+    Samples the analytic profile at 21 points to verify strict monotonicity,
+    then solves lhs(chi) = bound on [0, 1] to width tol in (0, 1).  Each round
+    evaluates the 2^k - 1 interior dyadic points of the bracket in one batch,
+    k being the halvings still needed (at most MULTISECTION_BITS), and replays
+    bisection's k decisions on them, so the result is bisection's bracket
+    midpoint bit for bit.  The 21 samples share the first round's batch (the
+    kernel gives every point the same bits in any batch), so the default tol,
+    20 halvings in rounds of 7, 7 and 6, takes 3 kernel calls.  When no
+    violation occurs on the interval the result is (1.0, crossed=False).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
@@ -242,7 +244,15 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         values = criterion_values(analytic_tensor(theta, chis), qs)[row.key]
         return (values - row.bound) * _VIOLATION_SIGN[criterion]
 
-    samples = f(np.linspace(0.0, 1.0, MONOTONE_SAMPLES))
+    def round_points(lo: float, hi: float, halvings: int) -> tuple[int, np.ndarray]:
+        k, width = 0, hi - lo  # halvings this round: as many as tol needs, at most the cap
+        while width > tol and k < min(MULTISECTION_BITS, BISECTION_MAX_ITER - halvings):
+            k, width = k + 1, width / 2.0
+        return k, lo + (hi - lo) * (np.arange(1, 2 ** k) / 2 ** k)
+
+    k, interior = round_points(0.0, 1.0, 0)  # tol < 1, so at least one halving
+    values = f(np.concatenate([np.linspace(0.0, 1.0, MONOTONE_SAMPLES), interior]))
+    samples, values = values[:MONOTONE_SAMPLES], values[MONOTONE_SAMPLES:]
     diffs = np.diff(samples)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise SolverError(
@@ -255,20 +265,16 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     if not samples[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
-    lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
-    halvings = 0
-    while halvings < BISECTION_MAX_ITER and hi - lo > tol:
-        k, width = 0, hi - lo
-        while width > tol and k < min(MULTISECTION_BITS, BISECTION_MAX_ITER - halvings):
-            k, width = k + 1, width / 2.0
-        n = 2 ** k
-        interior = lo + (hi - lo) * (np.arange(1, n) / n)
-        values = f(interior)
+    lo, hi, halvings = 0.0, 1.0, 0  # f not violated at lo, violated at hi
+    while True:
         grid = [lo, *interior.tolist(), hi]
-        a, b = 0, n  # replay of bisection's k decisions on the grid
+        a, b = 0, 2 ** k  # replay of bisection's k decisions on the grid
         for _ in range(k):
             m = (a + b) // 2
             a, b = (a, m) if values[m - 1] > 0.0 else (m, b)
         lo, hi = grid[a], grid[b]
         halvings += k
-    return ChiThreshold((lo + hi) / 2.0, True)
+        if not (halvings < BISECTION_MAX_ITER and hi - lo > tol):
+            return ChiThreshold((lo + hi) / 2.0, True)
+        k, interior = round_points(lo, hi, halvings)
+        values = f(interior)

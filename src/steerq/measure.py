@@ -35,12 +35,12 @@ def _checked_cells(p: np.ndarray) -> np.ndarray:
     below the smallest normal float are set to zero: no criterion can tell
     them from zero, and their negative powers overflow.
     """
-    if np.any(p < -PROBABILITY_TOL):
+    if (p < -PROBABILITY_TOL).any():
         raise ValueError(f"negative cell probability: {p.min()}")
     p = np.where(p < _SMALLEST_NORMAL, 0.0, p)
     totals = p.sum(axis=(-1, -2))
     off = np.abs(totals - 1.0) > PROBABILITY_TOL
-    if np.any(off):
+    if off.any():
         raise ValueError(f"cell probabilities sum to {float(totals[off][0])}, not 1")
     return p
 

@@ -109,7 +109,7 @@ def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray
         raise ValueError(f"theta={theta!r} outside [0, pi/4]")
     chis = np.asarray(chis, dtype=float).reshape(-1)
     outside = ~((chis >= 0.0) & (chis <= 1.0))
-    if np.any(outside):
+    if outside.any():
         raise ValueError(f"chi={float(chis[outside][0])!r} outside [0, 1]")
     return math.cos(2.0 * theta), math.sin(2.0 * theta), chis
 

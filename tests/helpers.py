@@ -7,7 +7,7 @@ from steerq import (DensityMatrix, criterion_values, joint_tensor, make_werner_l
 from steerq.criteria import (BISECTION_MAX_ITER, LSC_BOUND, MONOTONE_SAMPLES, SCG,
                              ChiThreshold, SolverError, analytic_tensor, check_qs,
                              scg_bound, scg_key)
-from steerq.expio import BOOTSTRAP_STREAM
+from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER
 from steerq.measure import _checked_cells, correlations, spawn_generator
 
 # Bell basis: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
@@ -157,3 +157,10 @@ def reference_bootstrap_error_bars(counts, qs, resamples: int, seed: int,
             samples.setdefault(key, []).append(values)
     return {key: float(np.std(np.concatenate(parts), ddof=1))
             for key, parts in samples.items()}
+
+
+def reference_curve_to_csv(rows: np.ndarray) -> str:
+    """expio.curve_to_csv as one bound str.format per row: the reference the
+    one-%-call renderer must match byte for byte."""
+    line = ",".join(["{:.12g}"] * rows.shape[1]).format
+    return "\n".join([CURVE_CSV_HEADER, *(line(*row) for row in rows.tolist())]) + "\n"

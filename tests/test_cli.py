@@ -77,6 +77,14 @@ class TestSimulate:
                        f"9007199257698276, which is not below 2**53 = {2**53}; "
                        "use fewer shots\n")
 
+    def test_empty_setting_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "counts.csv"
+        code, stdout, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
+                                "--shots", "2", "--seed", "0", "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == "" and not out.exists()
+        assert err == "error: shots = 2 with seed = 0 drew no axis z counts; use more shots\n"
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
                            "--out", str(tmp_path / "nodir" / "x.csv"))

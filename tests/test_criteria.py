@@ -221,6 +221,24 @@ class TestChiThreshold:
         assert chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
         assert len(calls) <= 5
 
+    @pytest.mark.parametrize("theta_deg, criterion, q, expected", [
+        (22.5, SCG, 2.0, 3), (7.5, SCG, 2.0, 3), (7.5, SCG, 1.0, 3), (7.5, LSC, None, 3),
+        (0.0, SCG, 2.0, 1),
+    ])
+    def test_default_tol_takes_three_kernel_calls(self, monkeypatch, theta_deg, criterion, q,
+                                                  expected):
+        # the 21 monotonicity samples share the first round's batch; 20 halvings take
+        # rounds of 7, 7 and 6.  theta = 0 never crosses: one call, then the early return
+        from steerq import criteria
+
+        calls = []
+        original = criteria.criterion_values
+        monkeypatch.setattr(criteria, "criterion_values",
+                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        crossed = chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
+        assert crossed == (expected > 1)
+        assert calls == [21 + 127, 127, 63][:expected]
+
     def test_non_monotone_profile_raises(self, monkeypatch):
         # V-shaped stand-in profile: bisection preconditions must be rejected
         from steerq import criteria

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_bootstrap_error_bars
+from helpers import reference_bootstrap_error_bars, reference_curve_to_csv
 from steerq import (CountsFormatError, ExperimentRecord, evaluate_record,
                     evaluate_state, expio, parse_counts_csv, report_to_json,
                     reproduce_tables, serialize_counts_csv, simulate_record,
@@ -144,6 +144,13 @@ class TestExperimentRecord:
             counts[0, 1, 1] = cell
             with pytest.raises(ValueError, match=r"axis x total count .*2\*\*53"):
                 ExperimentRecord("r", counts)
+
+    def test_simulated_empty_setting_names_shots_and_seed(self):
+        # one expected count per setting often draws none; the record's own
+        # "axis x has zero total count" would name neither shots nor seed
+        with pytest.raises(ValueError, match=r"^shots = 1 with seed = 0 drew no axis x "
+                                             r"counts; use more shots$"):
+            simulate_record(THETA_W, 0.5, 1, seed=0)
 
 
 class TestEvaluateRecord:
@@ -339,6 +346,18 @@ class TestSweepCurve:
         lines = [CURVE_CSV_HEADER] + [",".join(f"{value:.12g}" for value in row)
                                       for row in rows]
         assert curve_to_csv(rows) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("steps", [2, 11, 101, 1001])
+    def test_csv_matches_reference_renderer(self, steps):
+        for theta in np.linspace(0.0, math.pi / 4, 19):
+            rows = sweep_curve(theta, steps)
+            assert curve_to_csv(rows) == reference_curve_to_csv(rows), theta
+
+    def test_csv_edge_values_match_reference_renderer(self):
+        rows = np.array([[-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0 - 2.0**-53, 0.0, 1.0]])
+        text = curve_to_csv(rows)
+        assert text == reference_curve_to_csv(rows)
+        assert text.split("\n")[1] == "-0,4.94065645841e-324,1e+16,0.3,1,0,1"
 
 
 class TestReproduceTables:
