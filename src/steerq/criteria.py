@@ -42,6 +42,9 @@ _VIOLATION_SIGN = {SCG: -1.0, LSC: 1.0}  # sign of lhs - bound when the criterio
 MONOTONE_SAMPLES = 21
 BISECTION_MAX_ITER = 200
 MULTISECTION_BITS = 7
+# chi_threshold's first kernel call: the monotone samples, then MULTISECTION_BITS halvings
+_FIRST_BATCH = np.concatenate([np.linspace(0.0, 1.0, MONOTONE_SAMPLES),
+                               np.arange(1, 2 ** MULTISECTION_BITS) / 2 ** MULTISECTION_BITS])
 
 
 class SolverError(ArithmeticError):
@@ -221,14 +224,11 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     """Smallest mixing weight chi at which the criterion is violated.
 
     Samples the analytic profile at 21 points to verify strict monotonicity,
-    then solves lhs(chi) = bound on [0, 1] to width tol in (0, 1).  Each round
-    evaluates the 2^k - 1 interior dyadic points of the bracket in one batch,
-    k being the halvings still needed (at most MULTISECTION_BITS), and replays
-    bisection's k decisions on them, so the result is bisection's bracket
-    midpoint bit for bit.  The 21 samples share the first round's batch (the
-    kernel gives every point the same bits in any batch), so the default tol,
-    20 halvings in rounds of 7, 7 and 6, takes 3 kernel calls.  When no
-    violation occurs on the interval the result is (1.0, crossed=False).
+    then bisects lhs(chi) = bound on [0, 1] to width tol in (0, 1), reading each
+    midpoint's value from the chis already evaluated.  On a miss one kernel call
+    evaluates the midpoint and bisection's midpoints toward an interpolated root
+    (any batch gives a point the same bits), so the result is bisection's bit for
+    bit and the default tol takes 2 calls.  No violation on [0, 1] gives (1.0, False).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
@@ -244,15 +244,8 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         values = criterion_values(analytic_tensor(theta, chis), qs)[row.key]
         return (values - row.bound) * _VIOLATION_SIGN[criterion]
 
-    def round_points(lo: float, hi: float, halvings: int) -> tuple[int, np.ndarray]:
-        k, width = 0, hi - lo  # halvings this round: as many as tol needs, at most the cap
-        while width > tol and k < min(MULTISECTION_BITS, BISECTION_MAX_ITER - halvings):
-            k, width = k + 1, width / 2.0
-        return k, lo + (hi - lo) * (np.arange(1, 2 ** k) / 2 ** k)
-
-    k, interior = round_points(0.0, 1.0, 0)  # tol < 1, so at least one halving
-    values = f(np.concatenate([np.linspace(0.0, 1.0, MONOTONE_SAMPLES), interior]))
-    samples, values = values[:MONOTONE_SAMPLES], values[MONOTONE_SAMPLES:]
+    values = f(_FIRST_BATCH)
+    samples = values[:MONOTONE_SAMPLES]
     diffs = np.diff(samples)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise SolverError(
@@ -265,16 +258,40 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     if not samples[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
-    lo, hi, halvings = 0.0, 1.0, 0  # f not violated at lo, violated at hi
-    while True:
-        grid = [lo, *interior.tolist(), hi]
-        a, b = 0, 2 ** k  # replay of bisection's k decisions on the grid
-        for _ in range(k):
-            m = (a + b) // 2
-            a, b = (a, m) if values[m - 1] > 0.0 else (m, b)
-        lo, hi = grid[a], grid[b]
-        halvings += k
-        if not (halvings < BISECTION_MAX_ITER and hi - lo > tol):
-            return ChiThreshold((lo + hi) / 2.0, True)
-        k, interior = round_points(lo, hi, halvings)
-        values = f(interior)
+    known = dict(zip(_FIRST_BATCH.tolist(), values.tolist()))  # chi -> f(chi)
+
+    def look_ahead(lo: float, hi: float, mid: float, iterations_left: int) -> list[float]:
+        h = hi - lo
+        xs = [x for x in (lo - h, lo, hi, hi + h) if x in known]  # lo and hi always are
+        ys = [known[x] for x in xs]
+        estimate = mid
+        if len(set(ys)) == len(ys):  # inverse Lagrange at 0: cubic, lower next to chi = 0, 1
+            guess = sum(x * math.prod(yj / (yj - yi) for yj in ys if yj != yi)
+                        for x, yi in zip(xs, ys))
+            if lo < guess < hi:
+                estimate = guess
+        depth, width = 0, h  # the halvings bisection still makes
+        while width > tol and depth < iterations_left:
+            depth, width = depth + 1, width / 2.0
+        points = {mid}
+        for target in (estimate + j * width for j in range(-2, 3)):
+            a, b = lo, hi
+            for _ in range(depth):
+                m = (a + b) / 2.0
+                points.add(m)
+                a, b = (a, m) if target < m else (m, b)
+        return sorted(points)
+
+    lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
+    for i in range(BISECTION_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        mid = (lo + hi) / 2.0
+        if mid not in known:
+            points = look_ahead(lo, hi, mid, BISECTION_MAX_ITER - i)
+            known.update(zip(points, f(np.array(points)).tolist()))
+        if known[mid] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return ChiThreshold((lo + hi) / 2.0, True)

@@ -327,15 +327,15 @@ class TableComparison:
 
 def reproduce_tables() -> TableComparison:
     """Analytic predictions next to the reference measurements, row by row."""
-    rows = []
-    for family, theta, table in REFERENCE_FAMILIES:
-        values = criteria.criterion_values(
-            criteria.analytic_tensor(theta, [row[0] for row in table]), DEFAULT_QS)
-        for idx, (chi, *measured) in enumerate(table):
-            for c, value in zip(DEFAULT_CRITERIA, measured):
-                rows.append(ComparisonRow(family, chi, c.key, float(values[c.key][idx]),
-                                          value))
-    return TableComparison(tuple(rows))
+    values = criteria.criterion_values(np.concatenate([  # both families in one kernel call
+        criteria.analytic_tensor(theta, [row[0] for row in table])
+        for _, theta, table in REFERENCE_FAMILIES]), DEFAULT_QS)
+    analytic = zip(*(values[c.key].tolist() for c in DEFAULT_CRITERIA))
+    measured = [(family, row) for family, _, table in REFERENCE_FAMILIES for row in table]
+    return TableComparison(tuple(
+        ComparisonRow(family, chi, c.key, value, reference)
+        for (family, (chi, *references)), predicted in zip(measured, analytic)
+        for c, value, reference in zip(DEFAULT_CRITERIA, predicted, references)))
 
 
 def comparison_to_text(cmp: TableComparison) -> str:

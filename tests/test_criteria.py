@@ -222,13 +222,13 @@ class TestChiThreshold:
         assert len(calls) <= 5
 
     @pytest.mark.parametrize("theta_deg, criterion, q, expected", [
-        (22.5, SCG, 2.0, 3), (7.5, SCG, 2.0, 3), (7.5, SCG, 1.0, 3), (7.5, LSC, None, 3),
+        (22.5, SCG, 2.0, 2), (7.5, SCG, 2.0, 2), (7.5, SCG, 1.0, 2), (7.5, LSC, None, 2),
         (0.0, SCG, 2.0, 1),
     ])
-    def test_default_tol_takes_three_kernel_calls(self, monkeypatch, theta_deg, criterion, q,
-                                                  expected):
-        # the 21 monotonicity samples share the first round's batch; 20 halvings take
-        # rounds of 7, 7 and 6.  theta = 0 never crosses: one call, then the early return
+    def test_default_tol_takes_two_kernel_calls(self, monkeypatch, theta_deg, criterion, q,
+                                                expected):
+        # the 21 monotonicity samples and 7 halvings' midpoints, then one look-ahead down
+        # the remaining 13 halvings.  theta = 0 never crosses: one call, then the early return
         from steerq import criteria
 
         calls = []
@@ -237,7 +237,35 @@ class TestChiThreshold:
                             lambda p, qs: calls.append(len(p)) or original(p, qs))
         crossed = chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
         assert crossed == (expected > 1)
-        assert calls == [21 + 127, 127, 63][:expected]
+        assert len(calls) == expected and calls[0] == 21 + 127
+        assert all(n <= 32 for n in calls[1:])
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300, 5e-324])
+    @pytest.mark.parametrize("criterion, q", [(SCG, 2.0), (LSC, None)])
+    @pytest.mark.parametrize("theta_deg", [7.5, 22.5, 30.0])
+    def test_poor_root_estimate_keeps_bisection_bits(self, monkeypatch, theta_deg, criterion,
+                                                     q, tol):
+        # a monotone distortion that keeps the root at the bound of 1 (SCG q = 2 and LSC)
+        # but spoils the interpolated estimate: it may cost calls, never a bit
+        import helpers
+        from steerq import criteria
+
+        def distorted(counter):
+            def values(p, qs):
+                counter.append(len(p))
+                return {key: 1.0 + np.cbrt(np.cbrt(v - 1.0))
+                        for key, v in criterion_values(p, qs).items()}
+            return values
+
+        calls, bisection_calls = [], []
+        monkeypatch.setattr(criteria, "criterion_values", distorted(calls))
+        monkeypatch.setattr(helpers, "criterion_values", distorted(bisection_calls))
+        theta = math.radians(theta_deg)
+        got = chi_threshold(theta, criterion, q, tol)
+        expected = bisection_threshold(theta, criterion, q, tol)
+        assert (got.chi.hex(), got.crossed) == (expected.chi.hex(), expected.crossed)
+        assert expected.crossed
+        assert len(calls) <= len(bisection_calls)  # bisection's iterations + 1
 
     def test_non_monotone_profile_raises(self, monkeypatch):
         # V-shaped stand-in profile: bisection preconditions must be rejected

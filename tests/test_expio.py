@@ -387,6 +387,25 @@ class TestReproduceTables:
         assert cmp.count_within(0.01) == 41
         assert cmp.count_within(0.035) == 58
 
+    def test_reproduce_tables_makes_one_kernel_call(self, monkeypatch):
+        # both families' 20 tables go through one kernel call, and every analytic entry
+        # keeps the bits of its own family's call
+        from steerq import criteria
+
+        expected = []
+        for family, theta, table in expio.REFERENCE_FAMILIES:
+            values = criteria.criterion_values(
+                criteria.analytic_tensor(theta, [row[0] for row in table]), DEFAULT_QS)
+            expected += [(family, chi, c.key, float(values[c.key][idx]).hex())
+                         for idx, (chi, *_) in enumerate(table) for c in criteria_of(DEFAULT_QS)]
+        calls = []
+        original = criteria.criterion_values
+        monkeypatch.setattr(criteria, "criterion_values",
+                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        rows = reproduce_tables().rows
+        assert calls == [20]
+        assert [(r.family, r.chi, r.criterion, r.analytic.hex()) for r in rows] == expected
+
     def test_text_rendering(self):
         text = comparison_to_text(reproduce_tables())
         assert "max deviation: 0.0608" in text
