@@ -16,18 +16,16 @@ from .expio import (CountsFormatError, EvaluationReport, ExperimentRecord,
 from .measure import AXES, correlations, frequencies, joint_tensor, spawn_generator
 from .qentropy import (conditional_tsallis, correction_term, ln_q,
                        shannon_entropy, tsallis_entropy)
-from .qmat import (BlochDecomposition, DensityMatrix, MatrixValidationError,
-                   bell_phi_plus, bloch_decompose, bloch_reconstruct, fidelity,
+from .qmat import (DensityMatrix, MatrixValidationError, bell_phi_plus, fidelity,
                    hermitian_eigendecompose, make_werner_like, maximally_mixed,
                    validate_density)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "AXES", "BlochDecomposition", "ChiThreshold", "CountsFormatError",
-    "CriterionReport", "DensityMatrix", "EvaluationReport", "ExperimentRecord",
-    "LSC", "MatrixValidationError", "SCG", "SolverError", "analytic_tensor",
-    "bell_phi_plus", "bloch_decompose", "bloch_reconstruct", "chi_threshold",
+    "AXES", "ChiThreshold", "CountsFormatError", "CriterionReport", "DensityMatrix",
+    "EvaluationReport", "ExperimentRecord", "LSC", "MatrixValidationError", "SCG",
+    "SolverError", "analytic_tensor", "bell_phi_plus", "chi_threshold",
     "conditional_tsallis", "correction_term", "correlations", "criterion_values",
     "evaluate_record", "evaluate_state", "fidelity", "frequencies",
     "hermitian_eigendecompose", "joint_tensor", "ln_q", "make_werner_like",

@@ -274,7 +274,8 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         while width > tol and depth < iterations_left:
             depth, width = depth + 1, width / 2.0
         points = {mid}
-        for target in (estimate + j * width for j in range(-2, 3)):
+        targets = [estimate + j * width for j in range(-2, 3)]
+        for target in targets + [hi] * (hi == 1.0):  # no value past chi = 1 guides the estimate
             a, b = lo, hi
             for _ in range(depth):
                 m = (a + b) / 2.0

@@ -1,4 +1,4 @@
-"""Two-qubit density matrices: construction, validation, Bloch analysis, fidelity.
+"""Two-qubit density matrices: construction, validation, fidelity.
 
 Conventions: computational basis with H -> |0>, V -> |1>; Pauli matrices in the
 standard representation (sigma_y has entries -i, +i).  All operations are pure
@@ -21,7 +21,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-BLOCH_TOL = 1e-9
 
 
 class MatrixValidationError(ValueError):
@@ -127,45 +126,6 @@ def make_werner_like(theta: float, chi: float) -> DensityMatrix:
 def bell_phi_plus() -> DensityMatrix:
     """The projector onto (|00> + |11>)/sqrt(2)."""
     return make_werner_like(math.pi / 8, 1.0)
-
-
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Local Bloch vectors and the 3x3 spin correlation matrix."""
-
-    a: np.ndarray  # Alice Bloch vector, shape (3,)
-    b: np.ndarray  # Bob Bloch vector, shape (3,)
-    c: np.ndarray  # correlation matrix c[i, j], shape (3, 3)
-
-    def __post_init__(self):
-        for name, vec in (("a", self.a), ("b", self.b)):
-            if float(np.linalg.norm(vec)) > 1.0 + BLOCH_TOL:
-                raise MatrixValidationError(f"|{name}| exceeds 1: {np.linalg.norm(vec)}")
-        if float(np.max(np.abs(self.c))) > 1.0 + BLOCH_TOL:
-            raise MatrixValidationError("correlation matrix entry exceeds 1 in modulus")
-
-
-# _BLOCH_BASIS[i, j] = sigma_i x sigma_j with sigma_0 = I
-_PAULI_BASIS = np.array([I2, *PAULIS])
-_BLOCH_BASIS = np.einsum("iab,jcd->ijacbd", _PAULI_BASIS, _PAULI_BASIS).reshape(4, 4, 4, 4)
-
-
-def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
-    """a_i = tr(rho sigma_i x I), b_j = tr(rho I x sigma_j), c_ij = tr(rho sigma_i x sigma_j)."""
-    if rho.dim != 4:
-        raise MatrixValidationError("Bloch decomposition requires a two-qubit state")
-    t = np.einsum("xy,ijyx->ij", rho.matrix, _BLOCH_BASIS)
-    if np.any(np.abs(t.imag) > HERMITICITY_TOL):
-        raise MatrixValidationError(
-            f"expectation value has imaginary residue {np.max(np.abs(t.imag)):.3e}")
-    t = t.real
-    return BlochDecomposition(_freeze(t[1:, 0]), _freeze(t[0, 1:]), _freeze(t[1:, 1:]))
-
-
-def bloch_reconstruct(bd: BlochDecomposition) -> DensityMatrix:
-    """Rebuild the state from its Bloch data; inverse of bloch_decompose."""
-    t = np.block([[np.ones((1, 1)), bd.b[np.newaxis]], [bd.a[:, np.newaxis], bd.c]])
-    return validate_density(np.einsum("ij,ijab->ab", t, _BLOCH_BASIS) / 4.0)
 
 
 # eigenvalues this far (relatively) below the largest are rounding noise and

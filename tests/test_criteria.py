@@ -240,6 +240,23 @@ class TestChiThreshold:
         assert len(calls) == expected and calls[0] == 21 + 127
         assert all(n <= 32 for n in calls[1:])
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    @pytest.mark.parametrize("theta_deg", [19.5, 21.0, 24.0, 25.5])
+    def test_root_next_to_one_takes_few_kernel_calls(self, monkeypatch, theta_deg, tol):
+        # SCG q = 0.1 crosses within 1e-5 of chi = 1, where its slope diverges and no value
+        # past chi = 1 guides the estimate; walking toward 1 follows bisection's own path
+        from steerq import criteria
+
+        calls = []
+        original = criteria.criterion_values
+        monkeypatch.setattr(criteria, "criterion_values",
+                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        theta = math.radians(theta_deg)
+        got = chi_threshold(theta, SCG, 0.1, tol)
+        expected = bisection_threshold(theta, SCG, 0.1, tol)
+        assert (got.chi.hex(), got.crossed) == (expected.chi.hex(), expected.crossed)
+        assert len(calls) <= 4
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300, 5e-324])
     @pytest.mark.parametrize("criterion, q", [(SCG, 2.0), (LSC, None)])
     @pytest.mark.parametrize("theta_deg", [7.5, 22.5, 30.0])

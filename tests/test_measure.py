@@ -5,9 +5,8 @@ import pytest
 
 from helpers import checked_table as table
 from helpers import random_density
-from steerq import (AXES, ExperimentRecord, bloch_decompose, correlations,
-                    frequencies, joint_tensor, make_werner_like, maximally_mixed,
-                    simulate_record, spawn_generator)
+from steerq import (AXES, ExperimentRecord, correlations, frequencies, joint_tensor,
+                    make_werner_like, maximally_mixed, simulate_record, spawn_generator)
 from steerq.criteria import analytic_tensor
 from steerq.measure import _PROJECTORS
 from steerq.qmat import I2, PAULIS
@@ -87,12 +86,12 @@ class TestCorrelation:
         assert correlations(table([0.375, 0.125, 0.125, 0.375])) == pytest.approx(
             0.5, abs=1e-15)
 
-    def test_matches_bloch_diagonal(self):
+    def test_matches_pauli_expectations(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             rho = random_density(rng)
-            c = bloch_decompose(rho).c
-            assert np.allclose(correlations(joint_tensor(rho.matrix)), np.diag(c),
+            expected = [np.trace(rho.matrix @ np.kron(sigma, sigma)).real for sigma in PAULIS]
+            assert np.allclose(correlations(joint_tensor(rho.matrix)), expected,
                                rtol=0, atol=1e-10)
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import random_density
-from steerq import (MatrixValidationError, bell_phi_plus, bloch_decompose,
-                    bloch_reconstruct, fidelity, hermitian_eigendecompose,
-                    make_werner_like, maximally_mixed, validate_density)
-from steerq.qmat import I2, PAULIS, DensityMatrix
+from steerq import (MatrixValidationError, bell_phi_plus, fidelity,
+                    hermitian_eigendecompose, make_werner_like, maximally_mixed,
+                    validate_density)
+from steerq.qmat import I2, PAULIS
 
 
 class TestEigendecompose:
@@ -96,12 +96,19 @@ class TestWernerLike:
         rho = make_werner_like(0.3, 0.0)
         assert np.allclose(rho.matrix, np.eye(4) / 4, atol=1e-15)
 
-    def test_tilted_pure_state_bloch_data(self):
-        bd = bloch_decompose(make_werner_like(math.radians(7.5), 1.0))
-        expected = math.cos(math.radians(30))
-        assert np.allclose(bd.a, [0, 0, expected], atol=1e-12)
-        assert np.allclose(bd.b, [0, 0, expected], atol=1e-12)
-        assert np.allclose(bd.c, np.diag([0.5, -0.5, 1.0]), atol=1e-12)
+    def test_pauli_expectations_match_closed_form(self):
+        # tr(rho sigma_i x sigma_j), sigma_0 = I: local vectors chi cos(4 theta) z on both
+        # sides, correlations chi diag(sin 4 theta, -sin 4 theta, 1), every other entry 0
+        basis = (I2, *PAULIS)
+        for theta in np.linspace(0, math.pi / 4, 7):
+            for chi in (0.0, 0.2, 0.5, 0.9, 1.0):
+                rho = make_werner_like(theta, chi).matrix
+                t = np.array([[np.trace(rho @ np.kron(si, sj)) for sj in basis]
+                              for si in basis])
+                local, tilt = chi * math.cos(4 * theta), chi * math.sin(4 * theta)
+                expected = np.array([[1.0, 0.0, 0.0, local], [0.0, tilt, 0.0, 0.0],
+                                     [0.0, 0.0, -tilt, 0.0], [local, 0.0, 0.0, chi]])
+                assert np.allclose(t, expected, rtol=0, atol=1e-12), (theta, chi)
 
     @pytest.mark.parametrize("theta,chi", [(-0.1, 0.5), (math.pi / 3, 0.5),
                                            (0.2, -0.01), (0.2, 1.01)])
@@ -118,56 +125,6 @@ class TestWernerLike:
         for theta in np.linspace(0, math.pi / 4, 7):
             for chi in np.linspace(0, 1, 7):
                 make_werner_like(theta, chi)  # validate_density runs inside
-
-
-class TestBloch:
-    def test_maximally_mixed_is_zero(self):
-        bd = bloch_decompose(maximally_mixed())
-        assert np.allclose(bd.a, 0) and np.allclose(bd.b, 0) and np.allclose(bd.c, 0)
-
-    def test_bell_state_correlations(self):
-        bd = bloch_decompose(bell_phi_plus())
-        assert np.allclose(bd.c, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        assert np.allclose(bd.a, 0, atol=1e-12)
-
-    def test_werner_half(self):
-        bd = bloch_decompose(make_werner_like(math.pi / 8, 0.5))
-        assert np.allclose(bd.c, np.diag([0.5, -0.5, 0.5]), atol=1e-12)
-
-    def test_linearity_in_chi(self):
-        theta = math.radians(7.5)
-        ref = bloch_decompose(make_werner_like(theta, 1.0))
-        for chi in (0.2, 0.6, 0.9):
-            bd = bloch_decompose(make_werner_like(theta, chi))
-            assert np.allclose(bd.a, chi * ref.a, atol=1e-10)
-            assert np.allclose(bd.c, chi * ref.c, atol=1e-10)
-
-    def test_reconstruction_roundtrip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            rho = random_density(rng)
-            rebuilt = bloch_reconstruct(bloch_decompose(rho))
-            assert np.max(np.abs(rebuilt.matrix - rho.matrix)) <= 1e-10
-
-    def test_expansion_matches_definition(self):
-        # direct check of the trace formulas against the Pauli expansion
-        rho = make_werner_like(math.radians(20), 0.7)
-        bd = bloch_decompose(rho)
-        for i, sigma in enumerate(PAULIS):
-            assert bd.a[i] == pytest.approx(
-                np.trace(rho.matrix @ np.kron(sigma, I2)).real, abs=1e-12)
-            for j, other in enumerate(PAULIS):
-                assert bd.c[i, j] == pytest.approx(
-                    np.trace(rho.matrix @ np.kron(sigma, other)).real, abs=1e-12)
-            assert bd.b[i] == pytest.approx(
-                np.trace(rho.matrix @ np.kron(I2, sigma)).real, abs=1e-12)
-
-    def test_imaginary_residue_rejected(self):
-        # an unvalidated non-Hermitian matrix: tr(m sigma_x x I) picks up 1e-6 i
-        m = np.eye(4, dtype=complex) / 4
-        m[2, 0] += 1e-6j
-        with pytest.raises(MatrixValidationError, match="imaginary residue 1.000e-06"):
-            bloch_decompose(DensityMatrix(m))
 
 
 class TestFidelity:
