@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.counts, "r", encoding="utf-8") as handle:
+    with open(args.counts, "r", encoding="utf-8-sig") as handle:  # spreadsheets write a BOM
         text = handle.read()
     rec = expio.parse_counts_csv(text, label=args.counts)
     report = expio.evaluate_record(rec, qs=_parse_q_list(args.q),

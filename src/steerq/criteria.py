@@ -79,6 +79,9 @@ def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
     p has shape (..., S, 2, 2) with normalized joints along the trailing
     axes; marginal has shape (..., S, 2).  Returns shape (...).  Zero cells
     follow the 0^q convention; zero marginals force their whole row to zero.
+    Cells must be checked (+-0.0 or at least the smallest normal float, as
+    _checked_cells and count frequencies give) and q in (0, 2]: then 0^q times
+    the finite m^(1-q) is +0.0, so only the Shannon branch (log 0) masks zeros.
     """
     p = np.asarray(p, dtype=float)
     marginal = np.asarray(marginal, dtype=float)
@@ -88,7 +91,7 @@ def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
         per_setting = ((marginal_h[..., 0] + marginal_h[..., 1])
                        - table_totals(p * np.log(np.where(p > 0.0, p, 1.0))))
     else:
-        terms = np.where(p > 0.0, p ** q * safe_m[..., np.newaxis] ** (1.0 - q), 0.0)
+        terms = p ** q * safe_m[..., np.newaxis] ** (1.0 - q)
         per_setting = (1.0 - table_totals(terms)) / (q - 1.0)
     total = 0.0  # np.sum's start: +0.0 when every setting gives -0.0 (deterministic, q < 1)
     for k in range(per_setting.shape[-1]):

@@ -163,10 +163,10 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _report(label: str, p: np.ndarray, qs: Sequence[float], error_bars: Optional[dict] = None,
-            totals: Optional[dict] = None, seed: Optional[int] = None) -> EvaluationReport:
-    """Verdicts on the (3, 2, 2) tables p, in criteria_of(qs) order, and p itself."""
-    values = criteria.criterion_values(p, qs)
+def _report(label: str, p: np.ndarray, qs: Sequence[float], values: dict,
+            error_bars: Optional[dict] = None, totals: Optional[dict] = None,
+            seed: Optional[int] = None) -> EvaluationReport:
+    """Verdicts on the criterion values of the (3, 2, 2) tables p, in criteria_of(qs) order."""
     bars = error_bars or {}
     verdicts = tuple(criteria.verdict(c.name, float(values[c.key]), c.bound, q=c.q,
                                       error_bar=bars.get(c.key))
@@ -175,37 +175,42 @@ def _report(label: str, p: np.ndarray, qs: Sequence[float], error_bars: Optional
     return EvaluationReport(label, verdicts, probabilities, totals, seed)
 
 
-def _bootstrap_error_bars(rec: ExperimentRecord, qs: Sequence[float],
-                          resamples: int, seed: int) -> dict:
-    """Std deviation of each criterion over Poisson resamples of the counts.
+def _bootstrap(rec: ExperimentRecord, qs: Sequence[float], resamples: int,
+               seed: int) -> tuple[dict, dict]:
+    """Criterion values of the observed tables, and their std over Poisson resamples.
 
     Resamples are drawn BOOTSTRAP_CHUNK at a time from the one
     (seed, BOOTSTRAP_STREAM) generator, which gives the same draws as one
-    pass, so results depend only on (record, seed, resamples).  Resamples
-    with an empty setting are dropped; fewer than two left is an error,
-    since no spread can be estimated from them.
+    pass, so results depend only on (record, seed, resamples).  The observed
+    counts ride in the first block as row 0, so one kernel call per block
+    evaluates them too.  Resamples with an empty setting are dropped; fewer
+    than two left is an error, since no spread can be estimated from them.
     """
     rng = spawn_generator(seed, BOOTSTRAP_STREAM)
-    samples: dict[str, list] = {}
+    keys = [c.key for c in criteria.criteria_of(qs)]
+    blocks = []
     for start in range(0, resamples, BOOTSTRAP_CHUNK):
         size = min(BOOTSTRAP_CHUNK, resamples - start)
         draws = rng.poisson(lam=rec.counts, size=(size, 3, 2, 2))
+        if start == 0:  # the observed counts ride in the first block as row 0
+            draws = np.concatenate([rec.counts[np.newaxis], draws])
         totals = table_totals(draws)
-        usable = np.all(totals >= 1, axis=1)
-        if not usable.all():
+        nonempty = totals >= 1
+        if not nonempty.all():
+            usable = nonempty.all(axis=1)
             draws, totals = draws[usable], totals[usable]
-        p = draws / totals[..., np.newaxis, np.newaxis]
-        for key, values in criteria.criterion_values(p, qs).items():
-            samples.setdefault(key, []).append(values)
-    values = {key: np.concatenate(parts) for key, parts in samples.items()}
-    usable = len(values["lsc"])
+        values = criteria.criterion_values(draws / totals[..., np.newaxis, np.newaxis], qs)
+        blocks.append(np.stack([values[key] for key in keys]))
+    columns = np.concatenate(blocks, axis=1)  # one row per criterion, observed first
+    usable = columns.shape[1] - 1
     if usable < 2:
         raise ValueError(
             f"bootstrap: {usable} of {resamples} requested resamples have counts in "
             "every setting, at least 2 are needed; the counts are too small for "
             "error bars"
         )
-    return {key: float(np.std(column, ddof=1)) for key, column in values.items()}
+    bars = np.std(columns[:, 1:], axis=1, ddof=1)
+    return dict(zip(keys, columns[:, 0])), dict(zip(keys, bars.tolist()))
 
 
 def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
@@ -215,16 +220,17 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
         raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
                          f"got {bootstrap}")
     qs = criteria.check_qs(qs)  # before the draws
-    error_bars = _bootstrap_error_bars(rec, qs, bootstrap, seed)
+    values, error_bars = _bootstrap(rec, qs, bootstrap, seed)
     totals = {axis: int(total) for axis, total in zip(AXES, rec.counts.sum(axis=(1, 2)))}
-    return _report(rec.label, frequencies(rec.counts), qs, error_bars, totals, seed)
+    return _report(rec.label, frequencies(rec.counts), qs, values, error_bars, totals, seed)
 
 
 def evaluate_state(theta: float, chi: float,
                    qs: Sequence[float] = DEFAULT_QS) -> EvaluationReport:
     """Analytic evaluation of a Werner-like state; no error bars."""
     p = criteria.analytic_tensor(theta, chi)[0]
-    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, qs)
+    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, qs,
+                   criteria.criterion_values(p, qs))
 
 
 def simulate_record(theta: float, chi: float, shots: int, seed: int) -> ExperimentRecord:

@@ -105,7 +105,8 @@ def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray
     theta in [0, pi/4] (pi/8 is maximally entangled), every chi in [0, 1].
     """
     if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"theta={theta!r} outside [0, pi/4]")
+        raise ValueError(f"theta={theta!r} ({math.degrees(theta):.12g} deg) "
+                         "outside [0, pi/4] ([0, 45] deg)")
     chis = np.asarray(chis, dtype=float).reshape(-1)
     outside = ~((chis >= 0.0) & (chis <= 1.0))
     if outside.any():

@@ -116,6 +116,21 @@ class TestEval:
                                  "scg_q1": pytest.approx(2 * math.log(2)),
                                  "lsc": 1.0}
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+        text = "# exported\n" + counts_csv({("x", "00"): 40, ("z", "11"): 0})
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        docs = []
+        for path in (plain, marked):
+            code, out, err = run(capsys, "eval", "--counts", str(path), "--seed", "4")
+            assert (code, err) == (EXIT_OK, "")
+            docs.append(json.loads(out))
+        for field in ("criteria", "probabilities", "totals", "bounds", "seed"):
+            assert docs[0][field] == docs[1][field]
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--counts", str(tmp_path / "none.csv"))
         assert code == EXIT_IO
@@ -466,8 +481,10 @@ class TestEvalState:
             assert out == "" and "collide" in err
 
     def test_bad_theta_is_input_error(self, capsys):
-        code, _, _ = run(capsys, "eval-state", "--theta", "80", "--chi", "0.5")
-        assert code == EXIT_INPUT
+        code, out, err = run(capsys, "eval-state", "--theta", "80", "--chi", "0.5")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (f"error: theta={math.radians(80)!r} (80 deg) "
+                       "outside [0, pi/4] ([0, 45] deg)\n")
 
 
 class TestThreshold:

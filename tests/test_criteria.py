@@ -458,10 +458,11 @@ class TestAnalyticTensor:
                     assert_same_bits(values[key][i], value[0])
 
     @pytest.mark.parametrize("theta, chi, message", [
-        (math.nan, 0.5, "theta=nan outside [0, pi/4]"),
-        (math.inf, 0.5, "theta=inf outside [0, pi/4]"),
-        (-1e-300, 0.5, "theta=-1e-300 outside [0, pi/4]"),
-        (math.pi / 4 + 2e-12, 0.5, f"theta={math.pi / 4 + 2e-12!r} outside [0, pi/4]"),
+        (math.nan, 0.5, "theta=nan (nan deg) outside [0, pi/4] ([0, 45] deg)"),
+        (math.inf, 0.5, "theta=inf (inf deg) outside [0, pi/4] ([0, 45] deg)"),
+        (-1e-300, 0.5, "theta=-1e-300 (-5.72957795131e-299 deg) outside [0, pi/4] ([0, 45] deg)"),
+        (math.pi / 4 + 2e-12, 0.5,
+         f"theta={math.pi / 4 + 2e-12!r} (45.0000000001 deg) outside [0, pi/4] ([0, 45] deg)"),
         (0.3, math.nan, "chi=nan outside [0, 1]"),
         (0.3, math.inf, "chi=inf outside [0, 1]"),
         (0.3, -1e-300, "chi=-1e-300 outside [0, 1]"),

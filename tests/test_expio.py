@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from helpers import reference_bootstrap_error_bars, reference_curve_to_csv
-from steerq import (CountsFormatError, ExperimentRecord, evaluate_record,
+from steerq import (CountsFormatError, ExperimentRecord, criteria, evaluate_record,
                     evaluate_state, expio, parse_counts_csv, report_to_json,
                     reproduce_tables, serialize_counts_csv, simulate_record,
                     sweep_curve)
 from steerq.criteria import criteria_of
 from steerq.expio import (BOOTSTRAP_STREAM, COUNT_LIMIT, CURVE_CSV_HEADER, DEFAULT_QS,
                           MAX_BOOTSTRAP, comparison_to_text, curve_to_csv)
-from steerq.measure import spawn_generator
+from steerq.measure import frequencies, spawn_generator
 
 THETA_W = math.radians(22.5)
 THETA_T = math.radians(7.5)
@@ -218,6 +218,29 @@ class TestEvaluateRecord:
                for c in rep.criteria}
         assert got == {key: bar.hex() for key, bar in want.items()}
 
+    @pytest.mark.parametrize("chunk", [expio.BOOTSTRAP_CHUNK, 1000, 999, 64, 7])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_one_kernel_call_per_bootstrap_chunk(self, monkeypatch, chunk, sparse):
+        # the observed tables ride in the first block as row 0, so they cost no call
+        # of their own and keep the bits of a call on them alone
+        qs = (2.0, 1.0, 1.5, 0.5)
+        counts = (np.array([[[1, 0], [2, 0]], [[0, 3], [1, 0]], [[0, 0], [0, 2]]]) if sparse
+                  else simulate_record(THETA_T, 0.7, 3_000, seed=4).counts)
+        want = criteria.criterion_values(frequencies(counts), qs)
+        calls = []
+        original = criteria.criterion_values
+        monkeypatch.setattr(criteria, "criterion_values",
+                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
+        rep = evaluate_record(ExperimentRecord("rec", counts), qs=qs, bootstrap=1000, seed=5)
+        assert len(calls) == math.ceil(1000 / chunk)
+        if sparse:  # the first block drops resamples with an empty setting
+            assert calls[0] < min(chunk, 1000) + 1
+        else:
+            assert calls[0] == min(chunk, 1000) + 1 and sum(calls) == 1001
+        assert [c.lhs.hex() for c in rep.criteria] == [
+            float(want[c.key]).hex() for c in criteria_of(qs)]
+
     @pytest.mark.parametrize("seed, resamples, usable", [(0, 2, 0), (7, 2, 1), (1, 3, 1)])
     def test_too_few_usable_resamples_message(self, seed, resamples, usable):
         counts = np.zeros((3, 2, 2), dtype=int)
@@ -390,8 +413,6 @@ class TestReproduceTables:
     def test_reproduce_tables_makes_one_kernel_call(self, monkeypatch):
         # both families' 20 tables go through one kernel call, and every analytic entry
         # keeps the bits of its own family's call
-        from steerq import criteria
-
         expected = []
         for family, theta, table in expio.REFERENCE_FAMILIES:
             values = criteria.criterion_values(
