@@ -93,8 +93,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.counts, "r", encoding="utf-8-sig") as handle:  # spreadsheets write a BOM
-        text = handle.read()
+    try:
+        with open(args.counts, "r", encoding="utf-8-sig") as handle:  # spreadsheets write a BOM
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.counts}: cannot decode byte 0x{exc.object[exc.start]:02x}; "
+                         "the counts CSV must be UTF-8 text") from None
     rec = expio.parse_counts_csv(text, label=args.counts)
     report = expio.evaluate_record(rec, qs=_parse_q_list(args.q),
                                    bootstrap=args.bootstrap, seed=args.seed)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import criteria
 from .measure import AXES, frequencies, spawn_generator, table_totals
+from .qmat import single_chi, werner_like_parameters
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 _CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
@@ -163,14 +164,14 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _report(label: str, p: np.ndarray, qs: Sequence[float], values: dict,
+def _report(label: str, p: np.ndarray, rows: Sequence[criteria.Criterion], values: dict,
             error_bars: Optional[dict] = None, totals: Optional[dict] = None,
             seed: Optional[int] = None) -> EvaluationReport:
-    """Verdicts on the criterion values of the (3, 2, 2) tables p, in criteria_of(qs) order."""
+    """Verdicts of the criteria_of rows on their values for the (3, 2, 2) tables p."""
     bars = error_bars or {}
     verdicts = tuple(criteria.verdict(c.name, float(values[c.key]), c.bound, q=c.q,
                                       error_bar=bars.get(c.key))
-                     for c in criteria.criteria_of(qs))
+                     for c in rows)
     probabilities = {axis: [float(v) for v in cells.reshape(-1)] for axis, cells in zip(AXES, p)}
     return EvaluationReport(label, verdicts, probabilities, totals, seed)
 
@@ -187,7 +188,6 @@ def _bootstrap(rec: ExperimentRecord, qs: Sequence[float], resamples: int,
     than two left is an error, since no spread can be estimated from them.
     """
     rng = spawn_generator(seed, BOOTSTRAP_STREAM)
-    keys = [c.key for c in criteria.criteria_of(qs)]
     blocks = []
     for start in range(0, resamples, BOOTSTRAP_CHUNK):
         size = min(BOOTSTRAP_CHUNK, resamples - start)
@@ -200,7 +200,8 @@ def _bootstrap(rec: ExperimentRecord, qs: Sequence[float], resamples: int,
             usable = nonempty.all(axis=1)
             draws, totals = draws[usable], totals[usable]
         values = criteria.criterion_values(draws / totals[..., np.newaxis, np.newaxis], qs)
-        blocks.append(np.stack([values[key] for key in keys]))
+        blocks.append(np.stack(list(values.values())))
+    keys = list(values)  # criteria_of order
     columns = np.concatenate(blocks, axis=1)  # one row per criterion, observed first
     usable = columns.shape[1] - 1
     if usable < 2:
@@ -219,18 +220,19 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
     if not 2 <= bootstrap <= MAX_BOOTSTRAP:
         raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
                          f"got {bootstrap}")
-    qs = criteria.check_qs(qs)  # before the draws
+    rows = criteria.criteria_of(qs)  # checks qs before the draws
     values, error_bars = _bootstrap(rec, qs, bootstrap, seed)
     totals = {axis: int(total) for axis, total in zip(AXES, rec.counts.sum(axis=(1, 2)))}
-    return _report(rec.label, frequencies(rec.counts), qs, values, error_bars, totals, seed)
+    return _report(rec.label, frequencies(rec.counts), rows, values, error_bars, totals, seed)
 
 
 def evaluate_state(theta: float, chi: float,
                    qs: Sequence[float] = DEFAULT_QS) -> EvaluationReport:
     """Analytic evaluation of a Werner-like state; no error bars."""
+    chi = single_chi(werner_like_parameters(theta, chi)[2], "evaluate_state")
     p = criteria.analytic_tensor(theta, chi)[0]
-    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, qs,
-                   criteria.criterion_values(p, qs))
+    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p,
+                   criteria.criteria_of(qs), criteria.criterion_values(p, qs))
 
 
 def simulate_record(theta: float, chi: float, shots: int, seed: int) -> ExperimentRecord:
@@ -239,6 +241,7 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
     Setting k draws from stream k (x=0, y=1, z=2) under the master seed.  The
     realized totals fluctuate around shots; zero-probability cells stay zero.
     """
+    chi = single_chi(werner_like_parameters(theta, chi)[2], "simulate_record")
     p = criteria.analytic_tensor(theta, chi)[0]
     if not 1 <= shots < COUNT_LIMIT:
         raise ValueError(f"shots must be a positive integer below 2**53 = {COUNT_LIMIT}, "

@@ -27,49 +27,49 @@ class MatrixValidationError(ValueError):
     """A matrix failed a structural requirement (shape, Hermiticity, trace, PSD)."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite complex 2-D array."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
-        raise MatrixValidationError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise MatrixValidationError("matrix must be non-empty")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise MatrixValidationError("matrix contains non-finite entries")
-    return arr
-
-
-def _hermitian_part(arr: np.ndarray) -> np.ndarray:
-    """(M + M^H) / 2 of a square (..., n, n) stack, after checking M = M^H."""
-    rows, cols = arr.shape[-2:]
-    if rows != cols:
-        raise MatrixValidationError(f"expected a square matrix, got {rows}x{cols}")
-    adjoint = arr.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(arr - adjoint)))
-    if dev > HERMITICITY_TOL:
-        raise MatrixValidationError(
-            f"not Hermitian: max |M - M^H| = {dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    return (arr + adjoint) / 2.0
-
-
-def hermitian_eigendecompose(m):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    eigenvalues, vectors = np.linalg.eigh(_hermitian_part(as_complex_matrix(m)))
-    return eigenvalues, vectors
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated Hermitian, unit-trace, positive-semidefinite matrix."""
+    """A Hermitian, unit-trace, positive-semidefinite matrix, checked on construction.
+
+    DensityMatrix(m) checks, in this order, that m is 2-D, non-empty, finite,
+    square, Hermitian, of unit trace and positive semidefinite (to
+    HERMITICITY_TOL, TRACE_TOL and PSD_TOL), raises MatrixValidationError at the
+    first failure, and stores the read-only Hermitian part (m + m^H) / 2.
+    """
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.matrix, dtype=complex)
+        if arr.ndim != 2:
+            raise MatrixValidationError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        if arr.size == 0:
+            raise MatrixValidationError("matrix must be non-empty")
+        if not np.isfinite(arr).all():
+            raise MatrixValidationError("matrix contains non-finite entries")
+        rows, cols = arr.shape
+        if rows != cols:
+            raise MatrixValidationError(f"expected a square matrix, got {rows}x{cols}")
+        adjoint = arr.conj().T
+        dev = float(np.max(np.abs(arr - adjoint)))
+        if dev > HERMITICITY_TOL:
+            raise MatrixValidationError(
+                f"not Hermitian: max |M - M^H| = {dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
+            )
+        trace_dev = float(abs(np.trace(arr) - 1.0))
+        if trace_dev > TRACE_TOL:
+            raise MatrixValidationError(
+                f"trace differs from 1 by {trace_dev:.3e} (tolerance {TRACE_TOL:.0e})"
+            )
+        herm = (arr + adjoint) / 2.0
+        lambda_min = float(np.linalg.eigvalsh(herm)[0])
+        if lambda_min < -PSD_TOL:
+            raise MatrixValidationError(
+                f"not positive semidefinite: min eigenvalue {lambda_min:.3e} "
+                f"below -{PSD_TOL:.0e}"
+            )
+        herm.setflags(write=False)
+        object.__setattr__(self, "matrix", herm)
 
     @property
     def dim(self) -> int:
@@ -77,25 +77,12 @@ class DensityMatrix:
 
 
 def validate_density(m) -> DensityMatrix:
-    """Validate Hermiticity, unit trace and positivity; report the failing check."""
-    arr = as_complex_matrix(m)
-    herm = _hermitian_part(arr)
-    trace_dev = float(abs(np.trace(arr) - 1.0))
-    if trace_dev > TRACE_TOL:
-        raise MatrixValidationError(
-            f"trace differs from 1 by {trace_dev:.3e} (tolerance {TRACE_TOL:.0e})"
-        )
-    lambda_min = float(np.linalg.eigvalsh(herm)[0])
-    if lambda_min < -PSD_TOL:
-        raise MatrixValidationError(
-            f"not positive semidefinite: min eigenvalue {lambda_min:.3e} "
-            f"below -{PSD_TOL:.0e}"
-        )
-    return DensityMatrix(_freeze(herm))
+    """DensityMatrix(m): every check runs there, and the first failing one is reported."""
+    return DensityMatrix(m)
 
 
 def maximally_mixed(dim: int = 4) -> DensityMatrix:
-    return DensityMatrix(_freeze(np.eye(dim, dtype=complex) / dim))
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
 def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray]:
@@ -114,13 +101,19 @@ def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray
     return math.cos(2.0 * theta), math.sin(2.0 * theta), chis
 
 
+def single_chi(chis: np.ndarray, caller: str) -> float:
+    """The one entry of a chi vector checked by werner_like_parameters, as a float."""
+    if chis.size != 1:
+        raise ValueError(f"{caller} takes one chi, got {chis.size}")
+    return float(chis[0])
+
+
 def make_werner_like(theta: float, chi: float) -> DensityMatrix:
     """One validated Werner-like state; see werner_like_parameters."""
     c, s, chis = werner_like_parameters(theta, chi)
-    if chis.size != 1:
-        raise ValueError(f"make_werner_like takes one chi, got {chis.size}")
+    chi = single_chi(chis, "make_werner_like")
     phi = np.array([c, 0.0, 0.0, s], dtype=complex)
-    rho = chis[0] * np.outer(phi, phi.conj()) + (1.0 - chis[0]) * np.eye(4) / 4.0
+    rho = chi * np.outer(phi, phi.conj()) + (1.0 - chi) * np.eye(4) / 4.0
     return validate_density(rho)
 
 
@@ -134,24 +127,24 @@ def bell_phi_plus() -> DensityMatrix:
 _SQRT_CLAMP_RTOL = 1e-14
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    eigenvalues, vectors = hermitian_eigendecompose(m)
-    clamped = np.clip(eigenvalues, 0.0, None)
-    clamped[clamped < _SQRT_CLAMP_RTOL * clamped.max()] = 0.0
-    return (vectors * np.sqrt(clamped)) @ vectors.conj().T
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F = [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1].
 
     Evaluated as the squared trace norm (sum of singular values) of
     sqrt(rho) sqrt(sigma), which avoids the sqrt-of-near-zero-eigenvalue
-    noise of the direct formula.
+    noise of the direct formula.  Each checked state factors from its
+    eigenvectors as L = V sqrt(lambda), with L L^H = V lambda V^H, and
+    sqrt(rho) sqrt(sigma) = V_rho (L_rho^H L_sigma) V_sigma^H has the
+    singular values of L_rho^H L_sigma, so no square root is rebuilt.
     """
     if rho.dim != sigma.dim:
         raise MatrixValidationError(
             f"dimension mismatch: {rho.dim} vs {sigma.dim}"
         )
-    b = _psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)
+    eigenvalues, vectors = np.linalg.eigh(np.stack([rho.matrix, sigma.matrix]))
+    clamped = np.clip(eigenvalues, 0.0, None)
+    clamped[clamped < _SQRT_CLAMP_RTOL * clamped.max(axis=1, keepdims=True)] = 0.0
+    factors = vectors * np.sqrt(clamped)[:, np.newaxis, :]
+    b = factors[0].conj().T @ factors[1]
     value = float(np.sum(np.linalg.svd(b, compute_uv=False))) ** 2
     return min(max(value, 0.0), 1.0)

@@ -26,11 +26,29 @@ BELL_CORRELATIONS = np.array([
 ], dtype=float)
 
 
-def random_density(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
-    """Full-rank random state from the Ginibre ensemble."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng: np.random.Generator, dim: int = 4, rank=None) -> DensityMatrix:
+    """Random state from the Ginibre ensemble, of full rank unless rank is given."""
+    shape = (dim, dim if rank is None else rank)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     rho = g @ g.conj().T
     return validate_density(rho / np.trace(rho).real)
+
+
+def reference_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity as the trace norm of the product of the rebuilt square roots.
+
+    The reference qmat.fidelity must match to rounding: it takes the same
+    singular values from the eigenvector factors without rebuilding either root.
+    """
+    def psd_sqrt(m: np.ndarray) -> np.ndarray:
+        eigenvalues, vectors = np.linalg.eigh(m)  # m is a checked, exactly Hermitian matrix
+        clamped = np.clip(eigenvalues, 0.0, None)
+        clamped[clamped < 1e-14 * clamped.max()] = 0.0
+        return (vectors * np.sqrt(clamped)) @ vectors.conj().T
+
+    b = psd_sqrt(rho.matrix) @ psd_sqrt(sigma.matrix)
+    value = float(np.sum(np.linalg.svd(b, compute_uv=False))) ** 2
+    return min(max(value, 0.0), 1.0)
 
 
 def random_bell_diagonal(rng: np.random.Generator):

@@ -131,6 +131,15 @@ class TestEval:
         for field in ("criteria", "probabilities", "totals", "bounds", "seed"):
             assert docs[0][field] == docs[1][field]
 
+    def test_utf16_file_is_input_error_naming_path_and_encoding(self, tmp_path, capsys):
+        # spreadsheet "Unicode text" exports are UTF-16 with a 0xff 0xfe byte-order mark
+        path = tmp_path / "utf16.csv"
+        path.write_text(counts_csv({}), encoding="utf-16")
+        code, out, err = run(capsys, "eval", "--counts", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (f"error: {path}: cannot decode byte 0xff; "
+                       "the counts CSV must be UTF-8 text\n")
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--counts", str(tmp_path / "none.csv"))
         assert code == EXIT_IO

@@ -1,58 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from helpers import random_density
-from steerq import (MatrixValidationError, bell_phi_plus, fidelity,
-                    hermitian_eigendecompose, make_werner_like, maximally_mixed,
+from helpers import random_density, reference_fidelity
+from steerq import (DensityMatrix, MatrixValidationError, bell_phi_plus, evaluate_state,
+                    fidelity, make_werner_like, maximally_mixed, simulate_record,
                     validate_density)
 from steerq.qmat import I2, PAULIS
-
-
-class TestEigendecompose:
-    def test_identity(self):
-        w, v = hermitian_eigendecompose(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.allclose(v.conj().T @ v, np.eye(2))
-
-    def test_sigma_z(self):
-        w, _ = hermitian_eigendecompose(np.diag([1.0, -1.0]))
-        assert np.allclose(w, [-1.0, 1.0])  # ascending
-
-    def test_bell_projector(self):
-        # rank-1 projector: eigenvalues (0, 0, 0, 1), top eigenvector rebuilds it
-        proj = bell_phi_plus().matrix
-        w, v = hermitian_eigendecompose(proj)
-        assert np.allclose(w, [0, 0, 0, 1], atol=1e-12)
-        top = v[:, 3]
-        assert np.allclose(np.outer(top, top.conj()), proj, atol=1e-12)
-
-    def test_random_residuals(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = (g + g.conj().T) / 2
-            w, v = hermitian_eigendecompose(h)
-            assert np.max(np.abs(h - (v * w) @ v.conj().T)) <= 1e-9
-            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-9
-            assert np.all(np.diff(w) >= 0)
-
-    def test_agrees_with_lapack(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = (g + g.conj().T) / 2
-            w, _ = hermitian_eigendecompose(h)
-            assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-10)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(MatrixValidationError, match="square"):
-            hermitian_eigendecompose(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(MatrixValidationError, match="Hermitian"):
-            hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestValidateDensity:
@@ -86,6 +42,40 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.5
 
+    @pytest.mark.parametrize("check", [validate_density, DensityMatrix])
+    @pytest.mark.parametrize("m, message", [
+        pytest.param(np.full(4, 0.25), "expected a 2-D matrix, got ndim=1", id="1-d"),
+        pytest.param(np.eye(2)[np.newaxis] / 2, "expected a 2-D matrix, got ndim=3", id="3-d"),
+        pytest.param(np.zeros((0, 0)), "matrix must be non-empty", id="empty"),
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], "matrix contains non-finite entries",
+                     id="nan"),
+        pytest.param([[0.5, complex(0.0, np.inf)], [0.0, 0.5]],
+                     "matrix contains non-finite entries", id="imaginary-inf"),
+        pytest.param([[np.inf, 0.0, 0.0]], "matrix contains non-finite entries",
+                     id="non-finite-before-square"),
+        pytest.param(np.ones((2, 3)), "expected a square matrix, got 2x3", id="non-square"),
+        pytest.param([[0.0, 1.0], [0.0, 0.0]],
+                     "not Hermitian: max |M - M^H| = 1.000e+00 exceeds 1e-10",
+                     id="non-hermitian-before-trace"),
+        pytest.param(np.diag([2.0, -0.5]), "trace differs from 1 by 5.000e-01 (tolerance 1e-10)",
+                     id="trace-before-psd"),
+        pytest.param(np.diag([1.001, 0.0, 0.0, -0.001]),
+                     "not positive semidefinite: min eigenvalue -1.000e-03 below -1e-09",
+                     id="not-psd"),
+    ])
+    def test_exact_message_of_each_check(self, check, m, message):
+        with pytest.raises(MatrixValidationError, match=f"^{re.escape(message)}$"):
+            check(m)
+
+    def test_stores_a_read_only_copy_of_the_hermitian_part(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = 1e-11j  # within the Hermiticity tolerance
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.matrix, (m + m.conj().T) / 2)
+        assert not rho.matrix.flags.writeable
+        m[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.25
+
 
 class TestWernerLike:
     def test_maximally_entangled_at_theta_pi8(self):
@@ -116,10 +106,18 @@ class TestWernerLike:
         with pytest.raises(ValueError):
             make_werner_like(theta, chi)
 
-    @pytest.mark.parametrize("chis, size", [([], 0), ([0.2, 0.9], 2)])
+    @pytest.mark.parametrize("chis, size", [([], 0), ([0.2, 0.9], 2), (np.full(3, 0.5), 3)])
     def test_rejects_other_than_one_chi(self, chis, size):
-        with pytest.raises(ValueError, match=f"takes one chi, got {size}$"):
-            make_werner_like(0.3, chis)
+        for make in (make_werner_like, evaluate_state,
+                     lambda theta, chi: simulate_record(theta, chi, 1000, 0)):
+            with pytest.raises(ValueError, match=f"takes one chi, got {size}$"):
+                make(0.3, chis)
+
+    @pytest.mark.parametrize("chi", [0.5, [0.5], np.array([[0.5]]), np.float32(0.5)])
+    def test_one_chi_in_any_shape_labels_the_float(self, chi):
+        assert evaluate_state(0.3, chi).label == "werner_like(theta=17.1887deg, chi=0.5)"
+        assert simulate_record(0.3, chi, 1000, 0).label == (
+            "simulated werner_like(theta=17.1887deg, chi=0.5, shots=1000, seed=0)")
 
     def test_always_valid_on_parameter_grid(self):
         for theta in np.linspace(0, math.pi / 4, 7):
@@ -147,6 +145,15 @@ class TestFidelity:
         for _ in range(20):
             rho, sigma = random_density(rng), random_density(rng)
             assert fidelity(rho, sigma) == pytest.approx(fidelity(sigma, rho), abs=1e-9)
+
+    def test_matches_product_of_square_roots(self):
+        # rank 1 to 4 on each side: the clamp must treat rank-deficient states alike
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for ranks in rng.integers(1, 5, size=(2000, 2)):
+            rho, sigma = (random_density(rng, rank=int(r)) for r in ranks)
+            worst = max(worst, abs(fidelity(rho, sigma) - reference_fidelity(rho, sigma)))
+        assert worst <= 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(MatrixValidationError, match="mismatch"):
