@@ -119,8 +119,9 @@ def _cmd_threshold(args) -> int:
     result = criteria.chi_threshold(math.radians(args.theta), criterion, q=q,
                                     tol=args.tol)
     label = criterion if q is None else f"{criterion}(q={q:g})"
-    if result.crossed:
-        print(f"{label} threshold at theta={args.theta:g}deg: chi = {result.chi:.6f}")
+    if result.crossed:  # as many decimals as tol resolves, from 6 to the 17 that round-trip
+        digits = min(max(6, math.ceil(-math.log10(args.tol))), 17)
+        print(f"{label} threshold at theta={args.theta:g}deg: chi = {result.chi:.{digits}f}")
     else:
         print(f"{label} is not violated on chi in [0, 1] at theta={args.theta:g}deg "
               f"(threshold reported as {result.chi:.1f})")

@@ -83,8 +83,6 @@ def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
     _checked_cells and count frequencies give) and q in (0, 2]: then 0^q times
     the finite m^(1-q) is +0.0, so only the Shannon branch (log 0) masks zeros.
     """
-    p = np.asarray(p, dtype=float)
-    marginal = np.asarray(marginal, dtype=float)
     safe_m = np.where(marginal > 0.0, marginal, 1.0)
     if qentropy.is_shannon(q):  # H(A, B) - H(A) = sum m ln m - sum p ln p per setting
         marginal_h = marginal * np.log(safe_m)
@@ -108,14 +106,9 @@ def scg_lhs_entropic(p, q: float) -> float:
     p = np.asarray(p, dtype=float)
     if p.ndim != 3 or p.shape[1:] != (2, 2):
         raise ValueError(f"expected an (S, 2, 2) stack of joint tables, got shape {p.shape}")
-    tables = _checked_cells(p)
-    if qentropy.is_shannon(q):
-        return float(sum(qentropy.conditional_tsallis(table, 1.0) for table in tables))
-    total = 0.0
-    for table in tables:
-        total += qentropy.conditional_tsallis(table, q)
-        total += (1.0 - q) * qentropy.correction_term(table, q)
-    return total
+    w = 0.0 if qentropy.is_shannon(q) else 1.0 - q  # no correction in the Shannon limit
+    return float(sum(qentropy.conditional_tsallis(t, q) + w * qentropy.correction_term(t, q)
+                     for t in _checked_cells(p)))
 
 
 def mub_bound(d: int, m: int, q: float) -> float:

@@ -1,10 +1,9 @@
 """Generalized (Tsallis) entropy functionals and their Shannon limits.
 
-The deformed logarithm is ln_q(x) = (x^(1-q) - 1) / (1 - q); values of q
-within 1e-9 of 1 are routed to the natural-log formulas to avoid the
-catastrophic cancellation of the q -> 1 limit.  All sums use the continuous
-extension 0^q * ln_q(0) := 0, so distributions with empty cells (pure-state
-statistics) stay finite.
+ln_q(x) = (x^(1-q) - 1) / (1 - q) and p^q ln_q(p) = (p - p^q) / (1 - q) are written
+once each, in _ln_q and _pq_ln_q; within Q_SHANNON_TOL of q = 1 they are ln x and
+p ln p, which avoids the cancellation of the q -> 1 limit.  Sums use 0^q ln_q(0) := 0,
+so distributions with empty cells (pure-state statistics) stay finite.
 """
 
 from __future__ import annotations
@@ -47,27 +46,19 @@ def ln_q(x: float, q: float) -> float:
     q = _check_q(q)
     if x <= 0.0:
         raise ValueError(f"ln_q requires a positive argument, got {x!r}")
-    if is_shannon(q):
-        return math.log(x)
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
+    return float(_ln_q(x, q))
+
+
+def tsallis_entropy(p: Sequence[float], q: float) -> float:
+    """-sum p^q ln_q(p) with 0^q ln_q(0) := 0; Shannon entropy at q = 1."""
+    q = _check_q(q)
+    arr = _check_distribution(p)
+    return float(-np.sum(_pq_ln_q(arr[arr > 0.0], q)))
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
     """-sum p ln p with the 0 ln 0 := 0 convention."""
-    arr = _check_distribution(p)
-    mask = arr > 0.0
-    return float(-np.sum(arr[mask] * np.log(arr[mask])))
-
-
-def tsallis_entropy(p: Sequence[float], q: float) -> float:
-    """-sum p^q ln_q(p); Shannon entropy at q = 1."""
-    q = _check_q(q)
-    if is_shannon(q):
-        return shannon_entropy(p)
-    arr = _check_distribution(p)
-    mask = arr > 0.0
-    vals = arr[mask]
-    return float(-np.sum(vals ** q * (vals ** (1.0 - q) - 1.0) / (1.0 - q)))
+    return tsallis_entropy(p, 1.0)
 
 
 def conditional_tsallis(p: np.ndarray, q: float) -> float:
@@ -86,17 +77,18 @@ def correction_term(p: np.ndarray, q: float) -> float:
     # empty entries are moved to 1, where ln_q and p^q ln_q(p) vanish
     safe_m = np.where(marginal > 0.0, marginal, 1.0)
     safe_p = np.where(p > 0.0, p, 1.0)
-    lq_m = _ln_q_array(safe_m, q)
+    lq_m = _ln_q(safe_m, q)
     first = np.sum(_pq_ln_q(safe_m, q) * lq_m)
     second = np.sum(_pq_ln_q(safe_p, q) * lq_m[:, np.newaxis])
     return float(first - second)
 
 
-def _ln_q_array(x: np.ndarray, q: float) -> np.ndarray:
+def _ln_q(x, q: float):
+    """ln_q(x) of a positive float or array: ln x in the Shannon limit."""
     return np.log(x) if is_shannon(q) else (x ** (1.0 - q) - 1.0) / (1.0 - q)
 
 
 def _pq_ln_q(x: np.ndarray, q: float) -> np.ndarray:
-    """x^q ln_q(x), written as (x - x^q) / (1 - q) so that it stays finite
-    where x^q underflows and ln_q(x) overflows."""
-    return x ** q * np.log(x) if is_shannon(q) else (x - x ** q) / (1.0 - q)
+    """x^q ln_q(x) of positive x, written as (x - x^q) / (1 - q) so that it stays
+    finite where x^q underflows and ln_q(x) overflows; x ln x in the Shannon limit."""
+    return x * np.log(x) if is_shannon(q) else (x - x ** q) / (1.0 - q)

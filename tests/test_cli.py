@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from steerq.cli import (EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                         exit_code_for, main)
-from steerq.criteria import SolverError
+from steerq.criteria import SolverError, chi_threshold
 from steerq.expio import (MAX_BOOTSTRAP, MAX_SWEEP_STEPS, CountsFormatError,
                           parse_counts_csv)
 
@@ -526,6 +526,16 @@ class TestThreshold:
         code, out, _ = run(capsys, "threshold", "--theta", "7.5", "--tol", "0.9")
         assert code == EXIT_OK
         assert out.endswith("chi = 0.750000\n")
+
+    @pytest.mark.parametrize("tol, decimals", [("1e-12", 12), ("1e-300", 17)])
+    def test_small_tol_prints_the_decimals_it_resolves(self, capsys, tol, decimals):
+        code, out, _ = run(capsys, "threshold", "--theta", "7.5", "--tol", tol)
+        assert code == EXIT_OK
+        text = out.rstrip("\n").rsplit("chi = ", 1)[1]
+        assert len(text.split(".")[1]) == decimals
+        chi = chi_threshold(math.radians(7.5), tol=float(tol)).chi
+        assert abs(float(text) - chi) <= 0.5 * 10.0 ** -decimals
+        assert decimals < 17 or float(text) == chi  # 17 decimals round-trip
 
 
 class TestSweepAndTables:

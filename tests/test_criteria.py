@@ -468,7 +468,8 @@ class TestAnalyticTensor:
         (0.3, -1e-300, "chi=-1e-300 outside [0, 1]"),
         (0.3, 1.0 + 2.0**-52, "chi=1.0000000000000002 outside [0, 1]"),
         (0.3, [0.5, 1.0 + 2.0**-52, -1.0], "chi=1.0000000000000002 outside [0, 1]"),
-    ])
+    ], ids=["theta-nan", "theta-inf", "theta-negative", "theta-above-45deg",
+            "chi-nan", "chi-inf", "chi-negative", "chi-above-1", "chi-vector"])
     def test_range_messages(self, theta, chi, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             analytic_tensor(theta, chi)

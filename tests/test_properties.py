@@ -3,7 +3,10 @@
 That both SCG forms agree is checked twice against the entropic route
 ``scg_lhs_entropic``: on analytic states, where the batched kernel is also
 compared with the per-state matrix route, and on relative frequencies of
-sparse counts, with empty cells and empty Alice rows.
+sparse counts, with empty cells and empty Alice rows.  Soundness is checked
+on states with a local-hidden-state model: product states, their mixtures
+and the Werner state up to its threshold violate neither criterion beyond
+rounding.
 """
 
 import math
@@ -12,11 +15,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import werner_tables
-from steerq import (correlations, evaluate_record, frequencies, parse_counts_csv,
-                    report_to_json, scg_lhs_entropic, serialize_counts_csv)
-from steerq.criteria import analytic_tensor, criterion_values, scg_key
+from helpers import scg, werner_tables
+from steerq import (correlations, evaluate_record, frequencies, joint_tensor,
+                    parse_counts_csv, report_to_json, scg_lhs_entropic, serialize_counts_csv)
+from steerq.criteria import analytic_tensor, criteria_of, criterion_values
 from steerq.expio import COUNT_LIMIT, ExperimentRecord
+from steerq.qmat import I2, PAULIS
 
 QS = (2.0, 1.5, 1.0)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -51,11 +55,9 @@ def sparse_count_tensors(draw):
 @settings(PROPERTY, max_examples=300)
 @given(counts=sparse_count_tensors())
 def test_kernel_matches_entropic_route_on_counts(counts):
-    qs = (2.0, 1.5, 1.0, 0.5)
     p = frequencies(counts)
-    values = criterion_values(p, qs)
-    for q in qs:
-        assert abs(values[scg_key(q)] - scg_lhs_entropic(p, q)) <= 1e-12
+    for q in (2.0, 1.5, 1.0 + 5e-10, 1.0, 1.0 - 5e-10, 0.5):  # 1 +- 5e-10 share q = 1's key
+        assert abs(scg(p, q) - scg_lhs_entropic(p, q)) <= 1e-12
 
 
 @st.composite
@@ -103,3 +105,40 @@ def test_scg_non_increasing_in_chi(theta, chis):
     values = criterion_values(analytic_tensor(theta, sorted(chis)), QS)
     for q in QS:
         assert np.all(np.diff(values[f"scg_q{q:g}"]) <= 1e-12)
+
+
+SOUNDNESS_QS = (0.1, 0.5, 1.0 - 2e-9, 1.0, 1.0 + 2e-9, 1.5, 2.0)
+MARGIN_LIMIT = 32 * np.finfo(float).eps  # pure product states sit on the q = 2 bound
+
+
+def pure_qubits(rng, shape):
+    """Haar-random pure qubit projectors of the given batch shape."""
+    psi = rng.normal(size=(*shape, 2)) + 1j * rng.normal(size=(*shape, 2))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    return psi[..., :, np.newaxis] * psi[..., np.newaxis, :].conj()
+
+
+def separable_tables(rng, n, terms):
+    """Joint tables of n random mixtures of `terms` pure product states."""
+    alice, bob = pure_qubits(rng, (n, terms)), pure_qubits(rng, (n, terms))
+    products = np.einsum("ntab,ntcd->ntacbd", alice, bob).reshape(n, terms, 4, 4)
+    weights = rng.dirichlet(np.ones(terms), size=n)
+    return joint_tensor(np.einsum("nt,ntab->nab", weights, products))
+
+
+def test_states_with_a_local_hidden_state_model_violate_nothing_beyond_rounding():
+    """Violation margins (bound - lhs for SCG, lhs - 1 for LSC) of unsteerable inputs."""
+    rng = np.random.default_rng(2018)
+    families = {f"{terms} product states": separable_tables(rng, 4000, terms)
+                for terms in (1, 2, 3, 4)}
+    eigenstates = np.array([(I2 + sign * s) / 2.0 for s in PAULIS for sign in (1.0, -1.0)])
+    families["Pauli eigenstate products"] = joint_tensor(  # on the q = 1 bound
+        np.einsum("sab,tcd->stacbd", eigenstates, eigenstates).reshape(36, 4, 4))
+    families["Werner, 22.5 deg"] = analytic_tensor(math.pi / 8,
+                                                   np.linspace(0.0, 1.0 / math.sqrt(3.0), 4000))
+    for name, p in families.items():
+        for q in SOUNDNESS_QS:  # one kernel call per q: 1 +- 2e-9 share q = 1's report key
+            scg_row, lsc_row = criteria_of((q,))
+            values = criterion_values(p, (q,))
+            assert np.max(scg_row.bound - values[scg_row.key]) <= MARGIN_LIMIT, (name, q)
+            assert np.max(values[lsc_row.key] - lsc_row.bound) <= MARGIN_LIMIT, name

@@ -113,3 +113,16 @@ class TestCorrectionTerm:
         jd = joint([bob[0], bob[1], 0.0, 0.0])
         for q in (0.6, 1.4, 2.0):
             assert correction_term(jd, q) == 0.0
+
+
+@pytest.mark.parametrize("q", [1.0 - 5e-10, 1.0 + 5e-10])
+def test_within_shannon_tolerance_equals_q1_bit_for_bit(q):
+    rng = np.random.default_rng(9)
+    tables = [UNIFORM, CORRELATED, joint([0.6, 0.4, 0.0, 0.0]),
+              *(joint(rng.dirichlet(np.ones(4))) for _ in range(50))]
+    for table in tables:
+        assert correction_term(table, q) == correction_term(table, 1.0)
+        assert tsallis_entropy(table.reshape(-1), q) == tsallis_entropy(table.reshape(-1), 1.0)
+        assert conditional_tsallis(table, q) == conditional_tsallis(table, 1.0)
+    for x in (1e-300, 0.3, 1.0, 2.0, 1e300):
+        assert ln_q(x, q) == ln_q(x, 1.0)
