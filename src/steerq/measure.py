@@ -30,18 +30,18 @@ def spawn_generator(seed: int, stream: int = 0) -> np.random.Generator:
 def _checked_cells(p: np.ndarray) -> np.ndarray:
     """Checked copy of a (..., 2, 2) stack of joint tables, negative cells zeroed.
 
-    No cell may lie below -PROBABILITY_TOL and every table must sum to 1
-    within PROBABILITY_TOL; the error names an offending value.  Cells
+    No cell may be NaN or lie below -PROBABILITY_TOL and every table must sum
+    to 1 within PROBABILITY_TOL; the error names an offending value.  Cells
     below the smallest normal float are set to zero: no criterion can tell
     them from zero, and their negative powers overflow.
     """
-    if (p < -PROBABILITY_TOL).any():
-        raise ValueError(f"negative cell probability: {p.min()}")
+    if not (p >= -PROBABILITY_TOL).all():  # also False for NaN
+        raise ValueError(f"{'negative' if p.min() < 0 else 'NaN'} cell probability: {p.min()}")
     p = np.where(p < _SMALLEST_NORMAL, 0.0, p)
     totals = p.sum(axis=(-1, -2))
-    off = np.abs(totals - 1.0) > PROBABILITY_TOL
-    if off.any():
-        raise ValueError(f"cell probabilities sum to {float(totals[off][0])}, not 1")
+    within = np.abs(totals - 1.0) <= PROBABILITY_TOL
+    if not within.all():
+        raise ValueError(f"cell probabilities sum to {float(totals[~within][0])}, not 1")
     return p
 
 

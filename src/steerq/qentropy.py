@@ -33,10 +33,11 @@ def _check_distribution(p: Sequence[float]) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("distribution must be a non-empty 1-D sequence")
-    if np.any(arr < -DISTRIBUTION_TOL):
-        raise ValueError(f"negative probability in distribution: {arr.min()}")
+    if not (arr >= -DISTRIBUTION_TOL).all():  # also False for NaN
+        raise ValueError(f"{'negative' if arr.min() < 0 else 'NaN'} probability in "
+                         f"distribution: {arr.min()}")
     total = float(arr.sum())
-    if abs(total - 1.0) > DISTRIBUTION_TOL:
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
         raise ValueError(f"distribution sums to {total}, not 1")
     return np.clip(arr, 0.0, None)
 
@@ -44,7 +45,7 @@ def _check_distribution(p: Sequence[float]) -> np.ndarray:
 def ln_q(x: float, q: float) -> float:
     """Deformed logarithm; reduces to ln(x) in the q -> 1 limit."""
     q = _check_q(q)
-    if x <= 0.0:
+    if not x > 0.0:  # also True for NaN
         raise ValueError(f"ln_q requires a positive argument, got {x!r}")
     return float(_ln_q(x, q))
 

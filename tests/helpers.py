@@ -7,7 +7,7 @@ from steerq import (DensityMatrix, criterion_values, joint_tensor, make_werner_l
 from steerq.criteria import (BISECTION_MAX_ITER, LSC_BOUND, MONOTONE_SAMPLES, SCG,
                              ChiThreshold, SolverError, analytic_tensor, check_qs,
                              scg_bound, scg_key)
-from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER
+from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, TableComparison
 from steerq.measure import _checked_cells, correlations, spawn_generator
 
 # Bell basis: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
@@ -182,3 +182,17 @@ def reference_curve_to_csv(rows: np.ndarray) -> str:
     one-%-call renderer must match byte for byte."""
     line = ",".join(["{:.12g}"] * rows.shape[1]).format
     return "\n".join([CURVE_CSV_HEADER, *(line(*row) for row in rows.tolist())]) + "\n"
+
+
+def reference_comparison_to_text(cmp: TableComparison) -> str:
+    """expio.comparison_to_text as one f-string per row: the reference the
+    one-%-call renderer must match byte for byte."""
+    lines = [f"{'family':<16} {'chi':>5} {'criterion':<9} "
+             f"{'analytic':>10} {'measured':>10} {'deviation':>10}"]
+    deviations = [row.deviation for row in cmp.rows]
+    for row, deviation in zip(cmp.rows, deviations):
+        lines.append(f"{row.family:<16} {row.chi:>5.2f} {row.criterion:<9} "
+                     f"{row.analytic:>10.4f} {row.measured:>10.4f} {deviation:>10.4f}")
+    lines.append(f"entries: {len(cmp.rows)}  max deviation: {max(deviations):.4f}  "
+                 f"within 0.01: {sum(d <= 0.01 for d in deviations)}")
+    return "\n".join(lines) + "\n"

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_bootstrap_error_bars, reference_curve_to_csv
+from helpers import (reference_bootstrap_error_bars, reference_comparison_to_text,
+                     reference_curve_to_csv)
 from steerq import (CountsFormatError, ExperimentRecord, criteria, evaluate_record,
                     evaluate_state, expio, parse_counts_csv, report_to_json,
                     reproduce_tables, serialize_counts_csv, simulate_record,
                     sweep_curve)
 from steerq.criteria import criteria_of
 from steerq.expio import (BOOTSTRAP_STREAM, COUNT_LIMIT, CURVE_CSV_HEADER, DEFAULT_QS,
-                          MAX_BOOTSTRAP, comparison_to_text, curve_to_csv)
+                          MAX_BOOTSTRAP, ComparisonRow, TableComparison, comparison_to_text,
+                          curve_to_csv)
 from steerq.measure import frequencies, spawn_generator
 
 THETA_W = math.radians(22.5)
@@ -427,10 +429,46 @@ class TestReproduceTables:
         assert calls == [20]
         assert [(r.family, r.chi, r.criterion, r.analytic.hex()) for r in rows] == expected
 
+    def test_warm_call_makes_no_kernel_call(self, monkeypatch):
+        # the comparison is computed once per process: a second call hands back the same,
+        # immutable object without evaluating anything
+        first = reproduce_tables()
+        calls = []
+        original = criteria.criterion_values
+        monkeypatch.setattr(criteria, "criterion_values",
+                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        assert reproduce_tables() is first
+        assert calls == []
+        assert isinstance(first.rows, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.rows[0].analytic = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.rows = ()
+
     def test_text_rendering(self):
         text = comparison_to_text(reproduce_tables())
         assert "max deviation: 0.0608" in text
         assert text.count("\n") == 62  # header + 60 rows + summary
+
+    def test_text_matches_reference_renderer(self):
+        cmp = reproduce_tables()
+        assert comparison_to_text(cmp) == reference_comparison_to_text(cmp)
+        assert comparison_to_text(cmp) == comparison_to_text(reproduce_tables())
+
+    @pytest.mark.parametrize("rows", [
+        [("werner_22.5deg", -0.0, "scg_q2", -0.0, 0.0), ("werner_22.5deg", 0.0, "lsc", 0.0, -0.0)],
+        [("f", math.nan, "scg_q1", math.nan, 1.0), ("f", 0.5, "lsc", 1.0, math.nan)],
+        [("f", 0.5, "lsc", 1.0, math.nan), ("f", 0.5, "scg_q2", 0.2, 0.25)],
+        [("f", math.inf, "lsc", math.inf, -math.inf), ("f", -math.inf, "lsc", -math.inf, 1.0)],
+        [("a family name longer than sixteen", 0.5, "a criterion name", 1.0, 0.5)],
+        [("100% family %s %(x)s", 0.5, "50%", 1.0, 0.5), ("%", 0.1, "%%", 0.2, 0.3)],
+        [("f", 100.0, "scg_q2", 123456.789, -1e6), ("f", 1e20, "lsc", 5e-324, 1e300)],
+        [("f", -0.004, "lsc", -0.00004, 0.00005)],
+    ], ids=["signed-zero", "nan-first", "nan-later", "infinities", "long-names",
+            "percent-signs", "wide-values", "rounds-to-signed-zero"])
+    def test_text_edge_values_match_reference_renderer(self, rows):
+        cmp = TableComparison(tuple(ComparisonRow(*row) for row in rows))
+        assert comparison_to_text(cmp) == reference_comparison_to_text(cmp)
 
 
 def test_reports_follow_one_criterion_order():

@@ -70,8 +70,19 @@ class TestJointDistribution:
             assert np.allclose(from_stack, p, atol=1e-15)
 
     def test_rejects_negative_cells(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"^negative cell probability: -0\.1$"):
             table([0.5, 0.6, -0.1, 0.0])
+
+    @pytest.mark.parametrize("cells", [[math.nan] * 4, [0.5, math.nan, 0.5, 0.0],
+                                       [math.nan, 0.5, -0.1, 0.6]])
+    def test_rejects_nan_cells(self, cells):
+        # every comparison with NaN is False, so the checks are written to fail on it
+        with pytest.raises(ValueError, match="^NaN cell probability: nan$"):
+            table(cells)
+
+    def test_rejects_infinite_cells(self):
+        with pytest.raises(ValueError, match="^cell probabilities sum to inf, not 1$"):
+            table([math.inf, 0.0, 0.0, 0.0])
 
     def test_rejects_states_that_are_not_two_qubit(self):
         for dim in (2, 8):
