@@ -21,7 +21,6 @@ dimension-parity bound replaces the generic one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -211,13 +210,6 @@ def analytic_tensor(theta: float, chis) -> np.ndarray:
     return _checked_cells(cells.T.reshape(-1, 3, 2, 2))
 
 
-@functools.lru_cache(maxsize=1)  # the thresholds at one theta share their first batch
-def _first_batch_tensor(theta: float) -> np.ndarray:
-    tensor = analytic_tensor(theta, _FIRST_BATCH)
-    tensor.setflags(write=False)
-    return tensor
-
-
 class ChiThreshold(NamedTuple):
     chi: float
     crossed: bool  # False when the criterion is never violated on [0, 1]
@@ -244,11 +236,11 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     row = criteria_of(qs)[0]  # the SCG row when q is given, else LSC
     label = criterion if row.q is None else f"{criterion}(q={row.q:g})"
 
-    def f(p: np.ndarray) -> np.ndarray:  # above 0 where the criterion is violated on tables p
-        return (criterion_values(p, qs)[row.key] - row.bound) * _VIOLATION_SIGN[criterion]
+    def f(chis) -> np.ndarray:  # above 0 where the criterion is violated
+        values = criterion_values(analytic_tensor(theta, chis), qs)[row.key]
+        return (values - row.bound) * _VIOLATION_SIGN[criterion]
 
-    werner_like_parameters(theta, ())  # theta's own range error before the float cache key
-    values = f(_first_batch_tensor(float(theta)))
+    values = f(_FIRST_BATCH)
     samples = values[:MONOTONE_SAMPLES]
     diffs = np.diff(samples)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
@@ -294,7 +286,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         mid = (lo + hi) / 2.0
         if mid not in known:
             points = look_ahead(lo, hi, mid, BISECTION_MAX_ITER - i)
-            known.update(zip(points, f(analytic_tensor(theta, points)).tolist()))
+            known.update(zip(points, f(np.array(points)).tolist()))
         if known[mid] > 0.0:
             hi = mid
         else:

@@ -14,7 +14,6 @@ bounded for any count up to MAX_BOOTSTRAP.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -336,12 +335,7 @@ class TableComparison:
 
 
 def reproduce_tables() -> TableComparison:
-    """Analytic predictions next to the reference measurements, computed once per process."""
-    return _reference_comparison()
-
-
-@functools.cache
-def _reference_comparison() -> TableComparison:
+    """Analytic predictions next to the reference measurements, row by row."""
     values = criteria.criterion_values(np.concatenate([  # both families in one kernel call
         criteria.analytic_tensor(theta, [row[0] for row in table])
         for _, theta, table in REFERENCE_FAMILIES]), DEFAULT_QS)

@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +10,7 @@ from helpers import (BELL_CORRELATIONS, assert_same_bits, bisection_threshold,
 from steerq import (LSC, SCG, SolverError, analytic_tensor, chi_threshold, correlations,
                     criterion_values, frequencies, joint_tensor, make_werner_like, mub_bound,
                     scg_bound, scg_lhs_entropic, shannon_bound, verdict)
-from steerq import criteria
-from steerq.criteria import _FIRST_BATCH, scg_key, scg_lhs_cells
+from steerq.criteria import scg_key, scg_lhs_cells
 
 
 def werner_joints(chi, theta=math.pi / 8):
@@ -309,122 +306,6 @@ class TestChiThreshold:
         )
         with pytest.raises(SolverError, match="monotone"):
             chi_threshold(math.radians(22.5), SCG, q=2.0)
-
-
-def dump_thetas() -> list[float]:
-    """The 66 thetas of tools/dump_cli.py, in radians as the CLI passes them."""
-    spec = importlib.util.spec_from_file_location(
-        "dump_cli", Path(__file__).resolve().parents[1] / "tools" / "dump_cli.py")
-    dump_cli = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dump_cli)
-    return [math.radians(float(theta)) for theta in dump_cli.THETAS]
-
-
-def threshold_outcome(theta, criterion, q, tol):
-    """chi_threshold's result as exact bits, or its error's type and message."""
-    try:
-        result = chi_threshold(theta, criterion, q, tol)
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        return type(exc).__name__, str(exc)
-    return result.chi.hex(), result.crossed
-
-
-class TestFirstBatchCache:
-    """The thresholds at one theta share one read-only first-batch tensor: no bit moves."""
-
-    CRITERIA = [(SCG, 0.1), (SCG, 0.5), (SCG, 1.0), (SCG, 2.0), (LSC, None)]
-    THETAS = [*dump_thetas(), -0.0, 0, np.float64(math.radians(7.5)),
-              np.array(math.radians(22.5))]
-
-    def test_dump_thetas(self):
-        assert len(dump_thetas()) == 66
-
-    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
-    def test_warm_equals_cold(self, tol):
-        # cold: a cleared cache before every call.  Warm: one pass in order, so each theta's
-        # first criterion replaces the last theta's batch and the other four reuse it
-        cache = criteria._first_batch_tensor
-        cold = []
-        for theta in self.THETAS:
-            for criterion, q in self.CRITERIA:
-                cache.cache_clear()
-                cold.append(threshold_outcome(theta, criterion, q, tol))
-        cache.cache_clear()
-        warm = [threshold_outcome(theta, criterion, q, tol)
-                for theta in self.THETAS for criterion, q in self.CRITERIA]
-        assert warm == cold
-        keys = [float(theta) for theta in self.THETAS]  # -0.0 then 0 is one key: no miss
-        misses = sum(key != last for last, key in zip([None, *keys], keys))
-        info = cache.cache_info()
-        assert (info.misses, info.hits) == (misses, len(cold) - misses)
-        assert misses == len(self.THETAS) - 1
-        assert not any(outcome[0] in ("TypeError", "ValueError") for outcome in cold)
-
-    @pytest.mark.parametrize("warm, theta", [
-        (0.0, -0.0), (-0.0, 0.0), (0, 0.0), (0.3, np.float64(0.3)), (np.array(0.3), 0.3),
-        (np.float64(math.pi / 8), np.array(math.pi / 8)),
-    ])
-    def test_equal_thetas_share_bits(self, warm, theta):
-        # the cache keys on float(theta), and every form of one value builds the same tables
-        cache = criteria._first_batch_tensor
-        for criterion, q in self.CRITERIA:
-            for tol in (1e-6, 1e-12):
-                cache.cache_clear()
-                cold = threshold_outcome(theta, criterion, q, tol)
-                cache.cache_clear()
-                assert threshold_outcome(float(theta), criterion, q, tol) == cold
-                cache.cache_clear()
-                threshold_outcome(warm, SCG, 1.5, tol)
-                assert threshold_outcome(theta, criterion, q, tol) == cold
-                assert cache.cache_info().hits == 1
-
-    @pytest.mark.parametrize("theta_deg, criterion, q, expected", [
-        (22.5, SCG, 2.0, 2), (7.5, SCG, 2.0, 2), (7.5, SCG, 1.0, 2), (7.5, LSC, None, 2),
-        (0.0, SCG, 2.0, 1),
-    ])
-    def test_warm_cache_keeps_kernel_calls(self, monkeypatch, theta_deg, criterion, q,
-                                           expected):
-        # the kernel still runs on the cached first batch; only the tables are not rebuilt
-        theta = math.radians(theta_deg)
-        threshold_outcome(theta, SCG, 1.5, 1e-6)  # warms the first batch at this theta
-        calls, grids = [], []
-        original_values, original_tensor = criteria.criterion_values, criteria.analytic_tensor
-        monkeypatch.setattr(criteria, "criterion_values",
-                            lambda p, qs: calls.append(len(p)) or original_values(p, qs))
-        monkeypatch.setattr(criteria, "analytic_tensor",
-                            lambda theta, chis: grids.append(np.size(chis))
-                            or original_tensor(theta, chis))
-        assert chi_threshold(theta, criterion, q=q).crossed == (expected > 1)
-        assert len(calls) == expected and calls[0] == len(_FIRST_BATCH) == 148
-        assert all(n <= 32 for n in calls[1:])
-        assert grids == calls[1:]
-
-    def test_cached_tensor_is_read_only(self):
-        theta = math.radians(7.5)
-        chi_threshold(theta, SCG, 2.0)
-        tensor = criteria._first_batch_tensor(theta)
-        assert criteria._first_batch_tensor.cache_info().hits == 1
-        assert not tensor.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            tensor[0, 0, 0, 0] = 1.0
-        assert_same_bits(tensor, analytic_tensor(theta, _FIRST_BATCH))
-
-    @pytest.mark.parametrize("theta", [
-        math.nan, math.inf, -1e-300, math.pi / 4 + 2e-12, np.float64(2.0), np.array(-1.0),
-        [0.3], "0.3", None,
-    ], ids=["nan", "inf", "negative", "above-45deg", "numpy-scalar", "zero-d-array", "list",
-            "str", "none"])
-    def test_invalid_theta_raises_the_same_error_twice(self, theta):
-        # the error is analytic_tensor's own, and nothing is cached or evicted
-        with pytest.raises(Exception) as expected:
-            analytic_tensor(theta, _FIRST_BATCH)
-        chi_threshold(0.3, LSC)
-        before = criteria._first_batch_tensor.cache_info()
-        for _ in range(2):
-            with pytest.raises(type(expected.value)) as got:
-                chi_threshold(theta, SCG, 2.0)
-            assert str(got.value) == str(expected.value)
-        assert criteria._first_batch_tensor.cache_info() == before
 
 
 class TestProperties:

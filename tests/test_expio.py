@@ -429,22 +429,6 @@ class TestReproduceTables:
         assert calls == [20]
         assert [(r.family, r.chi, r.criterion, r.analytic.hex()) for r in rows] == expected
 
-    def test_warm_call_makes_no_kernel_call(self, monkeypatch):
-        # the comparison is computed once per process: a second call hands back the same,
-        # immutable object without evaluating anything
-        first = reproduce_tables()
-        calls = []
-        original = criteria.criterion_values
-        monkeypatch.setattr(criteria, "criterion_values",
-                            lambda p, qs: calls.append(len(p)) or original(p, qs))
-        assert reproduce_tables() is first
-        assert calls == []
-        assert isinstance(first.rows, tuple)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            first.rows[0].analytic = 0.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            first.rows = ()
-
     def test_text_rendering(self):
         text = comparison_to_text(reproduce_tables())
         assert "max deviation: 0.0608" in text
@@ -453,7 +437,6 @@ class TestReproduceTables:
     def test_text_matches_reference_renderer(self):
         cmp = reproduce_tables()
         assert comparison_to_text(cmp) == reference_comparison_to_text(cmp)
-        assert comparison_to_text(cmp) == comparison_to_text(reproduce_tables())
 
     @pytest.mark.parametrize("rows", [
         [("werner_22.5deg", -0.0, "scg_q2", -0.0, 0.0), ("werner_22.5deg", 0.0, "lsc", 0.0, -0.0)],

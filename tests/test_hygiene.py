@@ -43,13 +43,3 @@ def test_all_is_sorted_and_equals_the_package_imports():
 def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["version"] == steerq.__version__
-
-
-def test_cache_fixture_finds_every_cache():
-    # conftest.cold_caches clears what cached_callables finds, so each test starts cold
-    from conftest import cached_callables
-
-    caches = cached_callables()
-    names = {f"{cache.__module__}.{cache.__qualname__}" for cache in caches}
-    assert {"steerq.criteria._first_batch_tensor", "steerq.expio._reference_comparison"} <= names
-    assert all(cache.cache_info().currsize == 0 for cache in caches)
