@@ -79,20 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write an output file and name it on stdout."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    print(f"wrote {path}")
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     rec = expio.simulate_record(math.radians(args.theta), args.chi, args.shots, args.seed)
-    _write_out(args.out, expio.serialize_counts_csv(rec))
-    return EXIT_OK
+    return expio.serialize_counts_csv(rec)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> str:
     try:
         with open(args.counts, "r", encoding="utf-8-sig") as handle:  # spreadsheets write a BOM
             text = handle.read()
@@ -102,18 +94,16 @@ def _cmd_eval(args) -> int:
     rec = expio.parse_counts_csv(text, label=args.counts)
     report = expio.evaluate_record(rec, qs=_parse_q_list(args.q),
                                    bootstrap=args.bootstrap, seed=args.seed)
-    print(expio.report_to_json(report))
-    return EXIT_OK
+    return expio.report_to_json(report) + "\n"
 
 
-def _cmd_eval_state(args) -> int:
+def _cmd_eval_state(args) -> str:
     report = expio.evaluate_state(math.radians(args.theta), args.chi,
                                   qs=_parse_q_list(args.q))
-    print(expio.report_to_json(report))
-    return EXIT_OK
+    return expio.report_to_json(report) + "\n"
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> str:
     criterion = args.criterion.upper()
     q = args.q if criterion == criteria.SCG else None
     result = criteria.chi_threshold(math.radians(args.theta), criterion, q=q,
@@ -121,26 +111,17 @@ def _cmd_threshold(args) -> int:
     label = criterion if q is None else f"{criterion}(q={q:g})"
     if result.crossed:  # as many decimals as tol resolves, from 6 to the 17 that round-trip
         digits = min(max(6, math.ceil(-math.log10(args.tol))), 17)
-        print(f"{label} threshold at theta={args.theta:g}deg: chi = {result.chi:.{digits}f}")
-    else:
-        print(f"{label} is not violated on chi in [0, 1] at theta={args.theta:g}deg "
-              f"(threshold reported as {result.chi:.1f})")
-    return EXIT_OK
+        return f"{label} threshold at theta={args.theta:g}deg: chi = {result.chi:.{digits}f}\n"
+    return (f"{label} is not violated on chi in [0, 1] at theta={args.theta:g}deg "
+            f"(threshold reported as {result.chi:.1f})\n")
 
 
-def _cmd_sweep(args) -> int:
-    rows = expio.sweep_curve(math.radians(args.theta), args.steps)
-    _write_out(args.out, expio.curve_to_csv(rows))
-    return EXIT_OK
+def _cmd_sweep(args) -> str:
+    return expio.curve_to_csv(expio.sweep_curve(math.radians(args.theta), args.steps))
 
 
-def _cmd_tables(args) -> int:
-    text = expio.comparison_to_text(expio.reproduce_tables())
-    if args.out is None:
-        print(text, end="")
-    else:
-        _write_out(args.out, text)
-    return EXIT_OK
+def _cmd_tables(args) -> str:
+    return expio.comparison_to_text(expio.reproduce_tables())
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -156,7 +137,14 @@ def exit_code_for(exc: BaseException) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text = args.handler(args)  # built whole first, so a failing verb writes nothing
+        if getattr(args, "out", None) is None:  # eval, eval-state and threshold have no --out
+            print(text, end="")
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            print(f"wrote {args.out}")
+        return EXIT_OK
     except (OSError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -39,12 +39,11 @@ LSC = "LSC"
 LSC_BOUND = 1.0
 _VIOLATION_SIGN = {SCG: -1.0, LSC: 1.0}  # sign of lhs - bound when the criterion is violated
 
-MONOTONE_SAMPLES = 21
 BISECTION_MAX_ITER = 200
 MULTISECTION_BITS = 7
-# chi_threshold's first kernel call: the monotone samples, then MULTISECTION_BITS halvings
-_FIRST_BATCH = np.concatenate([np.linspace(0.0, 1.0, MONOTONE_SAMPLES),
-                               np.arange(1, 2 ** MULTISECTION_BITS) / 2 ** MULTISECTION_BITS])
+# chi_threshold's first kernel call: the k / 2**MULTISECTION_BITS grid, ends included, serves
+# the monotonicity check and bisection's first MULTISECTION_BITS halvings
+_FIRST_BATCH = np.arange(2 ** MULTISECTION_BITS + 1) / 2 ** MULTISECTION_BITS
 
 
 class SolverError(ArithmeticError):
@@ -219,10 +218,10 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                   tol: float = 1e-6) -> ChiThreshold:
     """Smallest mixing weight chi at which the criterion is violated.
 
-    Samples the analytic profile at 21 points to verify strict monotonicity,
-    then bisects lhs(chi) = bound on [0, 1] to width tol in (0, 1), reading each
-    midpoint's value from the chis already evaluated.  On a miss one kernel call
-    evaluates the midpoint and bisection's midpoints toward an interpolated root
+    One kernel call on the 129 points k/128 verifies strict monotonicity and holds
+    bisection's first 7 midpoints; bisection of lhs(chi) = bound on [0, 1] to width
+    tol in (0, 1) then reads each midpoint's value from the chis already evaluated.
+    On a miss one kernel call evaluates bisection's midpoints toward an interpolated root
     (any batch gives a point the same bits), so the result is bisection's bit for
     bit and the default tol takes 2 calls.  No violation on [0, 1] gives (1.0, False).
     """
@@ -241,26 +240,25 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         return (values - row.bound) * _VIOLATION_SIGN[criterion]
 
     values = f(_FIRST_BATCH)
-    samples = values[:MONOTONE_SAMPLES]
-    diffs = np.diff(samples)
+    diffs = np.diff(values)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise SolverError(
             f"{label}: profile over chi is not strictly monotone; "
             "bisection preconditions do not hold"
         )
 
-    if samples[0] > 0.0:
+    if values[0] > 0.0:
         return ChiThreshold(0.0, True)
-    if not samples[-1] > 0.0:
+    if not values[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
     known = dict(zip(_FIRST_BATCH.tolist(), values.tolist()))  # chi -> f(chi)
 
-    def look_ahead(lo: float, hi: float, mid: float, iterations_left: int) -> list[float]:
+    def look_ahead(lo: float, hi: float, iterations_left: int) -> list[float]:
         h = hi - lo
         xs = [x for x in (lo - h, lo, hi, hi + h) if x in known]  # lo and hi always are
         ys = [known[x] for x in xs]
-        estimate = mid
+        estimate = (lo + hi) / 2.0
         if len(set(ys)) == len(ys):  # inverse Lagrange at 0: cubic, lower next to chi = 0, 1
             guess = sum(x * math.prod(yj / (yj - yi) for yj in ys if yj != yi)
                         for x, yi in zip(xs, ys))
@@ -269,7 +267,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         depth, width = 0, h  # the halvings bisection still makes
         while width > tol and depth < iterations_left:
             depth, width = depth + 1, width / 2.0
-        points = {mid}
+        points = set()  # the first halving of each path adds the midpoint
         targets = [estimate + j * width for j in range(-2, 3)]
         for target in targets + [hi] * (hi == 1.0):  # no value past chi = 1 guides the estimate
             a, b = lo, hi
@@ -285,7 +283,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
             break
         mid = (lo + hi) / 2.0
         if mid not in known:
-            points = look_ahead(lo, hi, mid, BISECTION_MAX_ITER - i)
+            points = look_ahead(lo, hi, BISECTION_MAX_ITER - i)
             known.update(zip(points, f(np.array(points)).tolist()))
         if known[mid] > 0.0:
             hi = mid

@@ -4,7 +4,7 @@ import numpy as np
 
 from steerq import (DensityMatrix, criterion_values, joint_tensor, make_werner_like,
                     qentropy, validate_density)
-from steerq.criteria import (BISECTION_MAX_ITER, LSC_BOUND, MONOTONE_SAMPLES, SCG,
+from steerq.criteria import (BISECTION_MAX_ITER, LSC_BOUND, MULTISECTION_BITS, SCG,
                              ChiThreshold, SolverError, analytic_tensor, check_qs,
                              scg_bound, scg_key)
 from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, TableComparison
@@ -101,7 +101,7 @@ def bisection_threshold(theta: float, criterion: str = SCG, q=2.0,
     def violated(value: float) -> bool:
         return value * violation_sign > 0.0
 
-    samples = f(np.linspace(0.0, 1.0, MONOTONE_SAMPLES))
+    samples = f(np.arange(2 ** MULTISECTION_BITS + 1) / 2 ** MULTISECTION_BITS)
     diffs = np.diff(samples)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise SolverError("profile over chi is not strictly monotone")

@@ -575,6 +575,19 @@ class TestSweepAndTables:
         assert code == EXIT_OK
         assert "entries: 60" in out.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--theta", "22.5", "--chi", "0.5", "--shots", "2", "--seed", "0"),
+        ("sweep", "--theta", "7.5", "--steps", "1"),
+    ])
+    def test_failing_verb_leaves_existing_out_file_alone(self, tmp_path, capsys, argv):
+        # the whole text is built before the file is opened, so a failure truncates nothing
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"earlier output\r\n\x00")
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == "" and err.startswith("error: ")
+        assert out.read_bytes() == b"earlier output\r\n\x00"
+
 
 class TestExitCodes:
     def test_mapping(self):

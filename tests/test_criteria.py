@@ -237,8 +237,9 @@ class TestChiThreshold:
     ])
     def test_default_tol_takes_two_kernel_calls(self, monkeypatch, theta_deg, criterion, q,
                                                 expected):
-        # the 21 monotonicity samples and 7 halvings' midpoints, then one look-ahead down
-        # the remaining 13 halvings.  theta = 0 never crosses: one call, then the early return
+        # the 129 points k/128 (monotonicity check and 7 halvings' midpoints), then one
+        # look-ahead down the remaining 13 halvings.  theta = 0 never crosses: one call,
+        # then the early return
         from steerq import criteria
 
         calls = []
@@ -247,7 +248,7 @@ class TestChiThreshold:
                             lambda p, qs: calls.append(len(p)) or original(p, qs))
         crossed = chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
         assert crossed == (expected > 1)
-        assert len(calls) == expected and calls[0] == 21 + 127
+        assert len(calls) == expected and calls[0] == 129
         assert all(n <= 32 for n in calls[1:])
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
