@@ -162,8 +162,13 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
     logs are elementwise and each sum over cells, outcomes or settings is a chain of
     slice adds in np.sum's order, so a stack gets the same bits in any batch.
     """
+    return _criterion_values(p, check_qs(qs))
+
+
+def _criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
+    """criterion_values for qs that check_qs has passed."""
     marginal = p[..., 0] + p[..., 1]
-    values = {scg_key(q): scg_lhs_cells(p, marginal, q) for q in check_qs(qs)}
+    values = {scg_key(q): scg_lhs_cells(p, marginal, q) for q in qs}
     squares = correlations(p) ** 2
     values["lsc"] = np.sqrt((squares[..., 0] + squares[..., 1]) + squares[..., 2])
     return values
@@ -198,8 +203,12 @@ def analytic_tensor(theta: float, chis) -> np.ndarray:
     joint_tensor(make_werner_like(theta, chi).matrix) in closed form and in its einsum's
     one-state order, tr(rho Pi) = sum_a (sum_b rho_ab Pi_ba), so any batch has those bits.
     """
+    return _werner_tensor(*werner_like_parameters(theta, chis))
+
+
+def _werner_tensor(c: float, s: float, chis) -> np.ndarray:
+    """analytic_tensor from werner_like_parameters' cos(2 theta), sin(2 theta) and chi(s)."""
     # rho: diagonal (d0, m, m, d3), o at (0, 3) and (3, 0); x and y projector entries +-1/4
-    c, s, chis = werner_like_parameters(theta, chis)
     m = (1.0 - chis) / 4.0
     d0, d3, o = chis * (c * c) + m, chis * (s * s) + m, chis * (c * s)
     q0, q3, qm, qo = 0.25 * d0, 0.25 * d3, 0.25 * m, 0.25 * o

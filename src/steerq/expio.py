@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import criteria
 from .measure import AXES, frequencies, spawn_generator, table_totals
-from .qmat import single_chi, werner_like_parameters
+from .qmat import single_chi
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 _CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
@@ -150,18 +150,40 @@ class EvaluationReport:
     seed: Optional[int]       # bootstrap seed (None when analytic)
 
 
+_ENCODE = json.JSONEncoder(allow_nan=False, separators=("\n", ": ")).encode  # see report_to_json
+
+
+def _block(members: list, pad: str, brackets: str) -> str:
+    """json.dumps(indent=2)'s layout of a list or dict of these members, closed at pad."""
+    if not members:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(members) + "\n" + pad + brackets[1]
+
+
+_CRITERION = "    " + _block([f'      "{f.name}": %s' for f in fields(criteria.CriterionReport)],
+                             "    ", "{}")
+
+
 def report_to_json(report: EvaluationReport) -> str:
-    """Structured-text rendering with fixed field names."""
-    doc = {
-        "label": report.label,
-        "criteria": [vars(c) for c in report.criteria],  # CriterionReport fields, in order
-        "probabilities": report.probabilities,
-        "totals": report.totals,
-        "bounds": {"lsc" if c.criterion == criteria.LSC else criteria.scg_key(c.q): c.bound
-                   for c in report.criteria},
-        "seed": report.seed,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    """json.dumps(document, indent=2, allow_nan=False) of the report, from one encoder call on
+    every scalar and (string) dict key in document order: ensure_ascii leaves no raw newline
+    in a token, so its "\n" separators split them for the % call on the shape's layout."""
+    bounds = {"lsc" if c.criterion == criteria.LSC else criteria.scg_key(c.q): c.bound
+              for c in report.criteria}
+    scalars = [report.label, *[v for c in report.criteria for v in vars(c).values()],
+               *[v for axis, cells in report.probabilities.items() for v in (axis, *cells)],
+               *[v for pair in (*(report.totals or {}).items(), *bounds.items()) for v in pair],
+               report.seed]
+    lists = ["    %s: " + _block(["      %s"] * len(cells), "    ", "[]")
+             for cells in report.probabilities.values()]
+    totals = None if report.totals is None else ["    %s: %s"] * len(report.totals)
+    layout = _block(['  "label": %s',
+                     '  "criteria": ' + _block([_CRITERION] * len(report.criteria), "  ", "[]"),
+                     '  "probabilities": ' + _block(lists, "  ", "{}"),
+                     '  "totals": ' + ("null" if totals is None else _block(totals, "  ", "{}")),
+                     '  "bounds": ' + _block(["    %s: %s"] * len(bounds), "  ", "{}"),
+                     '  "seed": %s'], "", "{}")
+    return layout % tuple(_ENCODE(scalars)[1:-1].split("\n"))
 
 
 def _report(label: str, p: np.ndarray, rows: Sequence[criteria.Criterion], values: dict,
@@ -172,7 +194,7 @@ def _report(label: str, p: np.ndarray, rows: Sequence[criteria.Criterion], value
     verdicts = tuple(criteria.verdict(c.name, float(values[c.key]), c.bound, q=c.q,
                                       error_bar=bars.get(c.key))
                      for c in rows)
-    probabilities = {axis: [float(v) for v in cells.reshape(-1)] for axis, cells in zip(AXES, p)}
+    probabilities = dict(zip(AXES, p.reshape(3, 4).tolist()))
     return EvaluationReport(label, verdicts, probabilities, totals, seed)
 
 
@@ -229,10 +251,11 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
 def evaluate_state(theta: float, chi: float,
                    qs: Sequence[float] = DEFAULT_QS) -> EvaluationReport:
     """Analytic evaluation of a Werner-like state; no error bars."""
-    chi = single_chi(werner_like_parameters(theta, chi)[2], "evaluate_state")
-    p = criteria.analytic_tensor(theta, chi)[0]
-    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p,
-                   criteria.criteria_of(qs), criteria.criterion_values(p, qs))
+    c, s, chi = single_chi(theta, chi, "evaluate_state")  # the state is checked before the qs
+    p = criteria._werner_tensor(c, s, chi)[0]
+    rows = criteria.criteria_of(qs)  # checks the qs, once
+    values = criteria._criterion_values(p, [row.q for row in rows if row.name == criteria.SCG])
+    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, rows, values)
 
 
 def simulate_record(theta: float, chi: float, shots: int, seed: int) -> ExperimentRecord:
@@ -241,8 +264,8 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
     Setting k draws from stream k (x=0, y=1, z=2) under the master seed.  The
     realized totals fluctuate around shots; zero-probability cells stay zero.
     """
-    chi = single_chi(werner_like_parameters(theta, chi)[2], "simulate_record")
-    p = criteria.analytic_tensor(theta, chi)[0]
+    c, s, chi = single_chi(theta, chi, "simulate_record")
+    p = criteria._werner_tensor(c, s, chi)[0]
     if not 1 <= shots < COUNT_LIMIT:
         raise ValueError(f"shots must be a positive integer below 2**53 = {COUNT_LIMIT}, "
                          f"got {shots}")

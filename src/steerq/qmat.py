@@ -101,17 +101,17 @@ def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray
     return math.cos(2.0 * theta), math.sin(2.0 * theta), chis
 
 
-def single_chi(chis: np.ndarray, caller: str) -> float:
-    """The one entry of a chi vector checked by werner_like_parameters, as a float."""
+def single_chi(theta: float, chi: float, caller: str) -> tuple[float, float, float]:
+    """werner_like_parameters of one state: cos(2 theta), sin(2 theta) and chi as a float."""
+    c, s, chis = werner_like_parameters(theta, chi)
     if chis.size != 1:
         raise ValueError(f"{caller} takes one chi, got {chis.size}")
-    return float(chis[0])
+    return c, s, float(chis[0])
 
 
 def make_werner_like(theta: float, chi: float) -> DensityMatrix:
     """One validated Werner-like state; see werner_like_parameters."""
-    c, s, chis = werner_like_parameters(theta, chi)
-    chi = single_chi(chis, "make_werner_like")
+    c, s, chi = single_chi(theta, chi, "make_werner_like")
     phi = np.array([c, 0.0, 0.0, s], dtype=complex)
     rho = chi * np.outer(phi, phi.conj()) + (1.0 - chi) * np.eye(4) / 4.0
     return validate_density(rho)

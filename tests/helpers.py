@@ -1,13 +1,15 @@
 """Shared generators for randomized tests."""
 
+import json
+
 import numpy as np
 
 from steerq import (DensityMatrix, criterion_values, joint_tensor, make_werner_like,
                     qentropy, validate_density)
-from steerq.criteria import (BISECTION_MAX_ITER, LSC_BOUND, MULTISECTION_BITS, SCG,
+from steerq.criteria import (BISECTION_MAX_ITER, LSC, LSC_BOUND, MULTISECTION_BITS, SCG,
                              ChiThreshold, SolverError, analytic_tensor, check_qs,
                              scg_bound, scg_key)
-from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, TableComparison
+from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, EvaluationReport, TableComparison
 from steerq.measure import _checked_cells, correlations, spawn_generator
 
 # Bell basis: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
@@ -196,3 +198,18 @@ def reference_comparison_to_text(cmp: TableComparison) -> str:
     lines.append(f"entries: {len(cmp.rows)}  max deviation: {max(deviations):.4f}  "
                  f"within 0.01: {sum(d <= 0.01 for d in deviations)}")
     return "\n".join(lines) + "\n"
+
+
+def reference_report_to_json(report: EvaluationReport) -> str:
+    """expio.report_to_json as json.dumps of the report's document with indent=2: the
+    reference the one-encoder-call renderer must match byte for byte."""
+    doc = {
+        "label": report.label,
+        "criteria": [vars(c) for c in report.criteria],  # CriterionReport fields, in order
+        "probabilities": report.probabilities,
+        "totals": report.totals,
+        "bounds": {"lsc" if c.criterion == LSC else scg_key(c.q): c.bound
+                   for c in report.criteria},
+        "seed": report.seed,
+    }
+    return json.dumps(doc, indent=2, allow_nan=False)

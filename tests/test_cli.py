@@ -495,6 +495,24 @@ class TestEvalState:
         assert err == (f"error: theta={math.radians(80)!r} (80 deg) "
                        "outside [0, pi/4] ([0, 45] deg)\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        # the q list is parsed before the state is built, so its error comes first
+        (("--theta", "50", "--chi", "0.5", "--q", "3"),
+         "entropic index q must lie in (0, 2], got 3.0"),
+        (("--theta", "nan", "--chi", "0.5", "--q", "0"),
+         "entropic index q must lie in (0, 2], got 0.0"),
+        (("--theta", "50", "--chi", "1.5", "--q", "2"),
+         f"theta={math.radians(50)!r} (50 deg) outside [0, pi/4] ([0, 45] deg)"),
+        (("--theta", "22.5", "--chi", "1.5", "--q", "2,2"),
+         "entropic indices 2.0, 2.0 collide in the report keys ['scg_q2', 'scg_q2']"),
+        (("--theta", "22.5", "--chi", "0.5", "--q", "2,2"),
+         "entropic indices 2.0, 2.0 collide in the report keys ['scg_q2', 'scg_q2']"),
+    ], ids=["theta-and-q", "nan-theta-and-q", "theta-and-chi", "chi-and-collision",
+            "collision"])
+    def test_first_of_several_faults_is_reported(self, capsys, argv, message):
+        code, out, err = run(capsys, "eval-state", *argv)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
 
 class TestThreshold:
     def test_werner_q2(self, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (reference_bootstrap_error_bars, reference_comparison_to_text,
-                     reference_curve_to_csv)
+                     reference_curve_to_csv, reference_report_to_json)
 from steerq import (CountsFormatError, ExperimentRecord, criteria, evaluate_record,
                     evaluate_state, expio, parse_counts_csv, report_to_json,
                     reproduce_tables, serialize_counts_csv, simulate_record,
@@ -325,6 +325,112 @@ class TestEvaluateState:
         assert scg2.lhs == pytest.approx(1.5, abs=1e-12)
         assert scg1.lhs == pytest.approx(3 * math.log(2), abs=1e-12)
         assert lsc.lhs == pytest.approx(0.0, abs=1e-10)
+
+
+    @pytest.mark.parametrize("theta, chi, qs, message", [
+        (math.radians(50), 0.5, (3.0,),
+         f"theta={math.radians(50)!r} (50 deg) outside [0, pi/4] ([0, 45] deg)"),
+        (math.nan, 0.5, (2.0, 2), "theta=nan (nan deg) outside [0, pi/4] ([0, 45] deg)"),
+        (THETA_W, 1.5, (0.0,), "chi=1.5 outside [0, 1]"),
+        (THETA_W, [0.2, 0.3], (0.0,), "evaluate_state takes one chi, got 2"),
+        (THETA_W, [0.2, 1.3], (2.0, 2), "chi=1.3 outside [0, 1]"),
+        (THETA_W, 0.5, (math.nan, 2, 2), "entropic index q must lie in (0, 2], got nan"),
+        (THETA_W, 0.5, (1.0, 1.0000001),
+         "entropic indices 1.0, 1.0000001 collide in the report keys ['scg_q1', 'scg_q1']"),
+    ], ids=["theta-and-q", "nan-theta-and-collision", "chi-and-q", "chi-vector-and-q",
+            "chi-vector-and-collision", "q-and-collision", "collision"])
+    def test_first_of_several_faults_is_reported(self, theta, chi, qs, message):
+        # the state's checks run before the qs'
+        with pytest.raises(ValueError) as info:
+            evaluate_state(theta, chi, qs=qs)
+        assert str(info.value) == message
+
+
+def _with_value(report, slot, value):
+    """The report with value put in one slot: (field, key, index) as _FLOAT_SLOTS names it."""
+    field, key, index = slot
+    if field == "criteria":
+        rows = list(report.criteria)
+        rows[key] = dataclasses.replace(rows[key], **{index: value})
+        return dataclasses.replace(report, criteria=tuple(rows))
+    if field == "probabilities":
+        probabilities = {axis: list(cells) for axis, cells in report.probabilities.items()}
+        probabilities[key][index] = value
+        return dataclasses.replace(report, probabilities=probabilities)
+    if field == "totals":
+        return dataclasses.replace(report, totals={**report.totals, key: value})
+    return dataclasses.replace(report, seed=value)
+
+
+# every number of a qs = (2, 1) counts report: four per criterion, twelve cells, a total, seed
+_FLOAT_SLOTS = ([("criteria", i, name) for i in range(3) for name in ("q", "lhs", "bound",
+                                                                      "error_bar")]
+                + [("probabilities", axis, j) for axis in "xyz" for j in range(4)]
+                + [("totals", "y", None), ("seed", None, None)])
+_QS_SETS = [(2.0,), (0.1,), (0.5, 1.0), (2.0, 1.0, 0.1), (0.1, 0.5, 1.5, 2.0)]
+
+
+class TestReportToJson:
+    """report_to_json gives json.dumps(indent=2)'s bytes for any report shape."""
+
+    @staticmethod
+    def counts_report(qs=DEFAULT_QS, seed=1):
+        rec = simulate_record(THETA_T, 0.7, 2_000, seed=seed)
+        return evaluate_record(rec, qs=qs, bootstrap=20, seed=seed)
+
+    def hand_built(self):
+        base = self.counts_report()
+        reports = [dataclasses.replace(base, label=label) for label in (
+            'quote " backslash \\ end', "new\nline\ttab", "non-ASCII: θ = 22.5°, χ ≈ ½",
+            "lone surrogate \ud800 here", "%s %% %(x)s", '", "', "")]
+        reports += [dataclasses.replace(base, totals=totals)
+                    for totals in (None, {}, {"x": 1, "y": 2, "z": 3})]
+        reports.append(dataclasses.replace(base, probabilities={"x": [], "y": [0.5, 0.5],
+                                                                "z": [1.0]}))
+        reports.append(dataclasses.replace(base, criteria=(), probabilities={}, totals={}))
+        return reports
+
+    @pytest.mark.parametrize("qs", _QS_SETS)
+    def test_seeded_reports_match_reference(self, qs):
+        rng = np.random.default_rng(len(qs))
+        reports = [evaluate_state(theta, chi, qs=qs)
+                   for theta, chi in zip(rng.uniform(0, math.pi / 4, 8), rng.uniform(0, 1, 8))]
+        reports += [evaluate_state(THETA_W, chi, qs=qs) for chi in (0.0, 1.0)]
+        reports += [self.counts_report(qs, seed) for seed in range(3)]
+        for report in reports:
+            assert report_to_json(report) == reference_report_to_json(report)
+
+    def test_hand_built_reports_match_reference(self):
+        for report in self.hand_built():
+            assert report_to_json(report) == reference_report_to_json(report)
+
+    def test_numpy_floats_match_reference(self):
+        base = self.counts_report()
+        everywhere = base
+        for slot in _FLOAT_SLOTS:
+            value = np.float64(1.0 / 3.0)
+            one = _with_value(base, slot, value)
+            assert report_to_json(one) == reference_report_to_json(one)
+            everywhere = _with_value(everywhere, slot, value)
+        assert report_to_json(everywhere) == reference_report_to_json(everywhere)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        base = self.counts_report()
+        for slot in _FLOAT_SLOTS:
+            bad = _with_value(base, slot, value)
+            for render in (report_to_json, reference_report_to_json):
+                with pytest.raises(ValueError, match="Out of range float values"):
+                    render(bad)
+
+    def test_pure_python_encoder_gives_same_bytes(self, monkeypatch):
+        reports = [evaluate_state(THETA_W, 0.58), self.counts_report(), *self.hand_built()]
+        rendered = [report_to_json(report) for report in reports]
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert [report_to_json(report) for report in reports] == rendered
+        assert [reference_report_to_json(report) for report in reports] == rendered
+        with pytest.raises(ValueError, match="Out of range float values"):
+            report_to_json(_with_value(reports[1], ("criteria", 0, "lhs"), math.nan))
 
 
 class TestSweepCurve:

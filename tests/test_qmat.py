@@ -155,6 +155,15 @@ class TestFidelity:
             worst = max(worst, abs(fidelity(rho, sigma) - reference_fidelity(rho, sigma)))
         assert worst <= 1e-14
 
+    def test_clamp_is_relative_to_each_states_top_eigenvalue(self):
+        # rho's 7e-15 lies above 1e-14 of its own top eigenvalue 0.5 but below 1e-14 of
+        # sigma's 1, so a clamp against the larger top eigenvalue would give F = 0
+        rho = DensityMatrix(np.diag([0.5, 0.25, 0.25 - 7e-15, 7e-15]))
+        sigma = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]))
+        for pair in ((rho, sigma), (sigma, rho)):
+            assert fidelity(*pair) == pytest.approx(7e-15, rel=1e-9, abs=0.0)
+            assert reference_fidelity(*pair) == pytest.approx(7e-15, rel=1e-9, abs=0.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(MatrixValidationError, match="mismatch"):
             fidelity(maximally_mixed(4), validate_density(np.eye(2) / 2))
