@@ -131,10 +131,12 @@ def shannon_bound(d: int) -> float:
 
 def scg_bound(q: float) -> float:
     """SCG bound for qubits measured in three MUBs: the MUB bound, or the parity bound at q = 1."""
-    q = _check_q_range(q)
-    if qentropy.is_shannon(q):
-        return shannon_bound(2)
-    return mub_bound(2, 3, q)
+    return _scg_bound(_check_q_range(q))
+
+
+def _scg_bound(q: float) -> float:
+    """scg_bound of a q _check_q_range has passed, unchecked: mub_bound(2, 3, q) = 3 ln_q(1.5)."""
+    return shannon_bound(2) if qentropy.is_shannon(q) else 3 * qentropy._ln_q(1.5, q)
 
 
 class Criterion(NamedTuple):
@@ -148,7 +150,7 @@ class Criterion(NamedTuple):
 
 def criteria_of(qs: Sequence[float]) -> tuple[Criterion, ...]:
     """The reported criteria in report order: SCG at each checked q, then LSC."""
-    return (*(Criterion(SCG, q, scg_key(q), scg_bound(q)) for q in check_qs(qs)),
+    return (*(Criterion(SCG, q, scg_key(q), _scg_bound(q)) for q in check_qs(qs)),
             Criterion(LSC, None, "lsc", LSC_BOUND))
 
 

@@ -164,15 +164,25 @@ _CRITERION = "    " + _block([f'      "{f.name}": %s' for f in fields(criteria.C
                              "    ", "{}")
 
 
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: int, float, bool or None as its JSON text."""
+    if not isinstance(key, (str, int, float, type(None))):  # bool is an int
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return key if isinstance(key, str) else _ENCODE(key)
+
+
 def report_to_json(report: EvaluationReport) -> str:
     """json.dumps(document, indent=2, allow_nan=False) of the report, from one encoder call on
-    every scalar and (string) dict key in document order: ensure_ascii leaves no raw newline
-    in a token, so its "\n" separators split them for the % call on the shape's layout."""
+    every scalar and dict key (as a string) in document order: ensure_ascii leaves no raw
+    newline in a token, so its "\n" separators split them for the % call on the shape's layout."""
     bounds = {"lsc" if c.criterion == criteria.LSC else criteria.scg_key(c.q): c.bound
               for c in report.criteria}
+    axes, counted = report.probabilities.items(), (report.totals or {}).items()
+    if not all(type(key) is str for key in (*report.probabilities, *(report.totals or ()))):
+        axes, counted = ([(_json_key(key), v) for key, v in d] for d in (axes, counted))
     scalars = [report.label, *[v for c in report.criteria for v in vars(c).values()],
-               *[v for axis, cells in report.probabilities.items() for v in (axis, *cells)],
-               *[v for pair in (*(report.totals or {}).items(), *bounds.items()) for v in pair],
+               *[v for axis, cells in axes for v in (axis, *cells)],
+               *[v for pair in (*counted, *bounds.items()) for v in pair],
                report.seed]
     lists = ["    %s: " + _block(["      %s"] * len(cells), "    ", "[]")
              for cells in report.probabilities.values()]

@@ -21,6 +21,7 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+_SQRT_CLAMP_RTOL = 1e-14  # eigenvalues this far below the largest are rounding noise: zeroed
 
 
 class MatrixValidationError(ValueError):
@@ -34,7 +35,8 @@ class DensityMatrix:
     DensityMatrix(m) checks, in this order, that m is 2-D, non-empty, finite,
     square, Hermitian, of unit trace and positive semidefinite (to
     HERMITICITY_TOL, TRACE_TOL and PSD_TOL), raises MatrixValidationError at the
-    first failure, and stores the read-only Hermitian part (m + m^H) / 2.
+    first failure, and stores the read-only Hermitian part (m + m^H) / 2 and, for
+    fidelity, the PSD check's eigendecomposition as the read-only _factor V sqrt(lambda).
     """
 
     matrix: np.ndarray
@@ -62,14 +64,17 @@ class DensityMatrix:
                 f"trace differs from 1 by {trace_dev:.3e} (tolerance {TRACE_TOL:.0e})"
             )
         herm = (arr + adjoint) / 2.0
-        lambda_min = float(np.linalg.eigvalsh(herm)[0])
-        if lambda_min < -PSD_TOL:
+        eigenvalues, vectors = np.linalg.eigh(herm)
+        if eigenvalues[0] < -PSD_TOL:
             raise MatrixValidationError(
-                f"not positive semidefinite: min eigenvalue {lambda_min:.3e} "
+                f"not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e} "
                 f"below -{PSD_TOL:.0e}"
             )
-        herm.setflags(write=False)
-        object.__setattr__(self, "matrix", herm)
+        # eigh sorts ascending and the unit trace makes the last eigenvalue positive
+        clamped = np.where(eigenvalues < _SQRT_CLAMP_RTOL * eigenvalues[-1], 0.0, eigenvalues)
+        for name, value in (("matrix", herm), ("_factor", vectors * np.sqrt(clamped))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -112,9 +117,11 @@ def single_chi(theta: float, chi: float, caller: str) -> tuple[float, float, flo
 def make_werner_like(theta: float, chi: float) -> DensityMatrix:
     """One validated Werner-like state; see werner_like_parameters."""
     c, s, chi = single_chi(theta, chi, "make_werner_like")
-    phi = np.array([c, 0.0, 0.0, s], dtype=complex)
-    rho = chi * np.outer(phi, phi.conj()) + (1.0 - chi) * np.eye(4) / 4.0
-    return validate_density(rho)
+    m = (1.0 - chi) / 4.0
+    rho = np.zeros(16, dtype=complex)  # row-major 4x4: the diagonal is every fifth entry
+    rho[::5] = chi * (c * c) + m, m, m, chi * (s * s) + m
+    rho[3] = rho[12] = chi * (c * s)
+    return validate_density(rho.reshape(4, 4))
 
 
 def bell_phi_plus() -> DensityMatrix:
@@ -122,29 +129,20 @@ def bell_phi_plus() -> DensityMatrix:
     return make_werner_like(math.pi / 8, 1.0)
 
 
-# eigenvalues this far (relatively) below the largest are rounding noise and
-# must not survive the sqrt, which would amplify them to ~1e-9
-_SQRT_CLAMP_RTOL = 1e-14
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F = [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1].
 
     Evaluated as the squared trace norm (sum of singular values) of
     sqrt(rho) sqrt(sigma), which avoids the sqrt-of-near-zero-eigenvalue
-    noise of the direct formula.  Each checked state factors from its
-    eigenvectors as L = V sqrt(lambda), with L L^H = V lambda V^H, and
+    noise of the direct formula.  Each checked state keeps the factor
+    L = V sqrt(lambda) of its PSD check, with L L^H = V lambda V^H, and
     sqrt(rho) sqrt(sigma) = V_rho (L_rho^H L_sigma) V_sigma^H has the
-    singular values of L_rho^H L_sigma, so no square root is rebuilt.
+    singular values of L_rho^H L_sigma, so nothing is decomposed again.
     """
     if rho.dim != sigma.dim:
         raise MatrixValidationError(
             f"dimension mismatch: {rho.dim} vs {sigma.dim}"
         )
-    eigenvalues, vectors = np.linalg.eigh(np.stack([rho.matrix, sigma.matrix]))
-    clamped = np.clip(eigenvalues, 0.0, None)
-    clamped[clamped < _SQRT_CLAMP_RTOL * clamped.max(axis=1, keepdims=True)] = 0.0
-    factors = vectors * np.sqrt(clamped)[:, np.newaxis, :]
-    b = factors[0].conj().T @ factors[1]
+    b = rho._factor.conj().T @ sigma._factor
     value = float(np.sum(np.linalg.svd(b, compute_uv=False))) ** 2
     return min(max(value, 0.0), 1.0)

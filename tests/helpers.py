@@ -1,6 +1,7 @@
 """Shared generators for randomized tests."""
 
 import json
+import math
 
 import numpy as np
 
@@ -36,11 +37,11 @@ def random_density(rng: np.random.Generator, dim: int = 4, rank=None) -> Density
     return validate_density(rho / np.trace(rho).real)
 
 
-def reference_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def rebuilt_roots_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity as the trace norm of the product of the rebuilt square roots.
 
-    The reference qmat.fidelity must match to rounding: it takes the same
-    singular values from the eigenvector factors without rebuilding either root.
+    qmat.fidelity must match to rounding: it takes the same singular values from
+    the eigenvector factors without rebuilding either root.
     """
     def psd_sqrt(m: np.ndarray) -> np.ndarray:
         eigenvalues, vectors = np.linalg.eigh(m)  # m is a checked, exactly Hermitian matrix
@@ -51,6 +52,31 @@ def reference_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     b = psd_sqrt(rho.matrix) @ psd_sqrt(sigma.matrix)
     value = float(np.sum(np.linalg.svd(b, compute_uv=False))) ** 2
     return min(max(value, 0.0), 1.0)
+
+
+def reference_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity from one stacked eigh of both states, each clamped at its own top.
+
+    The reference qmat.fidelity must match bit for bit: it reads the same factors
+    V sqrt(lambda) from the decomposition each state's PSD check made.
+    """
+    eigenvalues, vectors = np.linalg.eigh(np.stack([rho.matrix, sigma.matrix]))
+    clamped = np.clip(eigenvalues, 0.0, None)
+    clamped[clamped < 1e-14 * clamped.max(axis=1, keepdims=True)] = 0.0
+    factors = vectors * np.sqrt(clamped)[:, np.newaxis, :]
+    b = factors[0].conj().T @ factors[1]
+    value = float(np.sum(np.linalg.svd(b, compute_uv=False))) ** 2
+    return min(max(value, 0.0), 1.0)
+
+
+def reference_werner_matrix(theta: float, chi: float) -> np.ndarray:
+    """chi |phi><phi| + (1 - chi) I/4 built from the outer product of |phi>.
+
+    The reference qmat.make_werner_like must match bit for bit: it writes the
+    same entries from their closed form.
+    """
+    phi = np.array([math.cos(2.0 * theta), 0.0, 0.0, math.sin(2.0 * theta)], dtype=complex)
+    return chi * np.outer(phi, phi.conj()) + (1.0 - chi) * np.eye(4) / 4.0
 
 
 def random_bell_diagonal(rng: np.random.Generator):

@@ -10,7 +10,7 @@ from helpers import (BELL_CORRELATIONS, assert_same_bits, bisection_threshold,
 from steerq import (LSC, SCG, SolverError, analytic_tensor, chi_threshold, correlations,
                     criterion_values, frequencies, joint_tensor, make_werner_like, mub_bound,
                     scg_bound, scg_lhs_entropic, shannon_bound, verdict)
-from steerq.criteria import scg_key, scg_lhs_cells
+from steerq.criteria import criteria_of, scg_key, scg_lhs_cells
 
 
 def werner_joints(chi, theta=math.pi / 8):
@@ -57,6 +57,15 @@ class TestBounds:
         # within 1e-9 of 1 takes the parity bound, just outside it the MUB bound
         assert scg_bound(1 + 5e-10) == shannon_bound(2)
         assert scg_bound(1 + 2e-9) == mub_bound(2, 3, 1 + 2e-9)
+
+    def test_criteria_of_bound_matches_scg_bound_bits(self):
+        qs = [1 - 5e-10, 1 + 5e-10, 1 - 2e-9, 1 + 2e-9, 0.1, 2.0, 5e-324,
+              *np.linspace(0.05, 2.0, 40)]
+        for q in qs:
+            bound = criteria_of((q,))[0].bound
+            assert_same_bits(bound, scg_bound(q))
+            if abs(q - 1.0) >= 1e-9:
+                assert_same_bits(bound, mub_bound(2, 3, q))
 
 
 class TestScgLhs:

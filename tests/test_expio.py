@@ -423,6 +423,36 @@ class TestReportToJson:
                 with pytest.raises(ValueError, match="Out of range float values"):
                     render(bad)
 
+    @pytest.mark.parametrize("key", [1, -7, 2 ** 70, 2.5, 1e300, np.float64(0.1), True, False,
+                                     None],
+                             ids=["int", "negative-int", "big-int", "float", "float-exponent",
+                                  "numpy-float", "true", "false", "none"])
+    def test_non_str_keys_convert_as_json_does(self, key):
+        base = self.counts_report()
+        for report in (dataclasses.replace(base, totals={key: 10, "y": 2}),
+                       dataclasses.replace(base, probabilities={**base.probabilities, key: [1.0]}),
+                       dataclasses.replace(base, totals=None, probabilities={key: []})):
+            assert report_to_json(report) == reference_report_to_json(report)
+
+    def test_non_str_keys_round_trip(self):
+        report = dataclasses.replace(self.counts_report(),
+                                     totals={1: 10, 2.5: 3, False: 2, None: 4, "z": 5})
+        assert json.loads(report_to_json(report))["totals"] == {
+            "1": 10, "2.5": 3, "false": 2, "null": 4, "z": 5}
+
+    @pytest.mark.parametrize("key, error, match", [
+        pytest.param((1,), TypeError, "keys must be str, int, float, bool or None, not tuple",
+                     id="tuple"),
+        pytest.param(np.int64(1), TypeError, "not int64", id="numpy-int"),
+        pytest.param(math.nan, ValueError, "Out of range float values", id="nan"),
+        pytest.param(math.inf, ValueError, "Out of range float values", id="inf"),
+    ])
+    def test_keys_json_rejects_raise(self, key, error, match):
+        report = dataclasses.replace(self.counts_report(), totals={key: 10})
+        for render in (report_to_json, reference_report_to_json):
+            with pytest.raises(error, match=match):
+                render(report)
+
     def test_pure_python_encoder_gives_same_bytes(self, monkeypatch):
         reports = [evaluate_state(THETA_W, 0.58), self.counts_report(), *self.hand_built()]
         rendered = [report_to_json(report) for report in reports]

@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_density, reference_fidelity
+from helpers import (assert_same_bits, random_density, rebuilt_roots_fidelity,
+                     reference_fidelity, reference_werner_matrix)
 from steerq import (DensityMatrix, MatrixValidationError, bell_phi_plus, evaluate_state,
                     fidelity, make_werner_like, maximally_mixed, simulate_record,
                     validate_density)
+from steerq import qmat
 from steerq.qmat import I2, PAULIS
 
 
@@ -119,6 +121,16 @@ class TestWernerLike:
         assert simulate_record(0.3, chi, 1000, 0).label == (
             "simulated werner_like(theta=17.1887deg, chi=0.5, shots=1000, seed=0)")
 
+    def test_closed_form_matches_outer_product_bits(self):
+        thetas = [0.0, 1e-300, math.pi / 8, math.pi / 4, *np.linspace(0, math.pi / 4, 19)]
+        chis = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, *np.linspace(0, 1, 21),
+                *np.random.default_rng(8).uniform(0, 1, 20)]
+        for theta in thetas:
+            for chi in chis:
+                rho = make_werner_like(theta, chi).matrix
+                expected = reference_werner_matrix(theta, chi)
+                assert np.array_equal(rho.view(np.int64), expected.view(np.int64)), (theta, chi)
+
     def test_always_valid_on_parameter_grid(self):
         for theta in np.linspace(0, math.pi / 4, 7):
             for chi in np.linspace(0, 1, 7):
@@ -152,7 +164,7 @@ class TestFidelity:
         worst = 0.0
         for ranks in rng.integers(1, 5, size=(2000, 2)):
             rho, sigma = (random_density(rng, rank=int(r)) for r in ranks)
-            worst = max(worst, abs(fidelity(rho, sigma) - reference_fidelity(rho, sigma)))
+            worst = max(worst, abs(fidelity(rho, sigma) - rebuilt_roots_fidelity(rho, sigma)))
         assert worst <= 1e-14
 
     def test_clamp_is_relative_to_each_states_top_eigenvalue(self):
@@ -162,8 +174,48 @@ class TestFidelity:
         sigma = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]))
         for pair in ((rho, sigma), (sigma, rho)):
             assert fidelity(*pair) == pytest.approx(7e-15, rel=1e-9, abs=0.0)
-            assert reference_fidelity(*pair) == pytest.approx(7e-15, rel=1e-9, abs=0.0)
+            assert rebuilt_roots_fidelity(*pair) == pytest.approx(7e-15, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("ranks", [(None, None), (1, 1), (2, 2), (1, None), (2, 1)],
+                             ids=["full-rank", "rank-1", "rank-2", "rank-1-full", "rank-2-1"])
+    def test_matches_stacked_eigh_bits(self, ranks):
+        rng = np.random.default_rng(sum(r or 4 for r in ranks))
+        for _ in range(300):
+            rho, sigma = (random_density(rng, rank=r) for r in ranks)
+            assert_same_bits(fidelity(rho, sigma), reference_fidelity(rho, sigma))
+
+    def test_werner_pairs_match_stacked_eigh_bits(self):
+        states = [make_werner_like(theta, chi) for theta in np.linspace(0, math.pi / 4, 9)
+                  for chi in (0.0, 0.3, 0.7, 1.0)]
+        pure = [make_werner_like(theta, 1.0) for theta in (0.0, math.pi / 8, math.pi / 4)]
+        for rho in states:
+            for sigma in (*pure, states[7]):
+                assert_same_bits(fidelity(rho, sigma), reference_fidelity(rho, sigma))
+                assert_same_bits(fidelity(sigma, rho), reference_fidelity(sigma, rho))
 
     def test_dimension_mismatch(self):
         with pytest.raises(MatrixValidationError, match="mismatch"):
             fidelity(maximally_mixed(4), validate_density(np.eye(2) / 2))
+
+
+class TestDecomposeOnce:
+    """Each state's PSD check decomposes it once; fidelity reuses that decomposition."""
+
+    def test_eigendecompositions_and_svds_are_counted(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(*args, _name=name, _original=getattr(qmat.np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(qmat.np.linalg, name, counted)
+        rho, sigma = make_werner_like(0.3, 0.6), DensityMatrix(np.eye(4) / 4)
+        assert calls == ["eigh", "eigh"]
+        expected = reference_fidelity(rho, sigma)
+        calls.clear()
+        assert_same_bits(fidelity(rho, sigma), expected)
+        assert calls == ["svd"]
+
+    def test_stored_decomposition_is_read_only(self):
+        rho = make_werner_like(0.3, 0.6)
+        with pytest.raises(ValueError):
+            rho._factor[0, 0] = 0.0
