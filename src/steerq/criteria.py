@@ -169,11 +169,17 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
 
 def _criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
     """criterion_values for qs that check_qs has passed."""
-    marginal = p[..., 0] + p[..., 1]
-    values = {scg_key(q): scg_lhs_cells(p, marginal, q) for q in qs}
-    squares = correlations(p) ** 2
-    values["lsc"] = np.sqrt((squares[..., 0] + squares[..., 1]) + squares[..., 2])
+    values = {scg_key(q): _criterion_lhs(p, q) for q in qs}
+    values["lsc"] = _criterion_lhs(p, None)
     return values
+
+
+def _criterion_lhs(p: np.ndarray, q: Optional[float]) -> np.ndarray:
+    """One criterion of _criterion_values: SCG at a checked q, or LSC when q is None."""
+    if q is not None:
+        return scg_lhs_cells(p, p[..., 0] + p[..., 1], q)
+    squares = correlations(p) ** 2
+    return np.sqrt((squares[..., 0] + squares[..., 1]) + squares[..., 2])
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,7 @@ def analytic_tensor(theta: float, chis) -> np.ndarray:
 
 
 def _werner_tensor(c: float, s: float, chis) -> np.ndarray:
-    """analytic_tensor from werner_like_parameters' cos(2 theta), sin(2 theta) and chi(s)."""
+    """analytic_tensor from checked chis and cos(2 theta), sin(2 theta), one or one per chi."""
     # rho: diagonal (d0, m, m, d3), o at (0, 3) and (3, 0); x and y projector entries +-1/4
     m = (1.0 - chis) / 4.0
     d0, d3, o = chis * (c * c) + m, chis * (s * s) + m, chis * (c * s)
@@ -229,12 +235,14 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                   tol: float = 1e-6) -> ChiThreshold:
     """Smallest mixing weight chi at which the criterion is violated.
 
-    One kernel call on the 129 points k/128 verifies strict monotonicity and holds
-    bisection's first 7 midpoints; bisection of lhs(chi) = bound on [0, 1] to width
-    tol in (0, 1) then reads each midpoint's value from the chis already evaluated.
-    On a miss one kernel call evaluates bisection's midpoints toward an interpolated root
-    (any batch gives a point the same bits), so the result is bisection's bit for
-    bit and the default tol takes 2 calls.  No violation on [0, 1] gives (1.0, False).
+    Checks its arguments once; each kernel call writes its chis' tables from cos(2 theta),
+    sin(2 theta) and evaluates only the solved criterion.  The first call, on the 129 points
+    k/128, checks strict monotonicity and decides bisection's first min(7, levels to tol)
+    halvings: their cell holds the last grid point not violated.  Bisection of lhs(chi) =
+    bound to width tol in (0, 1) goes on from that cell; each miss evaluates its midpoints
+    toward a root interpolated from the cell's grid neighbours and later points in one call
+    (any batch gives a point the same bits), so the result is bisection's bit for bit and
+    the default tol takes 2 calls.  No violation on [0, 1] gives (1.0, False).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
@@ -242,15 +250,15 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         raise ValueError(f"unknown criterion {criterion!r}")
     if criterion == SCG and q is None:
         raise ValueError("SCG threshold requires an entropic index q")
-    qs = (q,) if criterion == SCG else ()
-    row = criteria_of(qs)[0]  # the SCG row when q is given, else LSC
+    row = criteria_of((q,) if criterion == SCG else ())[0]  # the SCG row when q is given, else LSC
     label = criterion if row.q is None else f"{criterion}(q={row.q:g})"
+    c, s, first_batch = werner_like_parameters(theta, _FIRST_BATCH)
 
     def f(chis) -> np.ndarray:  # above 0 where the criterion is violated
-        values = criterion_values(analytic_tensor(theta, chis), qs)[row.key]
+        values = _criterion_lhs(_werner_tensor(c, s, chis), row.q)
         return (values - row.bound) * _VIOLATION_SIGN[criterion]
 
-    values = f(_FIRST_BATCH)
+    values = f(first_batch)
     diffs = np.diff(values)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise SolverError(
@@ -263,7 +271,14 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     if not values[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
-    known = dict(zip(_FIRST_BATCH.tolist(), values.tolist()))  # chi -> f(chi)
+    violated_from = int(np.count_nonzero(values <= 0.0))  # f increases along the grid
+    level, width = 0, 1.0  # the halvings of bisection that the grid decides
+    while width > tol and level < MULTISECTION_BITS:
+        level, width = level + 1, width / 2.0
+    cell = (violated_from - 1) >> (MULTISECTION_BITS - level)
+    lo, hi = cell * width, (cell + 1) * width  # f not violated at lo, violated at hi
+    near = slice(max(violated_from - 2, 0), violated_from + 2)  # the grid look_ahead reads
+    known = dict(zip(first_batch[near].tolist(), values[near].tolist()))  # chi -> f(chi)
 
     def look_ahead(lo: float, hi: float, iterations_left: int) -> list[float]:
         h = hi - lo
@@ -288,8 +303,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                 a, b = (a, m) if target < m else (m, b)
         return sorted(points)
 
-    lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
-    for i in range(BISECTION_MAX_ITER):
+    for i in range(level, BISECTION_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0

@@ -38,7 +38,7 @@ def _checked_cells(p: np.ndarray) -> np.ndarray:
     if not (p >= -PROBABILITY_TOL).all():  # also False for NaN
         raise ValueError(f"{'negative' if p.min() < 0 else 'NaN'} cell probability: {p.min()}")
     p = np.where(p < _SMALLEST_NORMAL, 0.0, p)
-    totals = p.sum(axis=(-1, -2))
+    totals = table_totals(p)
     within = np.abs(totals - 1.0) <= PROBABILITY_TOL
     if not within.all():
         raise ValueError(f"cell probabilities sum to {float(totals[~within][0])}, not 1")

@@ -212,7 +212,10 @@ class TestChiThreshold:
         theta = math.radians(7.5)
         assert chi_threshold(theta, LSC, q=3.0) == chi_threshold(theta, LSC, q=None)
 
-    @pytest.mark.parametrize("tol", [0.9, 1e-3, 1e-6, 3e-7, 1e-12, 1e-300])
+    # 0.9 stops at the grid's first level, 0.3 at its second, 1/64 at its sixth and 1/128 at
+    # its last; 0.0078 and 1/256 take one halving past it, from the grid cell's neighbours
+    @pytest.mark.parametrize("tol", [0.9, 0.3, 1 / 64, 1 / 128, 0.0078, 1 / 256, 1e-3, 1e-6,
+                                     3e-7, 1e-12, 1e-300])
     @pytest.mark.parametrize("criterion, q", [(SCG, 2.0), (SCG, 1.5), (SCG, 1.0),
                                               (SCG, 0.5), (LSC, None)])
     def test_matches_bisection_bit_for_bit(self, criterion, q, tol):
@@ -234,11 +237,11 @@ class TestChiThreshold:
         from steerq import criteria
 
         calls = []
-        original = criteria.criterion_values
-        monkeypatch.setattr(criteria, "criterion_values",
-                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        original = criteria._criterion_lhs
+        monkeypatch.setattr(criteria, "_criterion_lhs",
+                            lambda p, q: calls.append(len(p)) or original(p, q))
         assert chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
-        assert len(calls) <= 5
+        assert 1 <= len(calls) <= 5
 
     @pytest.mark.parametrize("theta_deg, criterion, q, expected", [
         (22.5, SCG, 2.0, 2), (7.5, SCG, 2.0, 2), (7.5, SCG, 1.0, 2), (7.5, LSC, None, 2),
@@ -252,9 +255,9 @@ class TestChiThreshold:
         from steerq import criteria
 
         calls = []
-        original = criteria.criterion_values
-        monkeypatch.setattr(criteria, "criterion_values",
-                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        original = criteria._criterion_lhs
+        monkeypatch.setattr(criteria, "_criterion_lhs",
+                            lambda p, q: calls.append(len(p)) or original(p, q))
         crossed = chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
         assert crossed == (expected > 1)
         assert len(calls) == expected and calls[0] == 129
@@ -267,15 +270,15 @@ class TestChiThreshold:
         # past chi = 1 guides the estimate; walking toward 1 follows bisection's own path
         from steerq import criteria
 
-        calls = []
-        original = criteria.criterion_values
-        monkeypatch.setattr(criteria, "criterion_values",
-                            lambda p, qs: calls.append(len(p)) or original(p, qs))
         theta = math.radians(theta_deg)
+        expected = bisection_threshold(theta, SCG, 0.1, tol)  # its calls reach the entry too
+        calls = []
+        original = criteria._criterion_lhs
+        monkeypatch.setattr(criteria, "_criterion_lhs",
+                            lambda p, q: calls.append(len(p)) or original(p, q))
         got = chi_threshold(theta, SCG, 0.1, tol)
-        expected = bisection_threshold(theta, SCG, 0.1, tol)
         assert (got.chi.hex(), got.crossed) == (expected.chi.hex(), expected.crossed)
-        assert len(calls) <= 4
+        assert 1 <= len(calls) <= 4
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300, 5e-324])
     @pytest.mark.parametrize("criterion, q", [(SCG, 2.0), (LSC, None)])
@@ -283,39 +286,93 @@ class TestChiThreshold:
     def test_poor_root_estimate_keeps_bisection_bits(self, monkeypatch, theta_deg, criterion,
                                                      q, tol):
         # a monotone distortion that keeps the root at the bound of 1 (SCG q = 2 and LSC)
-        # but spoils the interpolated estimate: it may cost calls, never a bit
+        # but spoils the interpolated estimate: it may cost calls, never a bit.  The
+        # reference distorts the unpatched entry, which criterion_values reaches too
         import helpers
         from steerq import criteria
 
-        def distorted(counter):
-            def values(p, qs):
-                counter.append(len(p))
-                return {key: 1.0 + np.cbrt(np.cbrt(v - 1.0))
-                        for key, v in criterion_values(p, qs).items()}
-            return values
+        original = criteria._criterion_lhs
+
+        def distort(v):
+            return 1.0 + np.cbrt(np.cbrt(v - 1.0))
+
+        def distorted_lhs(p, q):
+            calls.append(len(p))
+            return distort(original(p, q))
+
+        def distorted_values(p, qs):
+            bisection_calls.append(len(p))
+            return {**{scg_key(q): distort(original(p, q)) for q in qs},
+                    "lsc": distort(original(p, None))}
 
         calls, bisection_calls = [], []
-        monkeypatch.setattr(criteria, "criterion_values", distorted(calls))
-        monkeypatch.setattr(helpers, "criterion_values", distorted(bisection_calls))
+        monkeypatch.setattr(criteria, "_criterion_lhs", distorted_lhs)
+        monkeypatch.setattr(helpers, "criterion_values", distorted_values)
         theta = math.radians(theta_deg)
         got = chi_threshold(theta, criterion, q, tol)
         expected = bisection_threshold(theta, criterion, q, tol)
         assert (got.chi.hex(), got.crossed) == (expected.chi.hex(), expected.crossed)
         assert expected.crossed
-        assert len(calls) <= len(bisection_calls)  # bisection's iterations + 1
+        assert 1 <= len(calls) <= len(bisection_calls)  # bisection's iterations + 1
 
     def test_non_monotone_profile_raises(self, monkeypatch):
         # V-shaped stand-in profile: bisection preconditions must be rejected
         from steerq import criteria
 
-        original = criteria.criterion_values
+        calls = []
+        original = criteria._criterion_lhs
         monkeypatch.setattr(
-            criteria, "criterion_values",
-            lambda p, qs: {key: (v / 3.0 - 0.25) ** 2
-                           for key, v in original(p, qs).items()},
+            criteria, "_criterion_lhs",
+            lambda p, q: calls.append(len(p)) or (original(p, q) / 3.0 - 0.25) ** 2,
         )
         with pytest.raises(SolverError, match="monotone"):
             chi_threshold(math.radians(22.5), SCG, q=2.0)
+        assert calls == [129]
+
+
+class TestClosedFormThresholds:
+    """chi_threshold against the Werner-like family's closed forms, with no steerq kernel.
+
+    The same-axis correlations are chi (z) and +-chi sin 4 theta (x, y), so LSC is violated
+    above 1/sqrt(1 + 2 sin^2 4 theta).  SCG at q = 2 (bound 1) is violated above the root of
+    chi^2 sin^2 4 theta = 2m [(chi a + m)/(chi a + 2m) + (chi b + m)/(chi b + 2m)], with
+    a = cos^2 2 theta, b = sin^2 2 theta and m = (1 - chi)/4.  The threshold is the midpoint
+    of a bracket at most tol wide around the root, so a kernel fault that moves the root by
+    more than tol/2 fails here, while the bisection reference shares the kernel's fault.
+    """
+
+    THETAS = [math.radians(0.5 * k) for k in range(1, 46)]  # 0.5 to 22.5 deg
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def scg_q2_root(theta):
+        a, b, s4 = math.cos(2 * theta) ** 2, math.sin(2 * theta) ** 2, math.sin(4 * theta) ** 2
+
+        def gap(chi):  # -1/2 at chi = 0, sin^2 4 theta at chi = 1
+            m = (1.0 - chi) / 4.0
+            return chi * chi * s4 - 2 * m * ((chi * a + m) / (chi * a + 2 * m)
+                                             + (chi * b + m) / (chi * b + 2 * m))
+
+        lo, hi = 0.0, 1.0
+        while (lo + hi) / 2.0 not in (lo, hi):
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if gap(mid) > 0.0 else (mid, hi)
+        return (lo + hi) / 2.0
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_scg_q2(self, tol):
+        for theta in self.THETAS:
+            got = chi_threshold(theta, SCG, 2.0, tol)
+            assert got.crossed
+            assert abs(got.chi - self.scg_q2_root(theta)) <= tol / 2 + 4 * self.EPS, theta
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_lsc(self, tol):
+        for theta in self.THETAS:
+            got = chi_threshold(theta, LSC, None, tol)
+            root = 1.0 / math.sqrt(1.0 + 2.0 * math.sin(4 * theta) ** 2)
+            assert got.crossed
+            assert abs(got.chi - root) <= tol / 2 + 4 * self.EPS, theta
 
 
 class TestProperties:

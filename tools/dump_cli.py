@@ -34,7 +34,7 @@ THETAS = ([f"{0.75 * i:g}" for i in range(61)]
 EVAL_STATE_CHIS = ("0", "0.3", "0.58", "0.81", "1")
 THRESHOLD_CRITERIA = (("scg", "--q", "2"), ("scg", "--q", "1"), ("scg", "--q", "0.5"),
                       ("lsc",))
-THRESHOLD_TOLS = ("1e-6", "1e-12", "1e-300", "5e-324")
+THRESHOLD_TOLS = ("0.3", "0.0078125", "0.0078", "1e-6", "1e-12", "1e-300", "5e-324")
 SWEEP_STEPS = ("2", "11", "101", "1001")
 SIMULATE_CASES = 20
 INVALID = [
