@@ -14,21 +14,19 @@ from .expio import (CountsFormatError, EvaluationReport, ExperimentRecord,
                     report_to_json, reproduce_tables, serialize_counts_csv,
                     simulate_record, sweep_curve)
 from .measure import AXES, correlations, frequencies, joint_tensor, spawn_generator
-from .qentropy import (conditional_tsallis, correction_term, ln_q,
-                       shannon_entropy, tsallis_entropy)
-from .qmat import (DensityMatrix, MatrixValidationError, bell_phi_plus, fidelity,
-                   make_werner_like, maximally_mixed, validate_density)
+from .qentropy import conditional_tsallis, correction_term, ln_q, tsallis_entropy
+from .qmat import (DensityMatrix, MatrixValidationError, fidelity, make_werner_like,
+                   validate_density)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AXES", "ChiThreshold", "CountsFormatError", "CriterionReport", "DensityMatrix",
     "EvaluationReport", "ExperimentRecord", "LSC", "MatrixValidationError", "SCG",
-    "SolverError", "analytic_tensor", "bell_phi_plus", "chi_threshold",
-    "conditional_tsallis", "correction_term", "correlations", "criterion_values",
-    "evaluate_record", "evaluate_state", "fidelity", "frequencies", "joint_tensor",
-    "ln_q", "make_werner_like", "maximally_mixed", "mub_bound", "parse_counts_csv",
-    "report_to_json", "reproduce_tables", "scg_bound", "scg_lhs_entropic",
-    "serialize_counts_csv", "shannon_bound", "shannon_entropy", "simulate_record",
+    "SolverError", "analytic_tensor", "chi_threshold", "conditional_tsallis",
+    "correction_term", "correlations", "criterion_values", "evaluate_record",
+    "evaluate_state", "fidelity", "frequencies", "joint_tensor", "ln_q", "make_werner_like",
+    "mub_bound", "parse_counts_csv", "report_to_json", "reproduce_tables", "scg_bound",
+    "scg_lhs_entropic", "serialize_counts_csv", "shannon_bound", "simulate_record",
     "spawn_generator", "sweep_curve", "tsallis_entropy", "validate_density", "verdict",
 ]

@@ -12,7 +12,8 @@ Two detectors are provided:
 
 ``criterion_values`` evaluates both on any (..., 3, 2, 2) tensor of joint
 tables, so one state, a chi grid or a block of bootstrap resamples all go
-through the same kernel.  ``scg_lhs_entropic`` stays an independent route.
+through the same kernel; ``criteria_of`` takes its bounds from ``scg_bound``.
+``scg_lhs_entropic`` stays an independent route.
 
 The entropic index is accepted on (0, 2], the range where the mutually
 unbiased bound applies; q = 1 is routed to the Shannon forms, where the
@@ -131,11 +132,7 @@ def shannon_bound(d: int) -> float:
 
 def scg_bound(q: float) -> float:
     """SCG bound for qubits measured in three MUBs: the MUB bound, or the parity bound at q = 1."""
-    return _scg_bound(_check_q_range(q))
-
-
-def _scg_bound(q: float) -> float:
-    """scg_bound of a q _check_q_range has passed, unchecked: mub_bound(2, 3, q) = 3 ln_q(1.5)."""
+    q = _check_q_range(q)
     return shannon_bound(2) if qentropy.is_shannon(q) else 3 * qentropy._ln_q(1.5, q)
 
 
@@ -150,7 +147,7 @@ class Criterion(NamedTuple):
 
 def criteria_of(qs: Sequence[float]) -> tuple[Criterion, ...]:
     """The reported criteria in report order: SCG at each checked q, then LSC."""
-    return (*(Criterion(SCG, q, scg_key(q), _scg_bound(q)) for q in check_qs(qs)),
+    return (*(Criterion(SCG, q, scg_key(q), scg_bound(q)) for q in check_qs(qs)),
             Criterion(LSC, None, "lsc", LSC_BOUND))
 
 
@@ -164,18 +161,13 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
     logs are elementwise and each sum over cells, outcomes or settings is a chain of
     slice adds in np.sum's order, so a stack gets the same bits in any batch.
     """
-    return _criterion_values(p, check_qs(qs))
-
-
-def _criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
-    """criterion_values for qs that check_qs has passed."""
-    values = {scg_key(q): _criterion_lhs(p, q) for q in qs}
+    values = {scg_key(q): _criterion_lhs(p, q) for q in check_qs(qs)}
     values["lsc"] = _criterion_lhs(p, None)
     return values
 
 
 def _criterion_lhs(p: np.ndarray, q: Optional[float]) -> np.ndarray:
-    """One criterion of _criterion_values: SCG at a checked q, or LSC when q is None."""
+    """One criterion of criterion_values: SCG at a checked q, or LSC when q is None."""
     if q is not None:
         return scg_lhs_cells(p, p[..., 0] + p[..., 1], q)
     squares = correlations(p) ** 2

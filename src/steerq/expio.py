@@ -177,9 +177,8 @@ def report_to_json(report: EvaluationReport) -> str:
     newline in a token, so its "\n" separators split them for the % call on the shape's layout."""
     bounds = {"lsc" if c.criterion == criteria.LSC else criteria.scg_key(c.q): c.bound
               for c in report.criteria}
-    axes, counted = report.probabilities.items(), (report.totals or {}).items()
-    if not all(type(key) is str for key in (*report.probabilities, *(report.totals or ()))):
-        axes, counted = ([(_json_key(key), v) for key, v in d] for d in (axes, counted))
+    axes, counted = ([(_json_key(key), v) for key, v in d.items()]
+                     for d in (report.probabilities, report.totals or {}))
     scalars = [report.label, *[v for c in report.criteria for v in vars(c).values()],
                *[v for axis, cells in axes for v in (axis, *cells)],
                *[v for pair in (*counted, *bounds.items()) for v in pair],
@@ -254,7 +253,7 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
                          f"got {bootstrap}")
     rows = criteria.criteria_of(qs)  # checks qs before the draws
     values, error_bars = _bootstrap(rec, qs, bootstrap, seed)
-    totals = {axis: int(total) for axis, total in zip(AXES, rec.counts.sum(axis=(1, 2)))}
+    totals = dict(zip(AXES, table_totals(rec.counts).tolist()))
     return _report(rec.label, frequencies(rec.counts), rows, values, error_bars, totals, seed)
 
 
@@ -263,8 +262,8 @@ def evaluate_state(theta: float, chi: float,
     """Analytic evaluation of a Werner-like state; no error bars."""
     c, s, chi = single_chi(theta, chi, "evaluate_state")  # the state is checked before the qs
     p = criteria._werner_tensor(c, s, chi)[0]
-    rows = criteria.criteria_of(qs)  # checks the qs, once
-    values = criteria._criterion_values(p, [row.q for row in rows if row.name == criteria.SCG])
+    rows = criteria.criteria_of(qs)  # checks the qs after the state
+    values = criteria.criterion_values(p, qs)
     return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, rows, values)
 
 
@@ -281,7 +280,7 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
                          f"got {shots}")
     counts = np.stack([spawn_generator(seed, k).poisson(lam=shots * p[k])
                        for k in range(len(AXES))])
-    for axis, total in zip(AXES, counts.sum(axis=(1, 2)).tolist()):
+    for axis, total in zip(AXES, table_totals(counts).tolist()):
         if total < 1:
             raise ValueError(f"shots = {shots} with seed = {seed} drew no axis {axis} counts; "
                              "use more shots")

@@ -2,8 +2,9 @@
 
 ln_q(x) = (x^(1-q) - 1) / (1 - q) and p^q ln_q(p) = (p - p^q) / (1 - q) are written
 once each, in _ln_q and _pq_ln_q; within Q_SHANNON_TOL of q = 1 they are ln x and
-p ln p, which avoids the cancellation of the q -> 1 limit.  Sums use 0^q ln_q(0) := 0,
-so distributions with empty cells (pure-state statistics) stay finite.
+p ln p, which avoids the cancellation of the q -> 1 limit, so the Shannon entropy is
+tsallis_entropy(p, 1.0).  Sums use 0^q ln_q(0) := 0, so distributions with empty cells
+(pure-state statistics) stay finite.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ def tsallis_entropy(p: Sequence[float], q: float) -> float:
     q = _check_q(q)
     arr = _check_distribution(p)
     return float(-np.sum(_pq_ln_q(arr[arr > 0.0], q)))
-
-
-def shannon_entropy(p: Sequence[float]) -> float:
-    """-sum p ln p with the 0 ln 0 := 0 convention."""
-    return tsallis_entropy(p, 1.0)
 
 
 def conditional_tsallis(p: np.ndarray, q: float) -> float:

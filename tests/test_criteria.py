@@ -61,11 +61,10 @@ class TestBounds:
     def test_criteria_of_bound_matches_scg_bound_bits(self):
         qs = [1 - 5e-10, 1 + 5e-10, 1 - 2e-9, 1 + 2e-9, 0.1, 2.0, 5e-324,
               *np.linspace(0.05, 2.0, 40)]
-        for q in qs:
+        for q in qs:  # the parity bound within 1e-9 of q = 1, the MUB bound elsewhere
             bound = criteria_of((q,))[0].bound
-            assert_same_bits(bound, scg_bound(q))
-            if abs(q - 1.0) >= 1e-9:
-                assert_same_bits(bound, mub_bound(2, 3, q))
+            assert_same_bits(bound, shannon_bound(2) if abs(q - 1.0) < 1e-9
+                             else mub_bound(2, 3, q))
 
 
 class TestScgLhs:

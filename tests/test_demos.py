@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Smoke test: every demo script runs to completion and prints something, in dev mode
+with warnings as errors, so a numpy overflow or divide warning fails it."""
 
 import os
 import pathlib
@@ -18,7 +19,7 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                            env=env, cwd=ROOT, timeout=120)
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)],
+                            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

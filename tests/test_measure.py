@@ -5,8 +5,8 @@ import pytest
 
 from helpers import checked_table as table
 from helpers import random_density
-from steerq import (AXES, ExperimentRecord, correlations, frequencies, joint_tensor,
-                    make_werner_like, maximally_mixed, simulate_record, spawn_generator)
+from steerq import (AXES, DensityMatrix, ExperimentRecord, correlations, frequencies,
+                    joint_tensor, make_werner_like, simulate_record, spawn_generator)
 from steerq.criteria import analytic_tensor
 from steerq.measure import _PROJECTORS
 from steerq.qmat import I2, PAULIS
@@ -42,7 +42,7 @@ class TestJointDistribution:
     """joint_tensor: the (3, 2, 2) tables p[k, i, j] of a state or a stack of states."""
 
     def test_maximally_mixed_is_uniform(self):
-        p = joint_tensor(maximally_mixed().matrix)
+        p = joint_tensor(DensityMatrix(np.eye(4) / 4).matrix)
         assert np.allclose(p, 0.25, atol=1e-12)
         assert np.allclose(p.sum(axis=-1), 0.5, atol=1e-12)
 

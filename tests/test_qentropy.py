@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import checked_table as joint
-from steerq import (conditional_tsallis, correction_term, ln_q,
-                    shannon_entropy, tsallis_entropy)
+from steerq import conditional_tsallis, correction_term, ln_q, tsallis_entropy
 
 
 UNIFORM = joint([0.25, 0.25, 0.25, 0.25])
@@ -59,7 +58,7 @@ class TestTsallisEntropy:
         rng = np.random.default_rng(23)
         for _ in range(100):
             p = rng.dirichlet(np.ones(4))
-            h = shannon_entropy(p)
+            h = tsallis_entropy(p, 1.0)
             for q in (1.0 - 1e-6, 1.0 + 1e-6):
                 assert abs(tsallis_entropy(p, q) - h) < 1e-4
 
@@ -102,9 +101,9 @@ class TestTsallisEntropy:
 
 class TestShannonEntropy:
     def test_values(self):
-        assert shannon_entropy([1.0, 0.0]) == 0.0
-        assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-15)
-        assert shannon_entropy([0.75, 0.25]) == pytest.approx(0.562335, abs=1e-6)
+        assert tsallis_entropy([1.0, 0.0], 1.0) == 0.0
+        assert tsallis_entropy([0.5, 0.5], 1.0) == pytest.approx(math.log(2), abs=1e-15)
+        assert tsallis_entropy([0.75, 0.25], 1.0) == pytest.approx(0.562335, abs=1e-6)
 
 
 class TestConditionalTsallis:

@@ -6,9 +6,8 @@ import pytest
 
 from helpers import (assert_same_bits, random_density, rebuilt_roots_fidelity,
                      reference_fidelity, reference_werner_matrix)
-from steerq import (DensityMatrix, MatrixValidationError, bell_phi_plus, evaluate_state,
-                    fidelity, make_werner_like, maximally_mixed, simulate_record,
-                    validate_density)
+from steerq import (DensityMatrix, MatrixValidationError, evaluate_state, fidelity,
+                    make_werner_like, simulate_record, validate_density)
 from steerq import qmat
 from steerq.qmat import I2, PAULIS
 
@@ -40,7 +39,7 @@ class TestValidateDensity:
             validate_density(bad)
 
     def test_matrix_is_immutable(self):
-        rho = maximally_mixed()
+        rho = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.5
 
@@ -82,7 +81,8 @@ class TestValidateDensity:
 class TestWernerLike:
     def test_maximally_entangled_at_theta_pi8(self):
         rho = make_werner_like(math.pi / 8, 1.0)
-        assert np.allclose(rho.matrix, bell_phi_plus().matrix, atol=1e-12)
+        phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)  # (|00> + |11>)/sqrt(2)
+        assert np.allclose(rho.matrix, np.outer(phi, phi.conj()), atol=1e-12)
 
     def test_chi_zero_is_maximally_mixed(self):
         rho = make_werner_like(0.3, 0.0)
@@ -145,11 +145,12 @@ class TestFidelity:
             assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_vs_mixed(self):
-        assert fidelity(bell_phi_plus(), maximally_mixed()) == pytest.approx(0.25, abs=1e-12)
+        bell, mixed = make_werner_like(math.pi / 8, 1.0), DensityMatrix(np.eye(4) / 4)
+        assert fidelity(bell, mixed) == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("chi", [0.0, 0.25, 0.5, 1.0])
     def test_bell_vs_werner_closed_form(self, chi):
-        val = fidelity(bell_phi_plus(), make_werner_like(math.pi / 8, chi))
+        val = fidelity(make_werner_like(math.pi / 8, 1.0), make_werner_like(math.pi / 8, chi))
         assert val == pytest.approx((1 + 3 * chi) / 4, abs=1e-12)
 
     def test_symmetric(self):
@@ -195,7 +196,7 @@ class TestFidelity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(MatrixValidationError, match="mismatch"):
-            fidelity(maximally_mixed(4), validate_density(np.eye(2) / 2))
+            fidelity(DensityMatrix(np.eye(4) / 4), validate_density(np.eye(2) / 2))
 
 
 class TestDecomposeOnce:
