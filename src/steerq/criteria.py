@@ -4,20 +4,17 @@ Two detectors are provided:
 
 * SCG — the steering criterion from the generalized (Tsallis) entropic
   uncertainty relation.  A state is flagged steerable when the left-hand
-  side falls strictly below the bound.  Both the probability form and the
-  conditional-entropy-plus-correction form are implemented and agree to
-  machine precision.
+  side falls strictly below the bound.
 * LSC — the linear steering criterion sqrt(sum_i c_i^2) <= 1 over the three
   same-axis correlations; violation (strictly above 1) flags steering.
 
 ``criterion_values`` evaluates both on any (..., 3, 2, 2) tensor of joint
 tables, so one state, a chi grid or a block of bootstrap resamples all go
 through the same kernel; ``criteria_of`` takes its bounds from ``scg_bound``.
-``scg_lhs_entropic`` stays an independent route.
 
 The entropic index is accepted on (0, 2], the range where the mutually
 unbiased bound applies; q = 1 is routed to the Shannon forms, where the
-dimension-parity bound replaces the generic one.
+parity bound 2 ln 2 replaces the generic 3 ln(3/2).
 """
 
 from __future__ import annotations
@@ -97,43 +94,10 @@ def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
     return total
 
 
-def scg_lhs_entropic(p, q: float) -> float:
-    """SCG left-hand side as sum_k [S_q(B|A) + (1-q) C(A, B)] of an (S, 2, 2) table stack.
-
-    Algebraically identical to criterion_values; kept as an independent route.
-    """
-    q = _check_q_range(q)
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 3 or p.shape[1:] != (2, 2):
-        raise ValueError(f"expected an (S, 2, 2) stack of joint tables, got shape {p.shape}")
-    w = 0.0 if qentropy.is_shannon(q) else 1.0 - q  # no correction in the Shannon limit
-    return float(sum(qentropy.conditional_tsallis(t, q) + w * qentropy.correction_term(t, q)
-                     for t in _checked_cells(p)))
-
-
-def mub_bound(d: int, m: int, q: float) -> float:
-    """m * ln_q(m d / (d + m - 1)) for m mutually unbiased bases in dimension d."""
-    q = _check_q_range(q)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if not 1 <= m <= d + 1:
-        raise ValueError(f"number of bases must lie in [1, d+1], got {m}")
-    return m * qentropy.ln_q(m * d / (d + m - 1), q)
-
-
-def shannon_bound(d: int) -> float:
-    """Shannon-limit bound for a complete set of MUBs; parity-dependent in d."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if d % 2 == 1:
-        return (d + 1) * math.log((d + 1) / 2.0)
-    return (d / 2.0) * math.log(d / 2.0) + (d / 2.0 + 1.0) * math.log(d / 2.0 + 1.0)
-
-
 def scg_bound(q: float) -> float:
-    """SCG bound for qubits measured in three MUBs: the MUB bound, or the parity bound at q = 1."""
+    """SCG bound for qubits in three MUBs: 3 ln_q(3/2), or the parity bound 2 ln 2 at q = 1."""
     q = _check_q_range(q)
-    return shannon_bound(2) if qentropy.is_shannon(q) else 3 * qentropy._ln_q(1.5, q)
+    return 2.0 * math.log(2.0) if qentropy.is_shannon(q) else 3 * qentropy._ln_q(1.5, q)
 
 
 class Criterion(NamedTuple):
@@ -200,8 +164,8 @@ def verdict(criterion: str, lhs: float, bound: float, q: Optional[float] = None,
 def analytic_tensor(theta: float, chis) -> np.ndarray:
     """(len(chis), 3, 2, 2) joint tables of the Werner-like states over a chi vector.
 
-    joint_tensor(make_werner_like(theta, chi).matrix) in closed form and in its einsum's
-    one-state order, tr(rho Pi) = sum_a (sum_b rho_ab Pi_ba), so any batch has those bits.
+    The cells tr(rho Pi_i x Pi_j) of make_werner_like(theta, chi) in closed form, summed in a
+    one-state einsum's order, tr(rho Pi) = sum_a (sum_b rho_ab Pi_ba), so any batch has those bits.
     """
     return _werner_tensor(*werner_like_parameters(theta, chis))
 

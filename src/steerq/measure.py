@@ -1,7 +1,7 @@
 """Pauli measurement statistics on two-qubit states.
 
-Joint outcome distributions for the X, Y, Z mutually unbiased settings,
-same-axis correlations, and relative frequencies of count tables.
+The joint-table check for the X, Y, Z mutually unbiased settings, same-axis
+correlations, and relative frequencies of count tables.
 
 Reproducibility: every stochastic routine draws from a PCG64 generator keyed
 by ``SeedSequence((seed, stream))``.  Distinct stream indices under one master
@@ -12,8 +12,6 @@ seed give statistically independent, scheduling-independent draws; the same
 from __future__ import annotations
 
 import numpy as np
-
-from .qmat import I2, PAULIS
 
 PROBABILITY_TOL = 1e-10
 _SMALLEST_NORMAL = np.finfo(float).tiny
@@ -43,20 +41,6 @@ def _checked_cells(p: np.ndarray) -> np.ndarray:
     if not within.all():
         raise ValueError(f"cell probabilities sum to {float(totals[~within][0])}, not 1")
     return p
-
-
-# _PROJECTORS[k, i, j] = Pi_i x Pi_j for axis k, outcome i (Alice), j (Bob), with
-# rank-1 eigenprojectors Pi_0 = (I + sigma_k)/2 (eigenvalue +1), Pi_1 = (I - sigma_k)/2
-_PROJECTORS = np.array([[[np.kron(pa, pb) for pb in pair] for pa in pair]
-                        for pair in (((I2 + s) / 2.0, (I2 - s) / 2.0) for s in PAULIS)])
-
-
-def joint_tensor(matrices) -> np.ndarray:
-    """Checked (..., 3, 2, 2) joint tables p[k, i, j] = tr(rho Pi_i x Pi_j) of a state stack."""
-    if np.shape(matrices)[-2:] != (4, 4):
-        raise ValueError(f"joint tables need two-qubit states, got shape {np.shape(matrices)}")
-    cells = np.einsum("...ab,kijba->...kij", matrices, _PROJECTORS).real
-    return _checked_cells(cells)
 
 
 def correlations(p: np.ndarray) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Two-qubit density matrices: construction, validation, fidelity.
 
-Conventions: computational basis with H -> |0>, V -> |1>; Pauli matrices in the
-standard representation (sigma_y has entries -i, +i).  All operations are pure
-and return immutable values.
+Conventions: computational basis with H -> |0>, V -> |1>.  All operations are
+pure and return immutable values.
 """
 
 from __future__ import annotations
@@ -11,12 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10

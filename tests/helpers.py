@@ -1,17 +1,26 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the reference routes they compare against."""
 
 import json
 import math
 
 import numpy as np
 
-from steerq import (DensityMatrix, criterion_values, joint_tensor, make_werner_like,
-                    qentropy, validate_density)
+from steerq import DensityMatrix, criterion_values, make_werner_like, validate_density
 from steerq.criteria import (BISECTION_MAX_ITER, LSC, LSC_BOUND, MULTISECTION_BITS, SCG,
                              ChiThreshold, SolverError, analytic_tensor, check_qs,
                              scg_bound, scg_key)
 from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, EvaluationReport, TableComparison
 from steerq.measure import _checked_cells, correlations, spawn_generator
+
+I2 = np.eye(2, dtype=complex)
+# sigma_x, sigma_y, sigma_z in the standard representation (sigma_y has entries -i, +i)
+PAULIS = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+          np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+          np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+# PROJECTORS[k, i, j] = Pi_i x Pi_j for axis k, outcome i (Alice), j (Bob), with
+# rank-1 eigenprojectors Pi_0 = (I + sigma_k)/2 (eigenvalue +1), Pi_1 = (I - sigma_k)/2
+PROJECTORS = np.array([[[np.kron(pa, pb) for pb in pair] for pa in pair]
+                       for pair in (((I2 + s) / 2.0, (I2 - s) / 2.0) for s in PAULIS)])
 
 # Bell basis: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
 _BELL_VECTORS = np.array([
@@ -92,6 +101,13 @@ def random_bell_diagonal(rng: np.random.Generator):
     return validate_density(rho), weights
 
 
+def joint_tensor(matrices) -> np.ndarray:
+    """Checked (..., 3, 2, 2) joint tables p[k, i, j] = tr(rho Pi_i x Pi_j) of a state stack."""
+    if np.shape(matrices)[-2:] != (4, 4):
+        raise ValueError(f"joint tables need two-qubit states, got shape {np.shape(matrices)}")
+    return _checked_cells(np.einsum("...ab,kijba->...kij", matrices, PROJECTORS).real)
+
+
 def werner_tables(theta: float, chi: float) -> np.ndarray:
     """(3, 2, 2) joint tables of one Werner-like state, through its density matrix.
 
@@ -99,6 +115,71 @@ def werner_tables(theta: float, chi: float) -> np.ndarray:
     takes this one-state einsum's summation order.
     """
     return joint_tensor(make_werner_like(theta, chi).matrix)
+
+
+def _is_shannon(q: float) -> bool:
+    return abs(q - 1.0) < 1e-9
+
+
+def ln_q(x, q: float):
+    """Deformed logarithm (x^(1-q) - 1) / (1 - q) of positive x; ln x within 1e-9 of q = 1."""
+    return np.log(x) if _is_shannon(q) else (x ** (1.0 - q) - 1.0) / (1.0 - q)
+
+
+def _pq_ln_q(x: np.ndarray, q: float) -> np.ndarray:
+    """x^q ln_q(x) of positive x, written as (x - x^q) / (1 - q) so that it stays
+    finite where x^q underflows and ln_q(x) overflows; x ln x in the Shannon limit."""
+    return x * np.log(x) if _is_shannon(q) else (x - x ** q) / (1.0 - q)
+
+
+def tsallis_entropy(p, q: float) -> float:
+    """-sum p^q ln_q(p) with 0^q ln_q(0) := 0; the Shannon entropy at q = 1."""
+    arr = np.asarray(p, dtype=float)
+    return float(-np.sum(_pq_ln_q(arr[arr > 0.0], q)))
+
+
+def conditional_tsallis(p: np.ndarray, q: float) -> float:
+    """S_q(B|A) = S_q(A, B) - S_q(A) of one (2, 2) joint table p[i, j], i = Alice."""
+    return tsallis_entropy(p.reshape(-1), q) - tsallis_entropy(p.sum(axis=1), q)
+
+
+def correction_term(p: np.ndarray, q: float) -> float:
+    """sum_i p_i^q [ln_q p_i]^2 - sum_ij p_ij^q ln_q(p_i) ln_q(p_ij) of one (2, 2) table.
+
+    p_i is the marginal of the conditioning side (Alice); cells or marginals
+    equal to zero contribute nothing.
+    """
+    marginal = p.sum(axis=1)
+    # empty entries are moved to 1, where ln_q and p^q ln_q(p) vanish
+    safe_m = np.where(marginal > 0.0, marginal, 1.0)
+    safe_p = np.where(p > 0.0, p, 1.0)
+    lq_m = ln_q(safe_m, q)
+    first = np.sum(_pq_ln_q(safe_m, q) * lq_m)
+    second = np.sum(_pq_ln_q(safe_p, q) * lq_m[:, np.newaxis])
+    return float(first - second)
+
+
+def scg_lhs_entropic(p, q: float) -> float:
+    """SCG left-hand side as sum_k [S_q(B|A) + (1-q) C(A, B)] of checked (S, 2, 2) tables.
+
+    The entropic form: criteria.criterion_values evaluates the algebraically
+    identical probability form, and must agree to rounding.
+    """
+    w = 0.0 if _is_shannon(q) else 1.0 - q  # no correction in the Shannon limit
+    return float(sum(conditional_tsallis(t, q) + w * correction_term(t, q)
+                     for t in _checked_cells(np.asarray(p, dtype=float))))
+
+
+def mub_bound(d: int, m: int, q: float) -> float:
+    """m * ln_q(m d / (d + m - 1)) for m mutually unbiased bases in dimension d."""
+    return m * ln_q(m * d / (d + m - 1), q)
+
+
+def shannon_bound(d: int) -> float:
+    """Shannon-limit bound for a complete set of MUBs; parity-dependent in d."""
+    if d % 2 == 1:
+        return (d + 1) * math.log((d + 1) / 2.0)
+    return (d / 2.0) * math.log(d / 2.0) + (d / 2.0 + 1.0) * math.log(d / 2.0 + 1.0)
 
 
 def scg(p: np.ndarray, q: float) -> float:
@@ -162,7 +243,7 @@ def reference_scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np
     slice-sum criteria.scg_lhs_cells must match bit for bit."""
     p = np.asarray(p, dtype=float)
     marginal = np.asarray(marginal, dtype=float)
-    if qentropy.is_shannon(q):
+    if _is_shannon(q):
         safe_p = np.where(p > 0.0, p, 1.0)
         joint_h = -np.sum(p * np.log(safe_p), axis=(-1, -2))
         safe_m = np.where(marginal > 0.0, marginal, 1.0)

@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from helpers import (BELL_CORRELATIONS, random_bell_diagonal, random_density, scg,
+from helpers import (BELL_CORRELATIONS, joint_tensor, mub_bound, random_bell_diagonal,
+                     random_density, scg, scg_lhs_entropic, shannon_bound, tsallis_entropy,
                      werner_tables)
 from steerq import (LSC, SCG, DensityMatrix, chi_threshold, correlations, fidelity,
-                    joint_tensor, make_werner_like, mub_bound, reproduce_tables, scg_bound,
-                    scg_lhs_entropic, shannon_bound, tsallis_entropy, verdict)
+                    make_werner_like, reproduce_tables, scg_bound, verdict)
 from steerq.criteria import LSC_BOUND, analytic_tensor, criterion_values, scg_key
 from steerq.expio import evaluate_record, simulate_record
 

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from helpers import checked_table as table
-from helpers import random_density
+from helpers import I2, PAULIS, PROJECTORS, joint_tensor, random_density
 from steerq import (AXES, DensityMatrix, ExperimentRecord, correlations, frequencies,
-                    joint_tensor, make_werner_like, simulate_record, spawn_generator)
+                    make_werner_like, simulate_record, spawn_generator)
 from steerq.criteria import analytic_tensor
-from steerq.measure import _PROJECTORS
-from steerq.qmat import I2, PAULIS
 
 
 class TestPauliProjectors:
-    """_PROJECTORS[k, i, j] = Pi_i x Pi_j, the product eigenprojectors of setting k."""
+    """PROJECTORS[k, i, j] = Pi_i x Pi_j, the product eigenprojectors of setting k."""
 
     @pytest.mark.parametrize("k", range(3), ids=AXES)
     def test_completeness_and_orthogonality(self, k):
-        products = _PROJECTORS[k].reshape(4, 4, 4)
+        products = PROJECTORS[k].reshape(4, 4, 4)
         assert np.allclose(products.sum(axis=0), np.eye(4), atol=1e-15)
         for a, pa in enumerate(products):
             for b, pb in enumerate(products):
@@ -26,7 +24,7 @@ class TestPauliProjectors:
         alice, bob = np.kron(PAULIS[k], I2), np.kron(I2, PAULIS[k])
         for i in range(2):
             for j in range(2):
-                proj = _PROJECTORS[k, i, j]
+                proj = PROJECTORS[k, i, j]
                 assert np.allclose(alice @ proj, sign[i] * proj, atol=1e-12)
                 assert np.allclose(bob @ proj, sign[j] * proj, atol=1e-12)
 
@@ -35,7 +33,7 @@ class TestPauliProjectors:
             for j in range(2):
                 expected = np.zeros(4)
                 expected[2 * i + j] = 1.0
-                assert np.allclose(_PROJECTORS[2, i, j], np.diag(expected))
+                assert np.allclose(PROJECTORS[2, i, j], np.diag(expected))
 
 
 class TestJointDistribution:
@@ -83,6 +81,10 @@ class TestJointDistribution:
     def test_rejects_infinite_cells(self):
         with pytest.raises(ValueError, match="^cell probabilities sum to inf, not 1$"):
             table([math.inf, 0.0, 0.0, 0.0])
+
+    def test_rejects_unnormalized_cells(self):
+        with pytest.raises(ValueError, match=r"^cell probabilities sum to 1\.25, not 1$"):
+            table([0.5, 0.25, 0.25, 0.25])
 
     def test_rejects_states_that_are_not_two_qubit(self):
         for dim in (2, 8):

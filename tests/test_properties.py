@@ -1,9 +1,10 @@
 """Property tests of the tensor core and the counts pipeline.
 
-That both SCG forms agree is checked twice against the entropic route
-``scg_lhs_entropic``: on analytic states, where the batched kernel is also
-compared with the per-state matrix route, and on relative frequencies of
-sparse counts, with empty cells and empty Alice rows.  Soundness is checked
+That the kernel's probability form of SCG agrees with the entropic form is
+checked twice against the test oracle ``helpers.scg_lhs_entropic``: on
+analytic states, where the batched kernel is also compared with the
+per-state einsum route ``helpers.werner_tables``, and on relative frequencies
+of sparse counts, with empty cells and empty Alice rows.  Soundness is checked
 on states with a local-hidden-state model: product states, their mixtures
 and the Werner state up to its threshold violate neither criterion beyond
 rounding.
@@ -15,12 +16,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scg, werner_tables
-from steerq import (correlations, evaluate_record, frequencies, joint_tensor,
-                    parse_counts_csv, report_to_json, scg_lhs_entropic, serialize_counts_csv)
+from helpers import I2, PAULIS, joint_tensor, scg, scg_lhs_entropic, werner_tables
+from steerq import (correlations, evaluate_record, frequencies, parse_counts_csv,
+                    report_to_json, serialize_counts_csv)
 from steerq.criteria import analytic_tensor, criteria_of, criterion_values
 from steerq.expio import COUNT_LIMIT, ExperimentRecord
-from steerq.qmat import I2, PAULIS
 
 QS = (2.0, 1.5, 1.0)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

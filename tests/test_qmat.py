@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (assert_same_bits, random_density, rebuilt_roots_fidelity,
+from helpers import (I2, PAULIS, assert_same_bits, random_density, rebuilt_roots_fidelity,
                      reference_fidelity, reference_werner_matrix)
 from steerq import (DensityMatrix, MatrixValidationError, evaluate_state, fidelity,
                     make_werner_like, simulate_record, validate_density)
 from steerq import qmat
-from steerq.qmat import I2, PAULIS
 
 
 class TestValidateDensity:
