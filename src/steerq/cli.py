@@ -148,7 +148,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

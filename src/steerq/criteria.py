@@ -26,8 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qentropy
-from .measure import _checked_cells, correlations, table_totals
-from .qmat import werner_like_parameters
+from .measure import correlations, table_totals
 
 Q_MAX = 2.0
 
@@ -35,6 +34,7 @@ SCG = "SCG"
 LSC = "LSC"
 
 LSC_BOUND = 1.0
+_SMALLEST_NORMAL = np.finfo(float).tiny
 _VIOLATION_SIGN = {SCG: -1.0, LSC: 1.0}  # sign of lhs - bound when the criterion is violated
 
 BISECTION_MAX_ITER = 200
@@ -76,9 +76,9 @@ def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
     p has shape (..., S, 2, 2) with normalized joints along the trailing
     axes; marginal has shape (..., S, 2).  Returns shape (...).  Zero cells
     follow the 0^q convention; zero marginals force their whole row to zero.
-    Cells must be checked (+-0.0 or at least the smallest normal float, as
-    _checked_cells and count frequencies give) and q in (0, 2]: then 0^q times
-    the finite m^(1-q) is +0.0, so only the Shannon branch (log 0) masks zeros.
+    Cells must be +-0.0 or at least the smallest normal float, as analytic_tensor
+    and count frequencies give, and q in (0, 2]: then 0^q times the finite
+    m^(1-q) is +0.0, so only the Shannon branch (log 0) masks zeros.
     """
     safe_m = np.where(marginal > 0.0, marginal, 1.0)
     if qentropy.is_shannon(q):  # H(A, B) - H(A) = sum m ln m - sum p ln p per setting
@@ -161,6 +161,30 @@ def verdict(criterion: str, lhs: float, bound: float, q: Optional[float] = None,
     return CriterionReport(criterion, q, lhs, bound, steerable, error_bar)
 
 
+def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray]:
+    """cos(2 theta), sin(2 theta) and the flat chi vector of checked Werner-like states.
+
+    chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>,
+    theta in [0, pi/4] (pi/8 is maximally entangled), every chi in [0, 1].
+    """
+    if not 0.0 <= theta <= math.pi / 4 + 1e-12:
+        raise ValueError(f"theta={theta!r} ({math.degrees(theta):.12g} deg) "
+                         "outside [0, pi/4] ([0, 45] deg)")
+    chis = np.asarray(chis, dtype=float).reshape(-1)
+    outside = ~((chis >= 0.0) & (chis <= 1.0))
+    if outside.any():
+        raise ValueError(f"chi={float(chis[outside][0])!r} outside [0, 1]")
+    return math.cos(2.0 * theta), math.sin(2.0 * theta), chis
+
+
+def single_chi(theta: float, chi: float, caller: str) -> tuple[float, float, float]:
+    """werner_like_parameters of one state: cos(2 theta), sin(2 theta) and chi as a float."""
+    c, s, chis = werner_like_parameters(theta, chi)
+    if chis.size != 1:
+        raise ValueError(f"{caller} takes one chi, got {chis.size}")
+    return c, s, float(chis[0])
+
+
 def analytic_tensor(theta: float, chis) -> np.ndarray:
     """(len(chis), 3, 2, 2) joint tables of the Werner-like states over a chi vector.
 
@@ -171,7 +195,11 @@ def analytic_tensor(theta: float, chis) -> np.ndarray:
 
 
 def _werner_tensor(c: float, s: float, chis) -> np.ndarray:
-    """analytic_tensor from checked chis and cos(2 theta), sin(2 theta), one or one per chi."""
+    """analytic_tensor from checked chis and cos(2 theta), sin(2 theta), one or one per chi.
+
+    Cells below the smallest normal float, -0.0 and subnormals among them, are set to +0.0:
+    no criterion can tell them from zero, and their negative powers overflow.
+    """
     # rho: diagonal (d0, m, m, d3), o at (0, 3) and (3, 0); x and y projector entries +-1/4
     m = (1.0 - chis) / 4.0
     d0, d3, o = chis * (c * c) + m, chis * (s * s) + m, chis * (c * s)
@@ -179,7 +207,8 @@ def _werner_tensor(c: float, s: float, chis) -> np.ndarray:
     same = ((q0 + qo + qm) + qm) + (qo + q3)  # x00, x11, y01, y10
     differ = ((q0 - qo + qm) + qm) + (q3 - qo)  # x01, x10, y00, y11
     cells = np.array([same, differ, differ, same, differ, same, same, differ, d0, m, m, d3])
-    return _checked_cells(cells.T.reshape(-1, 3, 2, 2))
+    tables = cells.T.reshape(-1, 3, 2, 2)
+    return np.where(tables < _SMALLEST_NORMAL, 0.0, tables)
 
 
 class ChiThreshold(NamedTuple):
@@ -193,10 +222,9 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
 
     Checks its arguments once; each kernel call writes its chis' tables from cos(2 theta),
     sin(2 theta) and evaluates only the solved criterion.  The first call, on the 129 points
-    k/128, checks strict monotonicity and decides bisection's first min(7, levels to tol)
-    halvings: their cell holds the last grid point not violated.  Bisection of lhs(chi) =
-    bound to width tol in (0, 1) goes on from that cell; each miss evaluates its midpoints
-    toward a root interpolated from the cell's grid neighbours and later points in one call
+    k/128, checks strict monotonicity and holds the midpoints of bisection's first 7
+    halvings.  Bisection of lhs(chi) = bound to width tol in (0, 1) reads those; each later
+    miss evaluates its midpoints toward a root interpolated from known neighbours in one call
     (any batch gives a point the same bits), so the result is bisection's bit for bit and
     the default tol takes 2 calls.  No violation on [0, 1] gives (1.0, False).
     """
@@ -227,14 +255,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     if not values[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
-    violated_from = int(np.count_nonzero(values <= 0.0))  # f increases along the grid
-    level, width = 0, 1.0  # the halvings of bisection that the grid decides
-    while width > tol and level < MULTISECTION_BITS:
-        level, width = level + 1, width / 2.0
-    cell = (violated_from - 1) >> (MULTISECTION_BITS - level)
-    lo, hi = cell * width, (cell + 1) * width  # f not violated at lo, violated at hi
-    near = slice(max(violated_from - 2, 0), violated_from + 2)  # the grid look_ahead reads
-    known = dict(zip(first_batch[near].tolist(), values[near].tolist()))  # chi -> f(chi)
+    known = dict(zip(first_batch.tolist(), values.tolist()))  # chi -> f(chi)
 
     def look_ahead(lo: float, hi: float, iterations_left: int) -> list[float]:
         h = hi - lo
@@ -259,7 +280,8 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                 a, b = (a, m) if target < m else (m, b)
         return sorted(points)
 
-    for i in range(level, BISECTION_MAX_ITER):
+    lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
+    for i in range(BISECTION_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0

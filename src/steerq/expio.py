@@ -23,7 +23,6 @@ import numpy as np
 
 from . import criteria
 from .measure import AXES, frequencies, spawn_generator, table_totals
-from .qmat import single_chi
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 _CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
@@ -260,7 +259,7 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
 def evaluate_state(theta: float, chi: float,
                    qs: Sequence[float] = DEFAULT_QS) -> EvaluationReport:
     """Analytic evaluation of a Werner-like state; no error bars."""
-    c, s, chi = single_chi(theta, chi, "evaluate_state")  # the state is checked before the qs
+    c, s, chi = criteria.single_chi(theta, chi, "evaluate_state")  # checked before the qs
     p = criteria._werner_tensor(c, s, chi)[0]
     rows = criteria.criteria_of(qs)  # checks the qs after the state
     values = criteria.criterion_values(p, qs)
@@ -273,7 +272,7 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
     Setting k draws from stream k (x=0, y=1, z=2) under the master seed.  The
     realized totals fluctuate around shots; zero-probability cells stay zero.
     """
-    c, s, chi = single_chi(theta, chi, "simulate_record")
+    c, s, chi = criteria.single_chi(theta, chi, "simulate_record")
     p = criteria._werner_tensor(c, s, chi)[0]
     if not 1 <= shots < COUNT_LIMIT:
         raise ValueError(f"shots must be a positive integer below 2**53 = {COUNT_LIMIT}, "

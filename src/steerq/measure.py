@@ -1,7 +1,7 @@
 """Pauli measurement statistics on two-qubit states.
 
-The joint-table check for the X, Y, Z mutually unbiased settings, same-axis
-correlations, and relative frequencies of count tables.
+The X, Y, Z mutually unbiased settings, same-axis correlations, per-table
+totals, and relative frequencies of count tables.
 
 Reproducibility: every stochastic routine draws from a PCG64 generator keyed
 by ``SeedSequence((seed, stream))``.  Distinct stream indices under one master
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-PROBABILITY_TOL = 1e-10
-_SMALLEST_NORMAL = np.finfo(float).tiny
 AXES = ("x", "y", "z")  # the Pauli settings, in the order of the tensor axis k
 
 
@@ -23,24 +21,6 @@ def spawn_generator(seed: int, stream: int = 0) -> np.random.Generator:
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream index must be non-negative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
-
-
-def _checked_cells(p: np.ndarray) -> np.ndarray:
-    """Checked copy of a (..., 2, 2) stack of joint tables, negative cells zeroed.
-
-    No cell may be NaN or lie below -PROBABILITY_TOL and every table must sum
-    to 1 within PROBABILITY_TOL; the error names an offending value.  Cells
-    below the smallest normal float are set to zero: no criterion can tell
-    them from zero, and their negative powers overflow.
-    """
-    if not (p >= -PROBABILITY_TOL).all():  # also False for NaN
-        raise ValueError(f"{'negative' if p.min() < 0 else 'NaN'} cell probability: {p.min()}")
-    p = np.where(p < _SMALLEST_NORMAL, 0.0, p)
-    totals = table_totals(p)
-    within = np.abs(totals - 1.0) <= PROBABILITY_TOL
-    if not within.all():
-        raise ValueError(f"cell probabilities sum to {float(totals[~within][0])}, not 1")
-    return p
 
 
 def correlations(p: np.ndarray) -> np.ndarray:

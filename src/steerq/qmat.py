@@ -6,10 +6,11 @@ pure and return immutable values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .criteria import single_chi
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -79,32 +80,8 @@ def validate_density(m) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray]:
-    """cos(2 theta), sin(2 theta) and the flat chi vector of checked Werner-like states.
-
-    chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>,
-    theta in [0, pi/4] (pi/8 is maximally entangled), every chi in [0, 1].
-    """
-    if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"theta={theta!r} ({math.degrees(theta):.12g} deg) "
-                         "outside [0, pi/4] ([0, 45] deg)")
-    chis = np.asarray(chis, dtype=float).reshape(-1)
-    outside = ~((chis >= 0.0) & (chis <= 1.0))
-    if outside.any():
-        raise ValueError(f"chi={float(chis[outside][0])!r} outside [0, 1]")
-    return math.cos(2.0 * theta), math.sin(2.0 * theta), chis
-
-
-def single_chi(theta: float, chi: float, caller: str) -> tuple[float, float, float]:
-    """werner_like_parameters of one state: cos(2 theta), sin(2 theta) and chi as a float."""
-    c, s, chis = werner_like_parameters(theta, chi)
-    if chis.size != 1:
-        raise ValueError(f"{caller} takes one chi, got {chis.size}")
-    return c, s, float(chis[0])
-
-
 def make_werner_like(theta: float, chi: float) -> DensityMatrix:
-    """One validated Werner-like state; see werner_like_parameters."""
+    """One validated Werner-like state; see criteria.werner_like_parameters."""
     c, s, chi = single_chi(theta, chi, "make_werner_like")
     m = (1.0 - chi) / 4.0
     rho = np.zeros(16, dtype=complex)  # row-major 4x4: the diagonal is every fifth entry

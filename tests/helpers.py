@@ -6,11 +6,13 @@ import math
 import numpy as np
 
 from steerq import DensityMatrix, criterion_values, make_werner_like, validate_density
-from steerq.criteria import (BISECTION_MAX_ITER, LSC, LSC_BOUND, MULTISECTION_BITS, SCG,
-                             ChiThreshold, SolverError, analytic_tensor, check_qs,
-                             scg_bound, scg_key)
+from steerq.criteria import (_SMALLEST_NORMAL, BISECTION_MAX_ITER, LSC, LSC_BOUND,
+                             MULTISECTION_BITS, SCG, ChiThreshold, SolverError, analytic_tensor,
+                             check_qs, scg_bound, scg_key)
 from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, EvaluationReport, TableComparison
-from steerq.measure import _checked_cells, correlations, spawn_generator
+from steerq.measure import correlations, spawn_generator, table_totals
+
+PROBABILITY_TOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
 # sigma_x, sigma_y, sigma_z in the standard representation (sigma_y has entries -i, +i)
@@ -99,6 +101,24 @@ def random_bell_diagonal(rng: np.random.Generator):
     for w, vec in zip(weights, _BELL_VECTORS):
         rho += w * np.outer(vec, vec.conj())
     return validate_density(rho), weights
+
+
+def _checked_cells(p: np.ndarray) -> np.ndarray:
+    """Checked copy of a (..., 2, 2) stack of joint tables, negative cells zeroed.
+
+    No cell may be NaN or lie below -PROBABILITY_TOL and every table must sum
+    to 1 within PROBABILITY_TOL; the error names an offending value.  Cells
+    below the smallest normal float are set to zero: no criterion can tell
+    them from zero, and their negative powers overflow.
+    """
+    if not (p >= -PROBABILITY_TOL).all():  # also False for NaN
+        raise ValueError(f"{'negative' if p.min() < 0 else 'NaN'} cell probability: {p.min()}")
+    p = np.where(p < _SMALLEST_NORMAL, 0.0, p)
+    totals = table_totals(p)
+    within = np.abs(totals - 1.0) <= PROBABILITY_TOL
+    if not within.all():
+        raise ValueError(f"cell probabilities sum to {float(totals[~within][0])}, not 1")
+    return p
 
 
 def joint_tensor(matrices) -> np.ndarray:

@@ -38,9 +38,12 @@ def _report(number, description, ok, detail=""):
 def test_criterion_01_bounds():
     dev_mub = abs(mub_bound(2, 3, 2.0) - 1.0)
     dev_shannon = abs(shannon_bound(2) - 2 * math.log(2))
-    _report(1, "MUB bound 1 at q=2 and parity bound 2 ln 2, within 1e-12",
-            dev_mub <= 1e-12 and dev_shannon <= 1e-12,
-            f"devs {dev_mub:.1e}, {dev_shannon:.1e}")
+    exact = scg_bound(2.0) == 1.0 and scg_bound(1.0) == 2 * math.log(2)
+    _report(1, "MUB bound 1 at q=2 and parity bound 2 ln 2, within 1e-12 in the oracles "
+               "and exactly in scg_bound",
+            dev_mub <= 1e-12 and dev_shannon <= 1e-12 and exact,
+            f"devs {dev_mub:.1e}, {dev_shannon:.1e}; scg_bound {scg_bound(2.0)!r}, "
+            f"{scg_bound(1.0)!r}")
 
 
 def test_criterion_02_werner_thresholds():

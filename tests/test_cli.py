@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -613,3 +616,14 @@ class TestExitCodes:
         assert exit_code_for(SolverError("x")) == EXIT_NUMERIC
         assert exit_code_for(CountsFormatError("x")) == EXIT_INPUT
         assert exit_code_for(ValueError("x")) == EXIT_INPUT
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [("tables",), ("threshold", "--theta", "nan")])
+    def test_python_m_steerq_matches_main(self, capsys, argv):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "steerq",
+                                 *argv], capture_output=True, text=True, env=env, cwd=root,
+                                timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == run(capsys, *argv)

@@ -523,6 +523,14 @@ class TestAnalyticTensor:
                 for key, value in criterion_values(one, self.QS).items():
                     assert_same_bits(values[key][i], value[0])
 
+    def test_subnormal_cells_become_positive_zero(self):
+        # at chi = 1, sin(2 theta)^2 = 4e-320 is subnormal: the z cells past (0, 0) come out
+        # +0.0, so no negative power of a subnormal marginal overflows in the kernel
+        p = analytic_tensor(1e-160, 1.0)[0]
+        assert p[2].reshape(-1)[1:].tolist() == [0.0] * 3
+        assert not np.signbit(p).any()
+        assert all(np.isfinite(value) for value in criterion_values(p, self.QS).values())
+
     @pytest.mark.parametrize("theta, chi, message", [
         (math.nan, 0.5, "theta=nan (nan deg) outside [0, pi/4] ([0, 45] deg)"),
         (math.inf, 0.5, "theta=inf (inf deg) outside [0, pi/4] ([0, 45] deg)"),

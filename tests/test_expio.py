@@ -114,6 +114,19 @@ class TestParseCountsCsv:
         with pytest.raises(CountsFormatError, match="expected header"):
             parse_counts_csv("a,b,c\nx,00,1\n")
 
+    @pytest.mark.parametrize("row, got", [("x,00", 2), ("x,00,1,2", 4)])
+    def test_wrong_field_count_cites_line(self, row, got):
+        text = uniform_csv().replace("x,01,250", row)
+        with pytest.raises(CountsFormatError,
+                           match=f"^line 3: expected 3 comma-separated fields, got {got}$"):
+            parse_counts_csv(text)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  \n"])
+    def test_empty_input(self, text):
+        with pytest.raises(CountsFormatError,
+                           match="^empty input: expected header 'setting,outcome,count'$"):
+            parse_counts_csv(text)
+
     def test_roundtrip_identity(self):
         rec = simulate_record(THETA_W, 0.6, 5000, seed=2)
         text = serialize_counts_csv(rec)

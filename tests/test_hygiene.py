@@ -43,3 +43,19 @@ def test_all_is_sorted_and_equals_the_package_imports():
 def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["version"] == steerq.__version__
+
+
+def test_qmat_is_a_leaf():
+    """Of the package's modules only __init__ imports qmat, so qmat can go without the rest."""
+    importers = set()
+    for path in sorted((ROOT / "src/steerq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any("qmat" in module.split(".") for module in modules):
+                importers.add(path.name)
+    assert importers == {"__init__.py"}
