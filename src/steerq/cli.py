@@ -26,7 +26,8 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
         qs = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"could not parse q list {text!r}")
-    return criteria.check_qs(qs)
+    criteria.criteria_of(qs)  # the q list's errors come before the state's
+    return qs
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,9 +8,11 @@ Two detectors are provided:
 * LSC — the linear steering criterion sqrt(sum_i c_i^2) <= 1 over the three
   same-axis correlations; violation (strictly above 1) flags steering.
 
-``criterion_values`` evaluates both on any (..., 3, 2, 2) tensor of joint
-tables, so one state, a chi grid or a block of bootstrap resamples all go
-through the same kernel; ``criteria_of`` takes its bounds from ``scg_bound``.
+``criterion_values`` evaluates both on a (..., 3, 2, 2) tensor of joint tables
+(any other shape is an error), so one state, a chi grid or a block of bootstrap
+resamples all go through ``_criterion_lhs``, where each formula is written once.
+``criteria_of`` is the one check of the entropic indices, at most MAX_QS of them,
+and takes its bounds from ``scg_bound``.
 
 The entropic index is accepted on (0, 2], the range where the mutually
 unbiased bound applies; q = 1 is routed to the Shannon forms, where the
@@ -29,6 +31,7 @@ from . import qentropy
 from .measure import correlations, table_totals
 
 Q_MAX = 2.0
+MAX_QS = 16  # bootstrap memory grows with the number of criteria
 
 SCG = "SCG"
 LSC = "LSC"
@@ -60,40 +63,6 @@ def scg_key(q: float) -> str:
     return f"scg_q{q:g}"
 
 
-def check_qs(qs: Sequence[float]) -> tuple[float, ...]:
-    """Entropic indices in (0, Q_MAX] whose report keys are distinct."""
-    checked = tuple(_check_q_range(q) for q in qs)
-    keys = [scg_key(q) for q in checked]
-    if len(set(keys)) != len(keys):
-        raise ValueError(f"entropic indices {', '.join(f'{q!r}' for q in checked)} "
-                         f"collide in the report keys {keys}")
-    return checked
-
-
-def scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
-    """Vectorized SCG left-hand side from probability arrays.
-
-    p has shape (..., S, 2, 2) with normalized joints along the trailing
-    axes; marginal has shape (..., S, 2).  Returns shape (...).  Zero cells
-    follow the 0^q convention; zero marginals force their whole row to zero.
-    Cells must be +-0.0 or at least the smallest normal float, as analytic_tensor
-    and count frequencies give, and q in (0, 2]: then 0^q times the finite
-    m^(1-q) is +0.0, so only the Shannon branch (log 0) masks zeros.
-    """
-    safe_m = np.where(marginal > 0.0, marginal, 1.0)
-    if qentropy.is_shannon(q):  # H(A, B) - H(A) = sum m ln m - sum p ln p per setting
-        marginal_h = marginal * np.log(safe_m)
-        per_setting = ((marginal_h[..., 0] + marginal_h[..., 1])
-                       - table_totals(p * np.log(np.where(p > 0.0, p, 1.0))))
-    else:
-        terms = p ** q * safe_m[..., np.newaxis] ** (1.0 - q)
-        per_setting = (1.0 - table_totals(terms)) / (q - 1.0)
-    total = 0.0  # np.sum's start: +0.0 when every setting gives -0.0 (deterministic, q < 1)
-    for k in range(per_setting.shape[-1]):
-        total = total + per_setting[..., k]
-    return total
-
-
 def scg_bound(q: float) -> float:
     """SCG bound for qubits in three MUBs: 3 ln_q(3/2), or the parity bound 2 ln 2 at q = 1."""
     q = _check_q_range(q)
@@ -110,32 +79,53 @@ class Criterion(NamedTuple):
 
 
 def criteria_of(qs: Sequence[float]) -> tuple[Criterion, ...]:
-    """The reported criteria in report order: SCG at each checked q, then LSC."""
-    return (*(Criterion(SCG, q, scg_key(q), scg_bound(q)) for q in check_qs(qs)),
+    """The reported criteria in report order: SCG at each q, then LSC.
+
+    Checks in turn that qs holds at most MAX_QS indices, each in (0, Q_MAX], with distinct keys."""
+    if len(qs) > MAX_QS:
+        raise ValueError(f"at most {MAX_QS} entropic indices are accepted, got {len(qs)}")
+    checked = [_check_q_range(q) for q in qs]
+    keys = [scg_key(q) for q in checked]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"entropic indices {', '.join(f'{q!r}' for q in checked)} "
+                         f"collide in the report keys {keys}")
+    return (*(Criterion(SCG, q, key, scg_bound(q)) for q, key in zip(checked, keys)),
             Criterion(LSC, None, "lsc", LSC_BOUND))
 
 
 def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
     """SCG at each q and LSC for a (..., 3, 2, 2) tensor of checked joint tables.
 
-    SCG is (1/(q-1)) sum_k [1 - sum_ij p_ij^q / p_i^(q-1)], the summed Shannon
-    conditional entropies at q = 1; LSC is the norm of the same-axis correlations.
-
-    Returns arrays of shape (...) keyed scg_key(q) for each q and "lsc".  Powers and
-    logs are elementwise and each sum over cells, outcomes or settings is a chain of
-    slice adds in np.sum's order, so a stack gets the same bits in any batch.
-    """
-    values = {scg_key(q): _criterion_lhs(p, q) for q in check_qs(qs)}
-    values["lsc"] = _criterion_lhs(p, None)
-    return values
+    Returns arrays of shape (...) keyed as the criteria_of(qs) rows: scg_key(q), then "lsc"."""
+    if np.shape(p)[-3:] != (3, 2, 2):
+        raise ValueError(f"joint tables must have shape (..., 3, 2, 2), got {np.shape(p)}")
+    return {c.key: _criterion_lhs(p, c.q) for c in criteria_of(qs)}
 
 
 def _criterion_lhs(p: np.ndarray, q: Optional[float]) -> np.ndarray:
-    """One criterion of criterion_values: SCG at a checked q, or LSC when q is None."""
-    if q is not None:
-        return scg_lhs_cells(p, p[..., 0] + p[..., 1], q)
-    squares = correlations(p) ** 2
-    return np.sqrt((squares[..., 0] + squares[..., 1]) + squares[..., 2])
+    """One criterion on (..., 3, 2, 2) tables: SCG at a checked q, or LSC when q is None.
+
+    SCG is (1/(q-1)) sum_k [1 - sum_ij p_ij^q / p_i^(q-1)] with Alice's marginal p_i, the
+    summed Shannon conditional entropies at q = 1; LSC is the norm of the same-axis
+    correlations.  Powers and logs are elementwise and each sum over cells, outcomes or
+    settings is a chain of slice adds in np.sum's order, so a stack gets the same bits in
+    any batch.  Cells must be +-0.0 or at least the smallest normal float, as analytic_tensor
+    and count frequencies give: then 0^q times the finite m^(1-q) is +0.0, so only the
+    Shannon branch (log 0) masks zeros.
+    """
+    if q is None:
+        squares = correlations(p) ** 2
+        return np.sqrt((squares[..., 0] + squares[..., 1]) + squares[..., 2])
+    marginal = p[..., 0] + p[..., 1]
+    safe_m = np.where(marginal > 0.0, marginal, 1.0)
+    if qentropy.is_shannon(q):  # H(A, B) - H(A) = sum m ln m - sum p ln p per setting
+        marginal_h = marginal * np.log(safe_m)
+        v = ((marginal_h[..., 0] + marginal_h[..., 1])
+             - table_totals(p * np.log(np.where(p > 0.0, p, 1.0))))
+    else:
+        v = (1.0 - table_totals(p ** q * safe_m[..., np.newaxis] ** (1.0 - q))) / (q - 1.0)
+    # the +0.0 start is np.sum's: +0.0 when every setting gives -0.0 (deterministic, q < 1)
+    return ((0.0 + v[..., 0]) + v[..., 1]) + v[..., 2]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 from steerq import DensityMatrix, criterion_values, make_werner_like, validate_density
 from steerq.criteria import (_SMALLEST_NORMAL, BISECTION_MAX_ITER, LSC, LSC_BOUND,
                              MULTISECTION_BITS, SCG, ChiThreshold, SolverError, analytic_tensor,
-                             check_qs, scg_bound, scg_key)
+                             criteria_of, scg_bound, scg_key)
 from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, EvaluationReport, TableComparison
 from steerq.measure import correlations, spawn_generator, table_totals
 
@@ -258,11 +258,11 @@ def assert_same_bits(a, b) -> None:
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def reference_scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np.ndarray:
+def reference_scg_lhs(p: np.ndarray, q: float) -> np.ndarray:
     """The SCG kernel as numpy reductions over the tiny axes: the reference the
-    slice-sum criteria.scg_lhs_cells must match bit for bit."""
+    slice-sum criteria._criterion_lhs must match bit for bit."""
     p = np.asarray(p, dtype=float)
-    marginal = np.asarray(marginal, dtype=float)
+    marginal = p.sum(axis=-1)
     if _is_shannon(q):
         safe_p = np.where(p > 0.0, p, 1.0)
         joint_h = -np.sum(p * np.log(safe_p), axis=(-1, -2))
@@ -276,9 +276,8 @@ def reference_scg_lhs_cells(p: np.ndarray, marginal: np.ndarray, q: float) -> np
 
 
 def reference_criterion_values(p: np.ndarray, qs) -> dict:
-    """criteria.criterion_values with axis reductions, through reference_scg_lhs_cells."""
-    marginal = p.sum(axis=-1)
-    values = {scg_key(q): reference_scg_lhs_cells(p, marginal, q) for q in check_qs(qs)}
+    """criteria.criterion_values with axis reductions, through reference_scg_lhs."""
+    values = {c.key: reference_scg_lhs(p, c.q) for c in criteria_of(qs)[:-1]}  # LSC is last
     values["lsc"] = np.linalg.norm(correlations(p), axis=-1)
     return values
 

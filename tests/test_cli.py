@@ -510,8 +510,10 @@ class TestEvalState:
          "entropic indices 2.0, 2.0 collide in the report keys ['scg_q2', 'scg_q2']"),
         (("--theta", "22.5", "--chi", "0.5", "--q", "2,2"),
          "entropic indices 2.0, 2.0 collide in the report keys ['scg_q2', 'scg_q2']"),
+        (("--theta", "22.5", "--chi", "0.5", "--q", "2,2,3"),
+         "entropic index q must lie in (0, 2], got 3.0"),
     ], ids=["theta-and-q", "nan-theta-and-q", "theta-and-chi", "chi-and-collision",
-            "collision"])
+            "collision", "collision-and-q"])
     def test_first_of_several_faults_is_reported(self, capsys, argv, message):
         code, out, err = run(capsys, "eval-state", *argv)
         assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")

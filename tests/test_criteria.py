@@ -6,11 +6,10 @@ import pytest
 
 from helpers import (BELL_CORRELATIONS, assert_same_bits, bisection_threshold, joint_tensor,
                      mub_bound, random_bell_diagonal, random_density, reference_criterion_values,
-                     reference_scg_lhs_cells, scg, scg_lhs_entropic, shannon_bound,
-                     werner_tables)
+                     scg, scg_lhs_entropic, shannon_bound, werner_tables)
 from steerq import (LSC, SCG, SolverError, analytic_tensor, chi_threshold, correlations,
                     criterion_values, frequencies, make_werner_like, scg_bound, verdict)
-from steerq.criteria import criteria_of, scg_key, scg_lhs_cells
+from steerq.criteria import criteria_of, scg_key
 
 
 def werner_joints(chi, theta=math.pi / 8):
@@ -86,11 +85,21 @@ class TestScgLhs:
             with pytest.raises(ValueError):
                 criterion_values(p, (q,))
 
-    def test_subset_of_settings_allowed(self):
-        p = werner_joints(0.5)
-        one = float(scg_lhs_cells(p[:1], p[:1].sum(axis=-1), 2.0))
-        three = scg(p, 2.0)
-        assert 0.0 < one < three
+    def test_at_most_16_qs_and_the_count_checked_first(self):
+        qs = [k / 8 for k in range(1, 17)]
+        assert [c.q for c in criteria_of(qs)] == [*qs, None]
+        for too_many in ([*qs, 0.0625], [3.0] * 17):
+            with pytest.raises(ValueError) as info:
+                criterion_values(werner_joints(0.5), too_many)
+            assert str(info.value) == "at most 16 entropic indices are accepted, got 17"
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (3, 3, 3), (2, 2, 2)],
+                             ids=["four-settings", "three-outcomes", "two-settings"])
+    def test_rejects_tables_of_another_shape(self, shape):
+        p = np.full(shape, 1.0 / (shape[-2] * shape[-1]))
+        with pytest.raises(ValueError) as info:
+            criterion_values(p, (2.0,))
+        assert str(info.value) == f"joint tables must have shape (..., 3, 2, 2), got {shape}"
 
 
 class TestFormEquivalence:
@@ -453,14 +462,6 @@ class TestKernelReference:
                 want = reference_criterion_values(p, qs)
                 for key, value in criterion_values(p, qs).items():
                     assert_same_bits(value, want[key])
-
-    @pytest.mark.parametrize("q", [2.0, 1.0, 1.5, 0.5, 0.1])
-    def test_one_setting(self, poisson_blocks, q):
-        for p in [*poisson_blocks, *analytic_grids()]:
-            one = p[..., :1, :, :]
-            marginal = one.sum(axis=-1)
-            assert_same_bits(scg_lhs_cells(one, marginal, q),
-                             reference_scg_lhs_cells(one, marginal, q))
 
     def test_deterministic_settings_give_positive_zero(self, poisson_blocks):
         values = criterion_values(poisson_blocks[50], (0.5, 1.0, 2.0))

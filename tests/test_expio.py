@@ -348,10 +348,12 @@ class TestEvaluateState:
         (THETA_W, [0.2, 0.3], (0.0,), "evaluate_state takes one chi, got 2"),
         (THETA_W, [0.2, 1.3], (2.0, 2), "chi=1.3 outside [0, 1]"),
         (THETA_W, 0.5, (math.nan, 2, 2), "entropic index q must lie in (0, 2], got nan"),
+        (THETA_W, 0.5, (2, 2, 3), "entropic index q must lie in (0, 2], got 3.0"),
         (THETA_W, 0.5, (1.0, 1.0000001),
          "entropic indices 1.0, 1.0000001 collide in the report keys ['scg_q1', 'scg_q1']"),
     ], ids=["theta-and-q", "nan-theta-and-collision", "chi-and-q", "chi-vector-and-q",
-            "chi-vector-and-collision", "q-and-collision", "collision"])
+            "chi-vector-and-collision", "q-and-collision", "collision-and-q",
+            "collision"])
     def test_first_of_several_faults_is_reported(self, theta, chi, qs, message):
         # the state's checks run before the qs'
         with pytest.raises(ValueError) as info:
