@@ -105,6 +105,7 @@ def _cmd_eval_state(args) -> str:
 
 
 def _cmd_threshold(args) -> str:
+    criteria.criteria_of((args.q,))  # for either criterion, before the state, as in eval-state
     criterion = args.criterion.upper()
     q = args.q if criterion == criteria.SCG else None
     result = criteria.chi_threshold(math.radians(args.theta), criterion, q=q,

@@ -214,9 +214,10 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     sin(2 theta) and evaluates only the solved criterion.  The first call, on the 129 points
     k/128, checks strict monotonicity and holds the midpoints of bisection's first 7
     halvings.  Bisection of lhs(chi) = bound to width tol in (0, 1) reads those; each later
-    miss evaluates its midpoints toward a root interpolated from known neighbours in one call
-    (any batch gives a point the same bits), so the result is bisection's bit for bit and
-    the default tol takes 2 calls.  No violation on [0, 1] gives (1.0, False).
+    miss walks bisection's halvings toward a root interpolated from known neighbours (and to
+    chi = 1 while that is the upper end), evaluating their midpoints in one call (any batch
+    gives a point the same bits): the result is bisection's bit for bit, and the default tol
+    takes calls of 129 and 13 points.  No violation on [0, 1] gives (1.0, False).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
@@ -257,14 +258,12 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                         for x, yi in zip(xs, ys))
             if lo < guess < hi:
                 estimate = guess
-        depth, width = 0, h  # the halvings bisection still makes
-        while width > tol and depth < iterations_left:
-            depth, width = depth + 1, width / 2.0
         points = set()  # the first halving of each path adds the midpoint
-        targets = [estimate + j * width for j in range(-2, 3)]
-        for target in targets + [hi] * (hi == 1.0):  # no value past chi = 1 guides the estimate
+        for target in [estimate] + [hi] * (hi == 1.0):  # no value past chi = 1 guides the estimate
             a, b = lo, hi
-            for _ in range(depth):
+            for _ in range(iterations_left):  # the main loop's halvings and stopping rule
+                if b - a <= tol:
+                    break
                 m = (a + b) / 2.0
                 points.add(m)
                 a, b = (a, m) if target < m else (m, b)

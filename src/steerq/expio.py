@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria
-from .measure import AXES, frequencies, spawn_generator, table_totals
+from .measure import AXES, spawn_generator, table_totals
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 _CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
@@ -206,54 +206,47 @@ def _report(label: str, p: np.ndarray, rows: Sequence[criteria.Criterion], value
     return EvaluationReport(label, verdicts, probabilities, totals, seed)
 
 
-def _bootstrap(rec: ExperimentRecord, qs: Sequence[float], resamples: int,
-               seed: int) -> tuple[dict, dict]:
-    """Criterion values of the observed tables, and their std over Poisson resamples.
+def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
+                    bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> EvaluationReport:
+    """Estimate probabilities from counts and evaluate SCG (per q) and LSC with error bars.
 
-    Resamples are drawn BOOTSTRAP_CHUNK at a time from the one
-    (seed, BOOTSTRAP_STREAM) generator, which gives the same draws as one
-    pass, so results depend only on (record, seed, resamples).  The observed
-    counts ride in the first block as row 0, so one kernel call per block
-    evaluates them too.  Resamples with an empty setting are dropped; fewer
-    than two left is an error, since no spread can be estimated from them.
+    Error bars are the std over Poisson resamples, drawn BOOTSTRAP_CHUNK at a time from the
+    one (seed, BOOTSTRAP_STREAM) generator, which gives the same draws as one pass, so
+    results depend only on (record, seed, bootstrap).  The observed counts ride in the first
+    block as row 0, and the report reads its probabilities, totals and values from that row.
+    Resamples with an empty setting are dropped; fewer than two left is an error.
     """
+    if not 2 <= bootstrap <= MAX_BOOTSTRAP:
+        raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
+                         f"got {bootstrap}")
+    rows = criteria.criteria_of(qs)  # checks qs before the draws
     rng = spawn_generator(seed, BOOTSTRAP_STREAM)
     blocks = []
-    for start in range(0, resamples, BOOTSTRAP_CHUNK):
-        size = min(BOOTSTRAP_CHUNK, resamples - start)
+    for start in range(0, bootstrap, BOOTSTRAP_CHUNK):
+        size = min(BOOTSTRAP_CHUNK, bootstrap - start)
         draws = rng.poisson(lam=rec.counts, size=(size, 3, 2, 2))
         if start == 0:  # the observed counts ride in the first block as row 0
             draws = np.concatenate([rec.counts[np.newaxis], draws])
         totals = table_totals(draws)
         nonempty = totals >= 1
-        if not nonempty.all():
+        if not nonempty.all():  # never row 0: a record has counts in every setting
             usable = nonempty.all(axis=1)
             draws, totals = draws[usable], totals[usable]
-        values = criteria.criterion_values(draws / totals[..., np.newaxis, np.newaxis], qs)
-        blocks.append(np.stack(list(values.values())))
-    keys = list(values)  # criteria_of order
+        p = draws / totals[..., np.newaxis, np.newaxis]
+        if start == 0:
+            observed, observed_totals = p[0], totals[0]
+        blocks.append(np.stack(list(criteria.criterion_values(p, qs).values())))
+    keys = [c.key for c in rows]
     columns = np.concatenate(blocks, axis=1)  # one row per criterion, observed first
     usable = columns.shape[1] - 1
     if usable < 2:
-        raise ValueError(
-            f"bootstrap: {usable} of {resamples} requested resamples have counts in "
-            "every setting, at least 2 are needed; the counts are too small for "
-            "error bars"
-        )
+        raise ValueError(f"bootstrap: {usable} of {bootstrap} requested resamples have counts "
+                         "in every setting, at least 2 are needed; the counts are too small "
+                         "for error bars")
     bars = np.std(columns[:, 1:], axis=1, ddof=1)
-    return dict(zip(keys, columns[:, 0])), dict(zip(keys, bars.tolist()))
-
-
-def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
-                    bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> EvaluationReport:
-    """Estimate probabilities from counts and evaluate SCG (per q) and LSC."""
-    if not 2 <= bootstrap <= MAX_BOOTSTRAP:
-        raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
-                         f"got {bootstrap}")
-    rows = criteria.criteria_of(qs)  # checks qs before the draws
-    values, error_bars = _bootstrap(rec, qs, bootstrap, seed)
-    totals = dict(zip(AXES, table_totals(rec.counts).tolist()))
-    return _report(rec.label, frequencies(rec.counts), rows, values, error_bars, totals, seed)
+    return _report(rec.label, observed, rows, dict(zip(keys, columns[:, 0])),
+                   dict(zip(keys, bars.tolist())),
+                   dict(zip(AXES, observed_totals.tolist())), seed)
 
 
 def evaluate_state(theta: float, chi: float,

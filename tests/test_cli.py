@@ -544,6 +544,16 @@ class TestThreshold:
         assert out == ""
         assert err.count("error:") == 1 and "tol must lie in (0, 1)" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--criterion", "lsc", "--q", "7"), "entropic index q must lie in (0, 2], got 7.0"),
+        (("--criterion", "lsc", "--q", "nan"), "entropic index q must lie in (0, 2], got nan"),
+        (("--tol", "0", "--q", "3"), "entropic index q must lie in (0, 2], got 3.0"),
+    ], ids=["lsc-q-above-2", "lsc-q-nan", "tol-and-q"])
+    def test_q_is_checked_first_for_either_criterion(self, capsys, argv, message):
+        # as in eval-state, the q error comes before the state's and tol's, with LSC too
+        code, out, err = run(capsys, "threshold", "--theta", "10", *argv)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
     def test_large_tol_still_prints_six_digits(self, capsys):
         # one halving of [0, 1]: the threshold near 0.80 lies in [0.5, 1]
         code, out, _ = run(capsys, "threshold", "--theta", "7.5", "--tol", "0.9")

@@ -231,7 +231,7 @@ class TestChiThreshold:
                                                          (7.5, SCG, 1.0), (7.5, LSC, None)])
     def test_default_tol_takes_at_most_five_kernel_calls(self, monkeypatch, theta_deg,
                                                           criterion, q):
-        # one monotonicity batch plus four rounds of 2^5 - 1 points; bisection made 21 calls
+        # one monotonicity batch plus the look-ahead's calls; bisection made 21 calls
         from steerq import criteria
 
         calls = []
@@ -248,8 +248,8 @@ class TestChiThreshold:
     def test_default_tol_takes_two_kernel_calls(self, monkeypatch, theta_deg, criterion, q,
                                                 expected):
         # the 129 points k/128 (monotonicity check and 7 halvings' midpoints), then one
-        # look-ahead down the remaining 13 halvings.  theta = 0 never crosses: one call,
-        # then the early return
+        # look-ahead down the remaining 13 halvings from width 1/128 to at most 1e-6.
+        # theta = 0 never crosses: one call, then the early return
         from steerq import criteria
 
         calls = []
@@ -258,8 +258,7 @@ class TestChiThreshold:
                             lambda p, q: calls.append(len(p)) or original(p, q))
         crossed = chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
         assert crossed == (expected > 1)
-        assert len(calls) == expected and calls[0] == 129
-        assert all(n <= 32 for n in calls[1:])
+        assert calls == [129, 13][:expected]
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     @pytest.mark.parametrize("theta_deg", [19.5, 21.0, 24.0, 25.5])
@@ -523,6 +522,18 @@ class TestAnalyticTensor:
                 assert_same_bits(batch[i], one[0])
                 for key, value in criterion_values(one, self.QS).items():
                     assert_same_bits(values[key][i], value[0])
+
+    def test_mixed_theta_batch_matches_single_theta_calls(self):
+        # one cos 2 theta and sin 2 theta per row, as reproduce_tables passes them
+        from steerq.criteria import _werner_tensor
+
+        rng = np.random.default_rng(14)
+        thetas = [*self.EDGE_THETAS, *rng.uniform(0.0, math.pi / 4, 40)]
+        chis = [*self.EDGE_CHIS, *rng.uniform(0.0, 1.0, len(thetas) - len(self.EDGE_CHIS))]
+        cos, sin = (np.array([f(2.0 * theta) for theta in thetas]) for f in (math.cos, math.sin))
+        batch = _werner_tensor(cos, sin, np.array(chis))
+        assert_same_bits(batch, np.concatenate([analytic_tensor(theta, chi)
+                                                for theta, chi in zip(thetas, chis)]))
 
     def test_subnormal_cells_become_positive_zero(self):
         # at chi = 1, sin(2 theta)^2 = 4e-320 is subnormal: the z cells past (0, 0) come out

@@ -33,7 +33,7 @@ THETAS = ([f"{0.75 * i:g}" for i in range(61)]
           + ["1e-300", "1e-9", "44.999999", "45.00000000005", "13.3"])
 EVAL_STATE_CHIS = ("0", "0.3", "0.58", "0.81", "1")
 THRESHOLD_CRITERIA = (("scg", "--q", "2"), ("scg", "--q", "1"), ("scg", "--q", "0.5"),
-                      ("lsc",))
+                      ("scg", "--q", "0.1"), ("lsc",))  # q = 0.1 crosses next to chi = 1
 THRESHOLD_TOLS = ("0.3", "0.0078125", "0.0078", "1e-6", "1e-12", "1e-300", "5e-324")
 SWEEP_STEPS = ("2", "11", "101", "1001")
 SIMULATE_CASES = 20
