@@ -86,6 +86,7 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_eval(args) -> str:
+    qs = _parse_q_list(args.q)  # before the counts file, as eval-state checks it before the state
     try:
         with open(args.counts, "r", encoding="utf-8-sig") as handle:  # spreadsheets write a BOM
             text = handle.read()
@@ -93,8 +94,7 @@ def _cmd_eval(args) -> str:
         raise ValueError(f"{args.counts}: cannot decode byte 0x{exc.object[exc.start]:02x}; "
                          "the counts CSV must be UTF-8 text") from None
     rec = expio.parse_counts_csv(text, label=args.counts)
-    report = expio.evaluate_record(rec, qs=_parse_q_list(args.q),
-                                   bootstrap=args.bootstrap, seed=args.seed)
+    report = expio.evaluate_record(rec, qs=qs, bootstrap=args.bootstrap, seed=args.seed)
     return expio.report_to_json(report) + "\n"
 
 

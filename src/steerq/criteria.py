@@ -8,11 +8,11 @@ Two detectors are provided:
 * LSC — the linear steering criterion sqrt(sum_i c_i^2) <= 1 over the three
   same-axis correlations; violation (strictly above 1) flags steering.
 
-``criterion_values`` evaluates both on a (..., 3, 2, 2) tensor of joint tables
-(any other shape is an error), so one state, a chi grid or a block of bootstrap
-resamples all go through ``_criterion_lhs``, where each formula is written once.
-``criteria_of`` is the one check of the entropic indices, at most MAX_QS of them,
-and takes its bounds from ``scg_bound``.
+``criterion_values`` evaluates both on a (..., 3, 2, 2) tensor of joint tables (any other
+shape is an error), so one state, a chi grid or a block of bootstrap resamples all go through
+``_criterion_lhs``, where each formula is written once.  ``criteria_of`` is the one check of
+the entropic indices, at most MAX_QS of them, and takes its bounds from ``scg_bound``;
+``rows_values`` runs the kernel over rows it returned, so their holder checks nothing again.
 
 The entropic index is accepted on (0, 2], the range where the mutually
 unbiased bound applies; q = 1 is routed to the Shannon forms, where the
@@ -45,6 +45,7 @@ MULTISECTION_BITS = 7
 # chi_threshold's first kernel call: the k / 2**MULTISECTION_BITS grid, ends included, serves
 # the monotonicity check and bisection's first MULTISECTION_BITS halvings
 _FIRST_BATCH = np.arange(2 ** MULTISECTION_BITS + 1) / 2 ** MULTISECTION_BITS
+_FIRST_CHIS = _FIRST_BATCH.tolist()
 
 
 class SolverError(ArithmeticError):
@@ -99,7 +100,12 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
     Returns arrays of shape (...) keyed as the criteria_of(qs) rows: scg_key(q), then "lsc"."""
     if np.shape(p)[-3:] != (3, 2, 2):
         raise ValueError(f"joint tables must have shape (..., 3, 2, 2), got {np.shape(p)}")
-    return {c.key: _criterion_lhs(p, c.q) for c in criteria_of(qs)}
+    return rows_values(p, criteria_of(qs))
+
+
+def rows_values(p: np.ndarray, rows: Sequence[Criterion]) -> dict[str, np.ndarray]:
+    """criterion_values of (..., 3, 2, 2) tables over criteria_of rows, checking nothing again."""
+    return {c.key: _criterion_lhs(p, c.q) for c in rows}
 
 
 def _criterion_lhs(p: np.ndarray, q: Optional[float]) -> np.ndarray:
@@ -157,14 +163,19 @@ def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray
     chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>,
     theta in [0, pi/4] (pi/8 is maximally entangled), every chi in [0, 1].
     """
-    if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"theta={theta!r} ({math.degrees(theta):.12g} deg) "
-                         "outside [0, pi/4] ([0, 45] deg)")
+    c, s = _werner_angle(theta)
     chis = np.asarray(chis, dtype=float).reshape(-1)
     outside = ~((chis >= 0.0) & (chis <= 1.0))
     if outside.any():
         raise ValueError(f"chi={float(chis[outside][0])!r} outside [0, 1]")
-    return math.cos(2.0 * theta), math.sin(2.0 * theta), chis
+    return c, s, chis
+
+
+def _werner_angle(theta: float) -> tuple[float, float]:  # the one theta check; cos, sin of 2 theta
+    if not 0.0 <= theta <= math.pi / 4 + 1e-12:
+        raise ValueError(f"theta={theta!r} ({math.degrees(theta):.12g} deg) "
+                         "outside [0, pi/4] ([0, 45] deg)")
+    return math.cos(2.0 * theta), math.sin(2.0 * theta)
 
 
 def single_chi(theta: float, chi: float, caller: str) -> tuple[float, float, float]:
@@ -227,26 +238,24 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         raise ValueError("SCG threshold requires an entropic index q")
     row = criteria_of((q,) if criterion == SCG else ())[0]  # the SCG row when q is given, else LSC
     label = criterion if row.q is None else f"{criterion}(q={row.q:g})"
-    c, s, first_batch = werner_like_parameters(theta, _FIRST_BATCH)
+    c, s = _werner_angle(theta)  # the first batch is a constant grid in [0, 1]
 
     def f(chis) -> np.ndarray:  # above 0 where the criterion is violated
         values = _criterion_lhs(_werner_tensor(c, s, chis), row.q)
         return (values - row.bound) * _VIOLATION_SIGN[criterion]
 
-    values = f(first_batch)
-    diffs = np.diff(values)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise SolverError(
-            f"{label}: profile over chi is not strictly monotone; "
-            "bisection preconditions do not hold"
-        )
+    values = f(_FIRST_BATCH)
+    diffs = values[1:] - values[:-1]
+    if not ((diffs > 0.0).all() or (diffs < 0.0).all()):
+        raise SolverError(f"{label}: profile over chi is not strictly monotone; "
+                          "bisection preconditions do not hold")
 
     if values[0] > 0.0:
         return ChiThreshold(0.0, True)
     if not values[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
-    known = dict(zip(first_batch.tolist(), values.tolist()))  # chi -> f(chi)
+    known = dict(zip(_FIRST_CHIS, values.tolist()))  # chi -> f(chi)
 
     def look_ahead(lo: float, hi: float, iterations_left: int) -> list[float]:
         h = hi - lo

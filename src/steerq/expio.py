@@ -235,7 +235,7 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
         p = draws / totals[..., np.newaxis, np.newaxis]
         if start == 0:
             observed, observed_totals = p[0], totals[0]
-        blocks.append(np.stack(list(criteria.criterion_values(p, qs).values())))
+        blocks.append(np.stack(list(criteria.rows_values(p, rows).values())))
     keys = [c.key for c in rows]
     columns = np.concatenate(blocks, axis=1)  # one row per criterion, observed first
     usable = columns.shape[1] - 1
@@ -255,8 +255,8 @@ def evaluate_state(theta: float, chi: float,
     c, s, chi = criteria.single_chi(theta, chi, "evaluate_state")  # checked before the qs
     p = criteria._werner_tensor(c, s, chi)[0]
     rows = criteria.criteria_of(qs)  # checks the qs after the state
-    values = criteria.criterion_values(p, qs)
-    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, rows, values)
+    return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, rows,
+                   criteria.rows_values(p, rows))
 
 
 def simulate_record(theta: float, chi: float, shots: int, seed: int) -> ExperimentRecord:
@@ -290,14 +290,18 @@ def sweep_curve(theta: float, chi_steps: int) -> np.ndarray:
     if not 2 <= chi_steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"chi_steps must be in [2, {MAX_SWEEP_STEPS}], got {chi_steps}")
     chis = np.linspace(0.0, 1.0, chi_steps)
-    values = criteria.criterion_values(criteria.analytic_tensor(theta, chis), DEFAULT_QS)
+    values = criteria.rows_values(criteria.analytic_tensor(theta, chis), DEFAULT_CRITERIA)
     return np.column_stack([chis, *(values[c.key] for c in DEFAULT_CRITERIA),
                             *(np.full(chi_steps, c.bound) for c in DEFAULT_CRITERIA)])
 
 
 def curve_to_csv(rows: np.ndarray) -> str:
-    line = ",".join(["%.12g"] * rows.shape[1])  # one % call renders every row
-    return "\n".join([CURVE_CSV_HEADER, *[line] * len(rows)]) % tuple(rows.ravel().tolist()) + "\n"
+    bits = rows.view(np.int64)  # a column of one bit pattern is formatted once, into the line:
+    constant = (bits == bits[:1]).all(axis=0)  # bits, as -0.0 == 0.0 prints "-0" and "0"
+    line = ",".join("%.12g" % v if same else "%.12g"  # one % call renders every row
+                    for v, same in zip(rows[:1].ravel().tolist(), constant.tolist()))
+    cells = tuple(rows[:, ~constant].ravel().tolist())
+    return "\n".join([CURVE_CSV_HEADER, *[line] * len(rows)]) % cells + "\n"
 
 
 # Reference measurements from a published coincidence-count experiment on the
@@ -362,8 +366,8 @@ def reproduce_tables() -> TableComparison:
     """Analytic predictions next to the reference measurements, row by row."""
     cos, sin, chis = np.array([(math.cos(2.0 * theta), math.sin(2.0 * theta), row[0])
                                for _, theta, table in REFERENCE_FAMILIES for row in table]).T
-    values = criteria.criterion_values(  # both families' 20 tables in one kernel call
-        criteria._werner_tensor(cos, sin, chis), DEFAULT_QS)
+    values = criteria.rows_values(  # both families' 20 tables in one kernel call
+        criteria._werner_tensor(cos, sin, chis), DEFAULT_CRITERIA)
     analytic = zip(*(values[c.key].tolist() for c in DEFAULT_CRITERIA))
     measured = [(family, row) for family, _, table in REFERENCE_FAMILIES for row in table]
     return TableComparison(tuple(

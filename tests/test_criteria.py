@@ -210,6 +210,23 @@ class TestChiThreshold:
         theta = math.radians(7.5)
         assert chi_threshold(theta, LSC, q=3.0) == chi_threshold(theta, LSC, q=None)
 
+    def test_checks_theta_alone_never_the_constant_grid(self, monkeypatch):
+        # the first batch is the constant grid k/128, so only theta needs its check
+        from steerq import criteria
+
+        cases = [(math.radians(deg), criterion, q) for deg in (0.0, 7.5, 22.5)
+                 for criterion, q in ((SCG, 2.0), (LSC, None))]
+        expected = [chi_threshold(theta, criterion, q=q) for theta, criterion, q in cases]
+
+        def fail(*args):
+            raise AssertionError("werner_like_parameters called")
+
+        monkeypatch.setattr(criteria, "werner_like_parameters", fail)
+        assert [chi_threshold(theta, criterion, q=q) for theta, criterion, q in cases] == expected
+        with pytest.raises(ValueError, match=r"^theta=nan \(nan deg\) outside \[0, pi/4\] "
+                                             r"\(\[0, 45\] deg\)$"):
+            chi_threshold(math.nan, LSC)
+
     # 0.9 stops at the grid's first level, 0.3 at its second, 1/64 at its sixth and 1/128 at
     # its last; 0.0078 and 1/256 take one halving past it, from the grid cell's neighbours
     @pytest.mark.parametrize("tol", [0.9, 0.3, 1 / 64, 1 / 128, 0.0078, 1 / 256, 1e-3, 1e-6,

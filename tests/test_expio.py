@@ -243,9 +243,9 @@ class TestEvaluateRecord:
                   else simulate_record(THETA_T, 0.7, 3_000, seed=4).counts)
         want = criteria.criterion_values(frequencies(counts), qs)
         calls = []
-        original = criteria.criterion_values
-        monkeypatch.setattr(criteria, "criterion_values",
-                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        original = criteria.rows_values
+        monkeypatch.setattr(criteria, "rows_values",
+                            lambda p, rows: calls.append(len(p)) or original(p, rows))
         monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
         rep = evaluate_record(ExperimentRecord("rec", counts), qs=qs, bootstrap=1000, seed=5)
         assert len(calls) == math.ceil(1000 / chunk)
@@ -515,7 +515,7 @@ class TestSweepCurve:
         with pytest.raises(ValueError):
             sweep_curve(THETA_W, 1)
 
-    @pytest.mark.parametrize("steps", [2, 3, 1001])
+    @pytest.mark.parametrize("steps", [2, 3, 101, 1001])  # the bound columns are constant
     @pytest.mark.parametrize("theta_deg", [0.0, 7.5, 22.5])
     def test_csv_matches_per_value_formatting(self, theta_deg, steps):
         rows = sweep_curve(math.radians(theta_deg), steps)
@@ -534,6 +534,11 @@ class TestSweepCurve:
         text = curve_to_csv(rows)
         assert text == reference_curve_to_csv(rows)
         assert text.split("\n")[1] == "-0,4.94065645841e-324,1e+16,0.3,1,0,1"
+
+    def test_csv_constant_column_compares_bits_not_values(self):
+        # -0.0 == 0.0, but they print differently: a column is constant only bit for bit
+        rows = np.array([[-0.0, 0.0, -0.0], [0.0, 0.0, -0.0], [0.0, 0.0, -0.0]])
+        assert curve_to_csv(rows).split("\n")[1:] == ["-0,0,-0", "0,0,-0", "0,0,-0", ""]
 
 
 class TestReproduceTables:
@@ -573,9 +578,9 @@ class TestReproduceTables:
             expected += [(family, chi, c.key, float(values[c.key][idx]).hex())
                          for idx, (chi, *_) in enumerate(table) for c in criteria_of(DEFAULT_QS)]
         calls = []
-        original = criteria.criterion_values
-        monkeypatch.setattr(criteria, "criterion_values",
-                            lambda p, qs: calls.append(len(p)) or original(p, qs))
+        original = criteria.rows_values
+        monkeypatch.setattr(criteria, "rows_values",
+                            lambda p, rows: calls.append(len(p)) or original(p, rows))
         rows = reproduce_tables().rows
         assert calls == [20]
         assert [(r.family, r.chi, r.criterion, r.analytic.hex()) for r in rows] == expected
@@ -619,3 +624,34 @@ def test_reports_follow_one_criterion_order():
     assert [(c.criterion, c.q) for c in report.criteria] == [
         (c.name, c.q) for c in criteria_of(DEFAULT_QS)]
     assert list(json.loads(report_to_json(report))["bounds"]) == keys
+
+
+class TestEachCheckOnce:
+    """Each entry checks its q list once; the kernel then runs on the checked rows."""
+
+    def count_criteria_of(self, monkeypatch) -> list:
+        calls = []
+        original = criteria.criteria_of
+        monkeypatch.setattr(criteria, "criteria_of",
+                            lambda qs: calls.append(tuple(qs)) or original(qs))
+        return calls
+
+    def test_evaluate_state_checks_its_qs_once(self, monkeypatch):
+        calls = self.count_criteria_of(monkeypatch)
+        evaluate_state(THETA_T, 0.81, qs=(2.0, 1.0, 0.5))
+        assert calls == [(2.0, 1.0, 0.5)]
+
+    def test_sweep_and_tables_check_nothing_again(self, monkeypatch):
+        # their columns are DEFAULT_CRITERIA, checked once when expio is imported
+        calls = self.count_criteria_of(monkeypatch)
+        sweep_curve(THETA_T, 101)
+        reproduce_tables()
+        assert calls == []
+
+    @pytest.mark.parametrize("chunk", [expio.BOOTSTRAP_CHUNK, 64])
+    def test_evaluate_record_checks_its_qs_once_not_per_block(self, monkeypatch, chunk):
+        rec = simulate_record(THETA_T, 0.7, 3_000, seed=4)
+        monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
+        calls = self.count_criteria_of(monkeypatch)
+        evaluate_record(rec, qs=(2.0, 1.5), bootstrap=1000, seed=5)
+        assert calls == [(2.0, 1.5)]

@@ -9,8 +9,9 @@ that ``diff -r`` between the dumps of two trees names every byte that moved:
     diff -r /tmp/dump_old /tmp/dump_new
 
 The cases are the sweep, threshold and eval-state grids below over 66
-thetas, out-of-range inputs for each, seeded simulate/eval pairs and
-tables.  Only the standard library and numpy are used.
+thetas, out-of-range inputs for each, seeded simulate/eval pairs, tables,
+and eval with a good or bad q list on a missing or malformed counts file.
+Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ THRESHOLD_CRITERIA = (("scg", "--q", "2"), ("scg", "--q", "1"), ("scg", "--q", "
 THRESHOLD_TOLS = ("0.3", "0.0078125", "0.0078", "1e-6", "1e-12", "1e-300", "5e-324")
 SWEEP_STEPS = ("2", "11", "101", "1001")
 SIMULATE_CASES = 20
+MALFORMED_COUNTS_PATH = "malformed.csv"  # written into the working directory before the cases
+MALFORMED_COUNTS = "setting,outcome,count\nx,00,5\nx,01,5\n"  # ten rows missing
 INVALID = [
     ["eval-state", "--theta", theta, "--chi", chi]
     for theta, chi in (("-1", "0.5"), ("45.1", "0.5"), ("45.0000000001146", "0.5"),
@@ -49,6 +52,9 @@ INVALID = [
     ["sweep", "--theta", "-1", "--out", "curve.csv"],
     ["sweep", "--theta", "7.5", "--steps", "1", "--out", "curve.csv"],
     ["sweep", "--theta", "7.5", "--steps", "100001", "--out", "curve.csv"],
+] + [
+    ["eval", "--counts", counts, "--q", q]  # a bad q list is reported before the file's fault
+    for counts in ("missing.csv", MALFORMED_COUNTS_PATH) for q in ("7", "2,1")
 ]
 
 
@@ -113,6 +119,7 @@ def main(argv=None) -> int:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # relative --out paths keep "wrote <path>" lines tree-independent
+        Path(MALFORMED_COUNTS_PATH).write_text(MALFORMED_COUNTS, encoding="utf-8")
         try:
             for idx, case in enumerate(all_cases):
                 name = f"{idx:04d}_{case[0]}.txt"
