@@ -223,12 +223,13 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
 
     Checks its arguments once; each kernel call writes its chis' tables from cos(2 theta),
     sin(2 theta) and evaluates only the solved criterion.  The first call, on the 129 points
-    k/128, checks strict monotonicity and holds the midpoints of bisection's first 7
-    halvings.  Bisection of lhs(chi) = bound to width tol in (0, 1) reads those; each later
-    miss walks bisection's halvings toward a root interpolated from known neighbours (and to
-    chi = 1 while that is the upper end), evaluating their midpoints in one call (any batch
-    gives a point the same bits): the result is bisection's bit for bit, and the default tol
-    takes calls of 129 and 13 points.  No violation on [0, 1] gives (1.0, False).
+    k/128, checks strict monotonicity; its values then rise through 0, so bisection's first 7
+    halvings are read by index, down to the first level at most tol wide.  Bisection of
+    lhs(chi) = bound to width tol in (0, 1) goes on from there; each miss walks its halvings
+    toward a root interpolated from known neighbours, the four grid points around the bracket
+    or later values (and to chi = 1 while that is the upper end), evaluating their midpoints
+    in one call (any batch gives a point the same bits): the result is bisection's bit for
+    bit, and tol 1e-6 takes calls of 129 and 13 points.  No violation gives (1.0, False).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
@@ -236,17 +237,17 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         raise ValueError(f"unknown criterion {criterion!r}")
     if criterion == SCG and q is None:
         raise ValueError("SCG threshold requires an entropic index q")
-    row = criteria_of((q,) if criterion == SCG else ())[0]  # the SCG row when q is given, else LSC
-    label = criterion if row.q is None else f"{criterion}(q={row.q:g})"
+    q, bound = (None, LSC_BOUND) if criterion == LSC else (float(q), scg_bound(q))
     c, s = _werner_angle(theta)  # the first batch is a constant grid in [0, 1]
 
-    def f(chis) -> np.ndarray:  # above 0 where the criterion is violated
-        values = _criterion_lhs(_werner_tensor(c, s, chis), row.q)
-        return (values - row.bound) * _VIOLATION_SIGN[criterion]
+    def f(chis) -> np.ndarray:  # above 0 where violated: (lhs - bound) * _VIOLATION_SIGN
+        lhs = _criterion_lhs(_werner_tensor(c, s, chis), q)
+        return lhs - bound if q is None else bound - lhs
 
     values = f(_FIRST_BATCH)
     diffs = values[1:] - values[:-1]
     if not ((diffs > 0.0).all() or (diffs < 0.0).all()):
+        label = criterion if q is None else f"{criterion}(q={q:g})"
         raise SolverError(f"{label}: profile over chi is not strictly monotone; "
                           "bisection preconditions do not hold")
 
@@ -255,7 +256,12 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     if not values[-1] > 0.0:
         return ChiThreshold(1.0, False)
 
-    known = dict(zip(_FIRST_CHIS, values.tolist()))  # chi -> f(chi)
+    j = int(np.searchsorted(values, 0.0, side="right"))  # values rise: j/128 first has f > 0
+    depth = min(MULTISECTION_BITS, 1 - math.frexp(tol)[1])  # bisection stops at 2**-depth <= tol
+    lo = ((j - 1) >> (MULTISECTION_BITS - depth)) / 2 ** depth  # its bracket there holds
+    hi = lo + 0.5 ** depth                                       # (j - 1)/128 and j/128
+    # the only grid points a look-ahead reads: the depth-7 bracket and its outer neighbours
+    known = dict(zip(_FIRST_CHIS[max(j - 2, 0):j + 2], values[max(j - 2, 0):j + 2].tolist()))
 
     def look_ahead(lo: float, hi: float, iterations_left: int) -> list[float]:
         h = hi - lo
@@ -263,8 +269,12 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         ys = [known[x] for x in xs]
         estimate = (lo + hi) / 2.0
         if len(set(ys)) == len(ys):  # inverse Lagrange at 0: cubic, lower next to chi = 0, 1
-            guess = sum(x * math.prod(yj / (yj - yi) for yj in ys if yj != yi)
-                        for x, yi in zip(xs, ys))
+            guess = 0.0  # summed and multiplied in sum's and math.prod's order
+            for x, yi in zip(xs, ys):
+                weight = 1.0
+                for yj in ys:
+                    weight *= yj / (yj - yi) if yj != yi else 1.0
+                guess += x * weight
             if lo < guess < hi:
                 estimate = guess
         points = set()  # the first halving of each path adds the midpoint
@@ -278,8 +288,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                 a, b = (a, m) if target < m else (m, b)
         return sorted(points)
 
-    lo, hi = 0.0, 1.0  # f not violated at lo, violated at hi
-    for i in range(BISECTION_MAX_ITER):
+    for i in range(depth, BISECTION_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0

@@ -216,7 +216,7 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
     block as row 0, and the report reads its probabilities, totals and values from that row.
     Resamples with an empty setting are dropped; fewer than two left is an error.
     """
-    if not 2 <= bootstrap <= MAX_BOOTSTRAP:
+    if not (isinstance(bootstrap, (int, np.integer)) and 2 <= bootstrap <= MAX_BOOTSTRAP):
         raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
                          f"got {bootstrap}")
     rows = criteria.criteria_of(qs)  # checks qs before the draws
@@ -267,7 +267,7 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
     """
     c, s, chi = criteria.single_chi(theta, chi, "simulate_record")
     p = criteria._werner_tensor(c, s, chi)[0]
-    if not 1 <= shots < COUNT_LIMIT:
+    if not (isinstance(shots, (int, np.integer)) and 1 <= shots < COUNT_LIMIT):
         raise ValueError(f"shots must be a positive integer below 2**53 = {COUNT_LIMIT}, "
                          f"got {shots}")
     counts = np.stack([spawn_generator(seed, k).poisson(lam=shots * p[k])
@@ -287,10 +287,11 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
 def sweep_curve(theta: float, chi_steps: int) -> np.ndarray:
     """Analytic criterion curves on a uniform chi grid, in CURVE_CSV_HEADER's columns:
     chi, the lhs of each DEFAULT_CRITERIA row, then their bounds."""
-    if not 2 <= chi_steps <= MAX_SWEEP_STEPS:
+    if not (isinstance(chi_steps, (int, np.integer)) and 2 <= chi_steps <= MAX_SWEEP_STEPS):
         raise ValueError(f"chi_steps must be in [2, {MAX_SWEEP_STEPS}], got {chi_steps}")
-    chis = np.linspace(0.0, 1.0, chi_steps)
-    values = criteria.rows_values(criteria.analytic_tensor(theta, chis), DEFAULT_CRITERIA)
+    chis = np.linspace(0.0, 1.0, chi_steps)  # in [0, 1]: theta alone needs its check
+    values = criteria.rows_values(criteria._werner_tensor(*criteria._werner_angle(theta), chis),
+                                  DEFAULT_CRITERIA)
     return np.column_stack([chis, *(values[c.key] for c in DEFAULT_CRITERIA),
                             *(np.full(chi_steps, c.bound) for c in DEFAULT_CRITERIA)])
 

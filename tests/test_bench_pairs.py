@@ -1,0 +1,63 @@
+"""tools/bench_pairs.py's summary of alternating benchmark pairs, on canned result lines."""
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import bench_pairs
+
+END_TO_END = [{"name": "ops_per_s", "better": "higher", "bound": 0.15},
+              {"name": "op_p50_ms", "better": "lower", "bound": 0.15}]
+
+
+def line(ops_per_s, p50_ms, failed=0):
+    return json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                       "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+                                   "op_p50_ms": {"value": p50_ms, "unit": "ms"}}})
+
+
+def rows_by_name(pairs):
+    return {row["name"]: row for row in bench_pairs.summarize(pairs, END_TO_END)}
+
+
+def test_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_base_iqr():
+    base = [500.0 + i for i in range(10)]  # quartiles 501.75, 504.5, 507.25: IQR 5.5
+    wide = rows_by_name([(line(b, 2.0), line(b + 6.0, 2.0)) for b in base])["ops_per_s"]
+    assert wide["base"] == (501.75, 504.5, 507.25)
+    assert (wide["wins"], wide["pairs"], wide["claim"], wide["within_bound"]) == (10, 10, True,
+                                                                                  True)
+    narrow = rows_by_name([(line(b, 2.0), line(b + 5.0, 2.0)) for b in base])["ops_per_s"]
+    assert narrow["wins"] == 10 and not narrow["claim"]  # gap 5.0 is inside the IQR
+    eight = [(line(b, 2.0), line(b + (20.0 if i < 8 else -1.0), 2.0))
+             for i, b in enumerate(base)]
+    assert rows_by_name(eight)["ops_per_s"]["wins"] == 8
+    assert not rows_by_name(eight)["ops_per_s"]["claim"]
+
+
+def test_lower_is_better_metrics_win_by_falling():
+    pairs = [(line(500.0, 2.0 + 0.01 * i), line(500.0, 1.8 + 0.01 * i)) for i in range(10)]
+    row = rows_by_name(pairs)["op_p50_ms"]
+    assert (row["wins"], row["claim"]) == (10, True)
+    assert abs(row["relative"] - (-0.2 / 2.045)) < 1e-12
+    ops = rows_by_name(pairs)["ops_per_s"]
+    assert (ops["wins"], ops["claim"], ops["within_bound"]) == (0, False, True)  # ties
+
+
+def test_bound_compares_the_medians():
+    pairs = [(line(500.0, 2.0), line(420.0, 2.31)) for _ in range(4)]
+    rows = rows_by_name(pairs)
+    assert not rows["ops_per_s"]["within_bound"]  # 16% fewer ops per second
+    assert not rows["op_p50_ms"]["within_bound"]  # 15.5% slower
+    rows = rows_by_name([(line(500.0, 2.0), line(430.0, 2.29)) for _ in range(4)])
+    assert rows["ops_per_s"]["within_bound"] and rows["op_p50_ms"]["within_bound"]
+
+
+def test_failed_runs_are_named_and_the_table_renders():
+    pairs = [(line(500.0, 2.0), line(510.0, 1.9)), (line(501.0, 2.0), line(505.0, 1.9, 3))]
+    assert bench_pairs.failures(pairs) == ["pair 2: change failed 3 of 100 ops"]
+    text = bench_pairs.render(bench_pairs.summarize(pairs, END_TO_END))
+    # two pairs are too few for a claim, however large the gap
+    assert text.splitlines()[1].split() == ["ops_per_s", "500.5", "[499.8,", "501.2]", "507.5",
+                                            "[503.8,", "511.2]", "+1.4%", "2/2", "no", "yes"]

@@ -402,10 +402,10 @@ class TestAnalyticVerbFuzz:
         from steerq import criteria
 
         codes, grids = [], []
-        original = criteria.analytic_tensor
-        monkeypatch.setattr(criteria, "analytic_tensor",
-                            lambda theta, chis: grids.append(np.size(chis))
-                            or original(theta, chis))
+        original = criteria._werner_tensor
+        monkeypatch.setattr(criteria, "_werner_tensor",
+                            lambda c, s, chis: grids.append(np.size(chis))
+                            or original(c, s, chis))
 
         @_FUZZ
         @given(theta=_THETA, steps=_STEPS, writable=st.sampled_from([True, True, False]))
@@ -598,9 +598,9 @@ class TestSweepAndTables:
         from steerq import criteria
 
         def fail(*args):
-            raise AssertionError("analytic_tensor called")
+            raise AssertionError("_werner_tensor called")
 
-        monkeypatch.setattr(criteria, "analytic_tensor", fail)
+        monkeypatch.setattr(criteria, "_werner_tensor", fail)
         out = tmp_path / "curve.csv"
         code, stdout, err = run(capsys, "sweep", "--theta", "7.5", "--steps", str(steps),
                                 "--out", str(out))

@@ -277,6 +277,25 @@ class TestChiThreshold:
         assert crossed == (expected > 1)
         assert calls == [129, 13][:expected]
 
+    def test_scan_call_budget(self, monkeypatch):
+        # 900 thresholds as analytic_scan solves them: 822 take 2 kernel calls, 76 take 3 and
+        # 2 take 4 (the look-ahead's estimate lands on the wrong side of a midpoint)
+        from steerq import criteria
+
+        calls = []
+        original = criteria._criterion_lhs
+        monkeypatch.setattr(criteria, "_criterion_lhs",
+                            lambda p, q: calls.append(len(p)) or original(p, q))
+        thetas = np.random.default_rng(2027).uniform(0.0, math.pi / 8, 300).tolist()
+        cases = [(theta, criterion, q) for theta in thetas
+                 for criterion, q in ((SCG, 2.0), (SCG, 1.0), (LSC, None))]
+        got = [chi_threshold(theta, criterion, q, 1e-6) for theta, criterion, q in cases]
+        assert len(calls) <= 1880 and sum(calls) <= 128_859
+        monkeypatch.setattr(criteria, "_criterion_lhs", original)
+        for i in range(0, len(cases), 45):  # 20 of them against plain bisection
+            expected = bisection_threshold(*cases[i], 1e-6)
+            assert (got[i].chi.hex(), got[i].crossed) == (expected.chi.hex(), expected.crossed)
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     @pytest.mark.parametrize("theta_deg", [19.5, 21.0, 24.0, 25.5])
     def test_root_next_to_one_takes_few_kernel_calls(self, monkeypatch, theta_deg, tol):

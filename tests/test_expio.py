@@ -167,6 +167,18 @@ class TestExperimentRecord:
                                              r"counts; use more shots$"):
             simulate_record(THETA_W, 0.5, 1, seed=0)
 
+    def test_shots_must_be_an_integer(self):
+        # 2000.5 used to draw with mean 2000.5 * p and label the record shots=2000.5
+        with pytest.raises(ValueError, match=r"^shots must be a positive integer below 2\*\*53 "
+                                             r"= 9007199254740992, got 2000.5$"):
+            simulate_record(THETA_W, 0.5, 2000.5, seed=0)
+        with pytest.raises(ValueError, match=r"got 2000.0$"):
+            simulate_record(THETA_W, 0.5, 2000.0, seed=0)
+        for shots in (2000, np.int64(2000), np.uint16(2000)):
+            rec = simulate_record(THETA_W, 0.5, shots, seed=0)
+            assert rec.label.endswith("shots=2000, seed=0)")
+            assert rec.counts.tolist() == simulate_record(THETA_W, 0.5, 2000, 0).counts.tolist()
+
 
 class TestEvaluateRecord:
     def test_bell_counts(self):
@@ -271,6 +283,16 @@ class TestEvaluateRecord:
         for bad in (1, MAX_BOOTSTRAP + 1, 10**12):
             with pytest.raises(ValueError, match="bootstrap resample count"):
                 evaluate_record(rec, bootstrap=bad)
+
+    def test_bootstrap_must_be_an_integer(self):
+        # a float used to escape from range() as a TypeError
+        rec = parse_counts_csv(uniform_csv())
+        for bad in (1000.5, 1000.0):
+            with pytest.raises(ValueError, match=rf"^bootstrap resample count must be in "
+                                                 rf"\[2, {MAX_BOOTSTRAP}\], got {bad}$"):
+                evaluate_record(rec, bootstrap=bad)
+        assert (report_to_json(evaluate_record(rec, bootstrap=np.int32(50)))
+                == report_to_json(evaluate_record(rec, bootstrap=50)))
 
     def test_estimate_within_three_error_bars(self):
         chi = 0.74
@@ -514,6 +536,28 @@ class TestSweepCurve:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             sweep_curve(THETA_W, 1)
+
+    def test_steps_must_be_an_integer(self):
+        # a float used to escape from np.linspace as a TypeError
+        for bad in (101.0, 2.5):
+            with pytest.raises(ValueError, match=rf"^chi_steps must be in \[2, "
+                                                 rf"{expio.MAX_SWEEP_STEPS}\], got {bad}$"):
+                sweep_curve(THETA_W, bad)
+        assert sweep_curve(THETA_W, np.int64(11)).tobytes() == sweep_curve(THETA_W, 11).tobytes()
+
+    def test_checks_theta_alone_never_the_linspace_grid(self, monkeypatch):
+        # linspace(0, 1, n) lies in [0, 1], so only theta needs its check
+        cases = [(math.radians(deg), steps) for deg in (0.0, 7.5, 22.5) for steps in (2, 101)]
+        expected = [sweep_curve(theta, steps).tobytes() for theta, steps in cases]
+
+        def fail(*args):
+            raise AssertionError("werner_like_parameters called")
+
+        monkeypatch.setattr(criteria, "werner_like_parameters", fail)
+        assert [sweep_curve(theta, steps).tobytes() for theta, steps in cases] == expected
+        with pytest.raises(ValueError, match=r"^theta=nan \(nan deg\) outside \[0, pi/4\] "
+                                             r"\(\[0, 45\] deg\)$"):
+            sweep_curve(math.nan, 11)
 
     @pytest.mark.parametrize("steps", [2, 3, 101, 1001])  # the bound columns are constant
     @pytest.mark.parametrize("theta_deg", [0.0, 7.5, 22.5])
