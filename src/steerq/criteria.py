@@ -105,10 +105,17 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
 
 def rows_values(p: np.ndarray, rows: Sequence[Criterion]) -> dict[str, np.ndarray]:
     """criterion_values of (..., 3, 2, 2) tables over criteria_of rows, checking nothing again."""
-    return {c.key: _criterion_lhs(p, c.q) for c in rows}
+    marginals = _alice_marginal(p)  # once for every SCG row
+    return {c.key: _criterion_lhs(p, c.q, marginals) for c in rows}
 
 
-def _criterion_lhs(p: np.ndarray, q: Optional[float]) -> np.ndarray:
+def _alice_marginal(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    marginal = p[..., 0] + p[..., 1]  # p_i0 + p_i1, and its zero-safe form (1.0 where 0)
+    return marginal, np.where(marginal > 0.0, marginal, 1.0)
+
+
+def _criterion_lhs(p: np.ndarray, q: Optional[float],
+                   marginals: Optional[tuple] = None) -> np.ndarray:
     """One criterion on (..., 3, 2, 2) tables: SCG at a checked q, or LSC when q is None.
 
     SCG is (1/(q-1)) sum_k [1 - sum_ij p_ij^q / p_i^(q-1)] with Alice's marginal p_i, the
@@ -117,13 +124,12 @@ def _criterion_lhs(p: np.ndarray, q: Optional[float]) -> np.ndarray:
     settings is a chain of slice adds in np.sum's order, so a stack gets the same bits in
     any batch.  Cells must be +-0.0 or at least the smallest normal float, as analytic_tensor
     and count frequencies give: then 0^q times the finite m^(1-q) is +0.0, so only the
-    Shannon branch (log 0) masks zeros.
+    Shannon branch (log 0) masks zeros.  marginals is _alice_marginal(p) when the caller has it.
     """
     if q is None:
         squares = correlations(p) ** 2
         return np.sqrt((squares[..., 0] + squares[..., 1]) + squares[..., 2])
-    marginal = p[..., 0] + p[..., 1]
-    safe_m = np.where(marginal > 0.0, marginal, 1.0)
+    marginal, safe_m = marginals or _alice_marginal(p)
     if qentropy.is_shannon(q):  # H(A, B) - H(A) = sum m ln m - sum p ln p per setting
         marginal_h = marginal * np.log(safe_m)
         v = ((marginal_h[..., 0] + marginal_h[..., 1])

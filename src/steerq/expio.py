@@ -221,7 +221,8 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
                          f"got {bootstrap}")
     rows = criteria.criteria_of(qs)  # checks qs before the draws
     rng = spawn_generator(seed, BOOTSTRAP_STREAM)
-    blocks = []
+    columns = np.empty((len(rows), bootstrap + 1))  # one row per criterion, observed first
+    filled = 0
     for start in range(0, bootstrap, BOOTSTRAP_CHUNK):
         size = min(BOOTSTRAP_CHUNK, bootstrap - start)
         draws = rng.poisson(lam=rec.counts, size=(size, 3, 2, 2))
@@ -232,21 +233,23 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
         if not nonempty.all():  # never row 0: a record has counts in every setting
             usable = nonempty.all(axis=1)
             draws, totals = draws[usable], totals[usable]
-        p = draws / totals[..., np.newaxis, np.newaxis]
+        # cell-major n_kij / N_k: each p[..., i, j] is one contiguous row of the (4, 3n) quotient
+        p = np.divide(draws.reshape(-1, 4).T, totals.reshape(-1), order="C").T.reshape(draws.shape)
         if start == 0:
             observed, observed_totals = p[0], totals[0]
-        blocks.append(np.stack(list(criteria.rows_values(p, rows).values())))
+        for column, values in zip(columns, criteria.rows_values(p, rows).values()):
+            column[filled:filled + len(p)] = values
+        filled += len(p)
     keys = [c.key for c in rows]
-    columns = np.concatenate(blocks, axis=1)  # one row per criterion, observed first
-    usable = columns.shape[1] - 1
+    usable = filled - 1
     if usable < 2:
         raise ValueError(f"bootstrap: {usable} of {bootstrap} requested resamples have counts "
                          "in every setting, at least 2 are needed; the counts are too small "
                          "for error bars")
-    bars = np.std(columns[:, 1:], axis=1, ddof=1)
+    bars = np.std(columns[:, 1:filled], axis=1, ddof=1)
     return _report(rec.label, observed, rows, dict(zip(keys, columns[:, 0])),
                    dict(zip(keys, bars.tolist())),
-                   dict(zip(AXES, observed_totals.tolist())), seed)
+                   dict(zip(AXES, observed_totals.tolist())), int(seed))
 
 
 def evaluate_state(theta: float, chi: float,

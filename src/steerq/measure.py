@@ -17,9 +17,10 @@ AXES = ("x", "y", "z")  # the Pauli settings, in the order of the tensor axis k
 
 
 def spawn_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """PCG64 generator for the (seed, stream) pair."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream index must be non-negative")
+    """PCG64 generator for the (seed, stream) pair of non-negative integers."""
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed, stream)):
+        raise ValueError("seed and stream index must be non-negative integers, "
+                         f"got seed {seed!r} and stream {stream!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
@@ -30,7 +31,8 @@ def correlations(p: np.ndarray) -> np.ndarray:
 
 def table_totals(t: np.ndarray) -> np.ndarray:
     """Per-table sums ((t00 + t01) + t10) + t11 of a (..., 2, 2) stack, in np.sum's order, as
-    slice adds: np.sum(axis=(-2, -1)) takes 82 vs 12 us on (1001, 3, 2, 2), 11 vs 6 us on 129."""
+    slice adds: np.sum(axis=(-2, -1)) takes 64 vs 10 us on C-ordered (1001, 3, 2, 2), 11 vs 4
+    us on 129 (timeit, one core of a shared Xeon)."""
     return ((t[..., 0, 0] + t[..., 0, 1]) + t[..., 1, 0]) + t[..., 1, 1]
 
 

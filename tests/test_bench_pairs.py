@@ -61,3 +61,32 @@ def test_failed_runs_are_named_and_the_table_renders():
     # two pairs are too few for a claim, however large the gap
     assert text.splitlines()[1].split() == ["ops_per_s", "500.5", "[499.8,", "501.2]", "507.5",
                                             "[503.8,", "511.2]", "+1.4%", "2/2", "no", "yes"]
+
+
+def test_workload_list_prints_one_table_per_workload(monkeypatch, capsys, tmp_path):
+    # run_once is patched: no benchmark runs, each side returns a fixed line per workload
+    names = [spec["name"] for spec in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    ops = {"counts_eval": 500.0, "analytic_scan": 400.0}
+    runs = []
+
+    def canned(tree, workload, seed, seconds):
+        side = "change" if tree == ROOT else "base"
+        runs.append((side, workload, seed, seconds))
+        value = ops[workload] * (1.1 if side == "change" else 1.0)
+        return json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                           "metrics": {name: {"value": value} for name in names}})
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    assert bench_pairs.main(["--base", str(tmp_path), "--workload", "counts_eval,analytic_scan",
+                             "--seed", "3", "--seconds", "0.5", "--pairs", "2"]) == 0
+    # each workload's pairs alternate which side runs first
+    assert runs == [(side, workload, 3, 0.5) for workload in ops
+                    for side in ("base", "change", "change", "base")]
+    tables = capsys.readouterr().out.split("\n\n")
+    assert [table.splitlines()[0] for table in tables] == [
+        "counts_eval, seed 3, 0.5 s runs, 2 pairs", "analytic_scan, seed 3, 0.5 s runs, 2 pairs"]
+    for table, base in zip(tables, ops.values()):
+        ops_row = table.splitlines()[2].split()
+        assert ops_row[0] == "ops_per_s" and ops_row[1] == f"{base:.4g}"
+        assert ops_row[4] == f"{base * 1.1:.4g}" and ops_row[7:9] == ["+10.0%", "2/2"]

@@ -524,6 +524,56 @@ class TestBatchInvariance:
             self.check(grid)
 
 
+class TestLayoutInvariance:
+    """The kernel's bits do not depend on how the tables lie in memory.
+
+    The bootstrap hands the kernel cell-major tables (each p[..., i, j] one contiguous row);
+    they, tables with reversed stride order (Fortran order) and a strided view give the
+    C-ordered tables' bits, at both Shannon-routed neighbours of q = 1 too, and rows_values
+    with its one Alice marginal gives each row's own _criterion_lhs bits.  Strides stay
+    positive: numpy's vectorised power runs on those only, and rounds a few q = 1.5 cells
+    differently from its scalar loop.
+    """
+
+    # 1 +- 5e-10 share q = 1's report key, so each rides in a set of its own
+    QSETS = [(2.0, 1.0, 0.5, 1.5, 0.1), (1.0 + 5e-10,), (1.0 - 5e-10, 2.0)]
+
+    @staticmethod
+    def layouts(p):
+        cell_major = np.asarray(p.reshape(-1, 4).T, order="C").T.reshape(p.shape)
+        reversed_order = np.asfortranarray(p)
+        assert cell_major[..., 1, 0].flags.c_contiguous and reversed_order.flags.f_contiguous
+        return cell_major, reversed_order, np.repeat(p, 2, axis=0)[::2]
+
+    def check(self, p, qs):
+        from steerq import criteria
+
+        p = np.ascontiguousarray(p)
+        rows = criteria_of(qs)
+        want = criterion_values(p, qs)
+        for layout in self.layouts(p):
+            assert np.array_equal(layout, p)
+            got = criterion_values(layout, qs)
+            each = {c.key: criteria._criterion_lhs(layout, c.q) for c in rows}
+            for key, value in criteria.rows_values(layout, rows).items():
+                assert_same_bits(got[key], want[key])
+                assert_same_bits(value, want[key])
+                assert_same_bits(each[key], want[key])
+
+    @pytest.mark.parametrize("qs", QSETS)
+    def test_poisson_blocks(self, poisson_blocks, qs):
+        assert any(np.any(block == 0.0) for block in poisson_blocks)
+        for block in poisson_blocks:
+            self.check(block, qs)
+
+    @pytest.mark.parametrize("qs", QSETS)
+    def test_analytic_grids_and_a_stack_of_stacks(self, qs):
+        grids = analytic_grids()
+        for grid in grids[::6]:  # theta = 0 holds zero cells, chi = 1 deterministic settings
+            self.check(grid, qs)
+        self.check(np.stack(grids[:4]), qs)
+
+
 class TestAnalyticTensor:
     """The closed-form Werner-like tables against one-state joint_tensor, bit for bit."""
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,18 @@ class TestEvaluateRecord:
         assert [c.error_bar for c in a.criteria] == [c.error_bar for c in b.criteria]
         c = evaluate_record(rec, bootstrap=400, seed=10)
         assert a.criteria[0].error_bar != c.criteria[0].error_bar
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_rejects_non_integer_seed_naming_it(self, seed):
+        rec = simulate_record(THETA_W, 0.5, 2000, seed=3)
+        with pytest.raises(ValueError, match=re.escape(f"got seed {seed!r} and stream 3")):
+            evaluate_record(rec, seed=seed)
+
+    def test_numpy_integer_seed_reports_as_its_int(self):
+        rec = simulate_record(THETA_W, 0.5, 2000, seed=3)
+        rep = evaluate_record(rec, bootstrap=50, seed=np.uint64(9))
+        assert rep == evaluate_record(rec, bootstrap=50, seed=9)
+        assert type(rep.seed) is int and json.loads(report_to_json(rep))["seed"] == 9
 
     def test_bootstrap_chunks_match_one_pass(self, monkeypatch):
         rec = simulate_record(THETA_T, 0.7, 3_000, seed=4)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ class TestSimulateCounts:
                 simulate_record(math.pi / 8, 0.5, shots, seed=1)
         with pytest.raises(ValueError):
             spawn_generator(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4", None])
+    def test_rejects_non_integer_seed_naming_it(self, seed):
+        # not numpy's TypeError from SeedSequence: a ValueError that names the seed
+        with pytest.raises(ValueError, match=re.escape(f"got seed {seed!r} and stream 0")):
+            simulate_record(math.pi / 8, 0.5, 2000, seed=seed)
+        with pytest.raises(ValueError, match=re.escape(f"got seed 1 and stream {seed!r}")):
+            spawn_generator(1, seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        a = simulate_record(math.pi / 8, 0.5, 2000, seed=np.int64(7))
+        assert np.array_equal(a.counts, simulate_record(math.pi / 8, 0.5, 2000, seed=7).counts)
+        assert a.label.endswith("seed=7)")
 
     def test_rejects_shots_at_count_bound_before_drawing(self, monkeypatch):
         from steerq import expio

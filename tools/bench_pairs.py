@@ -7,6 +7,9 @@ speed falls on both sides alike:
     python tools/bench_pairs.py --base /path/to/parent/checkout --workload analytic_scan \\
         --seed 37 --seconds 8 --pairs 10
 
+``--workload`` also takes a comma-separated list (``counts_eval,analytic_scan``): the
+workloads run one after another, each with its own pairs, and each gets its own table.
+
 For each end-to-end metric in this tree's ``BENCHMARK.json`` it prints both sides' median
 and quartiles, the change of the medians, and how many pairs this tree won.  A gain is
 claimed for a metric when this tree wins at least 9 pairs in 10 (of 10 or more pairs) and
@@ -98,23 +101,27 @@ def render(rows: list[dict]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="base tree to compare with")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="workload name, or a comma-separated list of them")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    trees, pairs = {"base": args.base.resolve(), "change": ROOT}, []
-    for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        lines = {side: run_once(trees[side], args.workload, args.seed, args.seconds)
-                 for side in order}
-        pairs.append((lines["base"], lines["change"]))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs")
-    print(render(summarize(pairs, end_to_end)))
-    for line in failures(pairs):
-        print(line)
+    trees = {"base": args.base.resolve(), "change": ROOT}
+    for n, workload in enumerate(args.workload.split(",")):
+        pairs = []
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            lines = {side: run_once(trees[side], workload, args.seed, args.seconds)
+                     for side in order}
+            pairs.append((lines["base"], lines["change"]))
+            print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        print("\n" * (n > 0) + f"{workload}, seed {args.seed}, {args.seconds:g} s runs, "
+              f"{args.pairs} pairs")
+        print(render(summarize(pairs, end_to_end)))
+        for line in failures(pairs):
+            print(line)
     return 0
 
 

@@ -10,7 +10,9 @@ that ``diff -r`` between the dumps of two trees names every byte that moved:
 
 The cases are the sweep, threshold and eval-state grids below over 66
 thetas, out-of-range inputs for each, seeded simulate/eval pairs, tables,
-and eval with a good or bad q list on a missing or malformed counts file.
+eval with a good or bad q list on a missing or malformed counts file, and
+the bootstrap's block paths: the default 1000 resamples, 4097 resamples
+(two blocks) and a sparse record whose resamples leave a setting empty.
 Only the standard library and numpy are used.
 """
 
@@ -40,6 +42,12 @@ SWEEP_STEPS = ("2", "11", "101", "1001")
 SIMULATE_CASES = 20
 MALFORMED_COUNTS_PATH = "malformed.csv"  # written into the working directory before the cases
 MALFORMED_COUNTS = "setting,outcome,count\nx,00,5\nx,01,5\n"  # ten rows missing
+# the record `simulate --theta 30 --chi 0.9 --shots 4 --seed 2` writes; eval at seed 0 drops
+# 68 of its 1000 resamples for an empty setting
+SPARSE_COUNTS_PATH = "sparse.csv"
+SPARSE_COUNTS = "\n".join(["setting,outcome,count", "x,00,1", "x,01,1", "x,10,0", "x,11,1",
+                           "y,00,1", "y,01,2", "y,10,1", "y,11,0",
+                           "z,00,2", "z,01,0", "z,10,0", "z,11,3"]) + "\n"
 INVALID = [
     ["eval-state", "--theta", theta, "--chi", chi]
     for theta, chi in (("-1", "0.5"), ("45.1", "0.5"), ("45.0000000001146", "0.5"),
@@ -55,6 +63,11 @@ INVALID = [
 ] + [
     ["eval", "--counts", counts, "--q", q]  # a bad q list is reported before the file's fault
     for counts in ("missing.csv", MALFORMED_COUNTS_PATH) for q in ("7", "2,1")
+]
+BOOTSTRAP_BLOCKS = [  # counts.csv is the last simulate case's record
+    ["eval", "--counts", "counts.csv", "--seed", "7"],  # the default 1000 resamples, one block
+    ["eval", "--counts", "counts.csv", "--bootstrap", "4097", "--seed", "8"],  # two blocks
+    ["eval", "--counts", SPARSE_COUNTS_PATH, "--seed", "0"],  # dropped resamples
 ]
 
 
@@ -77,7 +90,7 @@ def cases() -> list[list[str]]:
         out.append(["eval", "--counts", "counts.csv", "--q", ("2,1", "0.5,1.5,2")[i % 2],
                     "--bootstrap", "200", "--seed", seed])
     out += [["tables"], ["tables", "--out", "tables.txt"]]
-    return out + INVALID
+    return out + INVALID + BOOTSTRAP_BLOCKS
 
 
 def run_case(cli_main, argv: list[str]) -> str:
@@ -120,6 +133,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # relative --out paths keep "wrote <path>" lines tree-independent
         Path(MALFORMED_COUNTS_PATH).write_text(MALFORMED_COUNTS, encoding="utf-8")
+        Path(SPARSE_COUNTS_PATH).write_text(SPARSE_COUNTS, encoding="utf-8")
         try:
             for idx, case in enumerate(all_cases):
                 name = f"{idx:04d}_{case[0]}.txt"
