@@ -122,7 +122,8 @@ def _criterion_lhs(p: np.ndarray, q: Optional[float],
     summed Shannon conditional entropies at q = 1; LSC is the norm of the same-axis
     correlations.  Powers and logs are elementwise and each sum over cells, outcomes or
     settings is a chain of slice adds in np.sum's order, so a stack gets the same bits in
-    any batch.  Cells must be +-0.0 or at least the smallest normal float, as analytic_tensor
+    any batch and any layout with positive strides (numpy's AVX-512 power loop takes only
+    those).  Cells must be +-0.0 or at least the smallest normal float, as analytic_tensor
     and count frequencies give: then 0^q times the finite m^(1-q) is +0.0, so only the
     Shannon branch (log 0) masks zeros.  marginals is _alice_marginal(p) when the caller has it.
     """

@@ -358,13 +358,6 @@ class ComparisonRow:
 class TableComparison:
     rows: tuple[ComparisonRow, ...]
 
-    @property
-    def max_deviation(self) -> float:
-        return max(row.deviation for row in self.rows)
-
-    def count_within(self, tol: float) -> int:
-        return sum(1 for row in self.rows if row.deviation <= tol)
-
 
 def reproduce_tables() -> TableComparison:
     """Analytic predictions next to the reference measurements, row by row."""

@@ -1,7 +1,7 @@
 """Pauli measurement statistics on two-qubit states.
 
-The X, Y, Z mutually unbiased settings, same-axis correlations, per-table
-totals, and relative frequencies of count tables.
+The X, Y, Z mutually unbiased settings, same-axis correlations and per-table
+totals.
 
 Reproducibility: every stochastic routine draws from a PCG64 generator keyed
 by ``SeedSequence((seed, stream))``.  Distinct stream indices under one master
@@ -35,12 +35,3 @@ def table_totals(t: np.ndarray) -> np.ndarray:
     us on 129 (timeit, one core of a shared Xeon)."""
     return ((t[..., 0, 0] + t[..., 0, 1]) + t[..., 1, 0]) + t[..., 1, 1]
 
-
-def frequencies(counts: np.ndarray) -> np.ndarray:
-    """Relative frequencies n_ij / total of a (..., 2, 2) stack of count tables.
-
-    Every table must have a positive total; a validated ExperimentRecord
-    guarantees it, so the result is not checked again.
-    """
-    counts = np.asarray(counts)
-    return counts / table_totals(counts)[..., np.newaxis, np.newaxis]

@@ -283,7 +283,8 @@ def reference_criterion_values(p: np.ndarray, qs) -> dict:
 
 
 def reference_frequencies(counts: np.ndarray) -> np.ndarray:
-    """measure.frequencies as float counts over an einsum total."""
+    """n_ij / N of a (..., 2, 2) count stack as float counts over an einsum total: the bits of
+    evaluate_record's cell-major divide, since every total below 2**53 is exact."""
     counts = np.asarray(counts, dtype=float)
     return counts / np.einsum("...ij->...", counts)[..., np.newaxis, np.newaxis]
 
@@ -339,3 +340,13 @@ def reference_report_to_json(report: EvaluationReport) -> str:
         "seed": report.seed,
     }
     return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def cpu_tier() -> str:
+    """The tier of numpy's vector loops that the golden digests are keyed by: "libm" when
+    np.log rounds as math.log on a fixed grid, as numpy's AVX2 and baseline loops do, and
+    "avx512" when it does not, as its AVX-512 loops (up to 1 ulp off; 9 of these 20000
+    points on an AVX-512 Xeon).  NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"
+    selects the libm tier there."""
+    x = np.linspace(0.01, 100.0, 20_000)
+    return "libm" if np.log(x).tolist() == [math.log(v) for v in x.tolist()] else "avx512"

@@ -6,9 +6,9 @@ import pytest
 
 from helpers import (BELL_CORRELATIONS, assert_same_bits, bisection_threshold, joint_tensor,
                      mub_bound, random_bell_diagonal, random_density, reference_criterion_values,
-                     scg, scg_lhs_entropic, shannon_bound, werner_tables)
+                     reference_frequencies, scg, scg_lhs_entropic, shannon_bound, werner_tables)
 from steerq import (LSC, SCG, SolverError, analytic_tensor, chi_threshold, correlations,
-                    criterion_values, frequencies, make_werner_like, scg_bound, verdict)
+                    criterion_values, make_werner_like, scg_bound, verdict)
 from steerq.criteria import criteria_of, scg_key
 
 
@@ -462,7 +462,7 @@ def poisson_blocks():
             means[seed % 3, 1] = 0
         draws = rng.poisson(lam=means, size=(200, 3, 2, 2))
         draws = draws[np.all(draws.sum(axis=(-1, -2)) >= 1, axis=1)]
-        blocks.append(frequencies(draws))
+        blocks.append(reference_frequencies(draws))
     deterministic = np.zeros((4, 3, 2, 2))
     for i in range(4):
         deterministic[i, :, i // 2, i % 2] = 1.0

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import checked_table as table
-from helpers import I2, PAULIS, PROJECTORS, joint_tensor, random_density
-from steerq import (AXES, DensityMatrix, ExperimentRecord, correlations, frequencies,
+from helpers import I2, PAULIS, PROJECTORS, joint_tensor, random_density, reference_frequencies
+from steerq import (AXES, DensityMatrix, ExperimentRecord, correlations, evaluate_record,
                     make_werner_like, simulate_record, spawn_generator)
 from steerq.criteria import analytic_tensor
 
@@ -174,17 +174,23 @@ class TestSimulateCounts:
 
 
 class TestEstimateDistribution:
-    """frequencies on count stacks, and the ExperimentRecord checks it relies on."""
+    """evaluate_record's n_ij / N_k, and the ExperimentRecord checks it relies on."""
+
+    @staticmethod
+    def probabilities(counts) -> np.ndarray:
+        rep = evaluate_record(ExperimentRecord("r", counts), bootstrap=100, seed=1)
+        return np.array([rep.probabilities[axis] for axis in AXES]).reshape(3, 2, 2)
 
     def test_exact_ratios(self):
-        assert np.array_equal(frequencies(np.full((2, 2), 250)), np.full((2, 2), 0.25))
+        assert np.array_equal(self.probabilities(np.full((3, 2, 2), 250)),
+                              np.full((3, 2, 2), 0.25))
         counts = np.array([[[500, 0], [0, 500]], [[1, 3], [0, 0]], [[2, 2], [2, 2]]])
         expected = [[[0.5, 0], [0, 0.5]], [[0.25, 0.75], [0, 0]], [[0.25] * 2] * 2]
-        assert np.array_equal(frequencies(counts), expected)
-        counts = np.random.default_rng(4).integers(1, 1000, size=(5, 3, 2, 2))
-        p = frequencies(counts)
-        for idx in np.ndindex(5, 3):
-            assert np.array_equal(p[idx], counts[idx] / counts[idx].sum())
+        assert np.array_equal(self.probabilities(counts), expected)
+        for counts in np.random.default_rng(4).integers(1, 1000, size=(5, 3, 2, 2)):
+            p = self.probabilities(counts)
+            for k in range(3):
+                assert np.array_equal(p[k], counts[k] / counts[k].sum())
 
     def test_empty_record_rejected(self):
         counts = np.ones((3, 2, 2), dtype=int)
@@ -205,6 +211,6 @@ class TestEstimateDistribution:
         errors = {}
         for n in (1_000, 100_000):
             rec = simulate_record(theta, chi, n, seed=77)
-            errors[n] = np.max(np.abs(frequencies(rec.counts) - p))
+            errors[n] = np.max(np.abs(reference_frequencies(rec.counts) - p))
         assert errors[100_000] < errors[1_000]
         assert errors[100_000] < 0.01

@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import I2, PAULIS, joint_tensor, scg, scg_lhs_entropic, werner_tables
-from steerq import (correlations, evaluate_record, frequencies, parse_counts_csv,
-                    report_to_json, serialize_counts_csv)
+from helpers import (I2, PAULIS, joint_tensor, reference_frequencies, scg, scg_lhs_entropic,
+                     werner_tables)
+from steerq import (correlations, evaluate_record, parse_counts_csv, report_to_json,
+                    serialize_counts_csv)
 from steerq.criteria import analytic_tensor, criteria_of, criterion_values
 from steerq.expio import COUNT_LIMIT, ExperimentRecord
 
@@ -55,7 +56,7 @@ def sparse_count_tensors(draw):
 @settings(PROPERTY, max_examples=300)
 @given(counts=sparse_count_tensors())
 def test_kernel_matches_entropic_route_on_counts(counts):
-    p = frequencies(counts)
+    p = reference_frequencies(counts)
     for q in (2.0, 1.5, 1.0 + 5e-10, 1.0, 1.0 - 5e-10, 0.5):  # 1 +- 5e-10 share q = 1's key
         assert abs(scg(p, q) - scg_lhs_entropic(p, q)) <= 1e-12
 
