@@ -126,16 +126,6 @@ def _cmd_tables(args) -> str:
     return expio.comparison_to_text(expio.reproduce_tables())
 
 
-def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, OSError):
-        return EXIT_IO
-    if isinstance(exc, ArithmeticError):  # includes SolverError
-        return EXIT_NUMERIC
-    if isinstance(exc, ValueError):
-        return EXIT_INPUT
-    raise exc
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -147,6 +137,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 handle.write(text)
             print(f"wrote {args.out}")
         return EXIT_OK
-    except (OSError, ArithmeticError, ValueError) as exc:
+    except (OSError, ArithmeticError, ValueError) as exc:  # SolverError is an ArithmeticError
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        if isinstance(exc, OSError):  # first: io.UnsupportedOperation is also a ValueError
+            return EXIT_IO
+        return EXIT_NUMERIC if isinstance(exc, ArithmeticError) else EXIT_INPUT

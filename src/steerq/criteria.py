@@ -67,7 +67,8 @@ def scg_key(q: float) -> str:
 def scg_bound(q: float) -> float:
     """SCG bound for qubits in three MUBs: 3 ln_q(3/2), or the parity bound 2 ln 2 at q = 1."""
     q = _check_q_range(q)
-    return 2.0 * math.log(2.0) if qentropy.is_shannon(q) else 3 * qentropy._ln_q(1.5, q)
+    return (2.0 * math.log(2.0) if qentropy.is_shannon(q)
+            else 3 * ((1.5 ** (1.0 - q) - 1.0) / (1.0 - q)))  # ln_q(x) = (x^(1-q) - 1)/(1 - q)
 
 
 class Criterion(NamedTuple):
@@ -247,9 +248,8 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     q, bound = (None, LSC_BOUND) if criterion == LSC else (float(q), scg_bound(q))
     c, s = _werner_angle(theta)  # the first batch is a constant grid in [0, 1]
 
-    def f(chis) -> np.ndarray:  # above 0 where violated: (lhs - bound) * _VIOLATION_SIGN
-        lhs = _criterion_lhs(_werner_tensor(c, s, chis), q)
-        return lhs - bound if q is None else bound - lhs
+    def f(chis) -> np.ndarray:  # above 0 where violated
+        return (_criterion_lhs(_werner_tensor(c, s, chis), q) - bound) * _VIOLATION_SIGN[criterion]
 
     values = f(_FIRST_BATCH)
     diffs = values[1:] - values[:-1]

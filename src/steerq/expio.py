@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria
-from .measure import AXES, spawn_generator, table_totals
+from .measure import AXES, is_int, spawn_generator, table_totals
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 _CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
@@ -216,7 +216,7 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
     block as row 0, and the report reads its probabilities, totals and values from that row.
     Resamples with an empty setting are dropped; fewer than two left is an error.
     """
-    if not (isinstance(bootstrap, (int, np.integer)) and 2 <= bootstrap <= MAX_BOOTSTRAP):
+    if not (is_int(bootstrap) and 2 <= bootstrap <= MAX_BOOTSTRAP):
         raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
                          f"got {bootstrap}")
     rows = criteria.criteria_of(qs)  # checks qs before the draws
@@ -270,7 +270,7 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
     """
     c, s, chi = criteria.single_chi(theta, chi, "simulate_record")
     p = criteria._werner_tensor(c, s, chi)[0]
-    if not (isinstance(shots, (int, np.integer)) and 1 <= shots < COUNT_LIMIT):
+    if not (is_int(shots) and 1 <= shots < COUNT_LIMIT):
         raise ValueError(f"shots must be a positive integer below 2**53 = {COUNT_LIMIT}, "
                          f"got {shots}")
     counts = np.stack([spawn_generator(seed, k).poisson(lam=shots * p[k])
@@ -290,7 +290,7 @@ def simulate_record(theta: float, chi: float, shots: int, seed: int) -> Experime
 def sweep_curve(theta: float, chi_steps: int) -> np.ndarray:
     """Analytic criterion curves on a uniform chi grid, in CURVE_CSV_HEADER's columns:
     chi, the lhs of each DEFAULT_CRITERIA row, then their bounds."""
-    if not (isinstance(chi_steps, (int, np.integer)) and 2 <= chi_steps <= MAX_SWEEP_STEPS):
+    if not (is_int(chi_steps) and 2 <= chi_steps <= MAX_SWEEP_STEPS):
         raise ValueError(f"chi_steps must be in [2, {MAX_SWEEP_STEPS}], got {chi_steps}")
     chis = np.linspace(0.0, 1.0, chi_steps)  # in [0, 1]: theta alone needs its check
     values = criteria.rows_values(criteria._werner_tensor(*criteria._werner_angle(theta), chis),

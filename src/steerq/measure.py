@@ -1,7 +1,7 @@
 """Pauli measurement statistics on two-qubit states.
 
-The X, Y, Z mutually unbiased settings, same-axis correlations and per-table
-totals.
+The X, Y, Z mutually unbiased settings, same-axis correlations, per-table totals
+and is_int, the one integer check of seeds, streams, shots and resample or grid sizes.
 
 Reproducibility: every stochastic routine draws from a PCG64 generator keyed
 by ``SeedSequence((seed, stream))``.  Distinct stream indices under one master
@@ -16,9 +16,14 @@ import numpy as np
 AXES = ("x", "y", "z")  # the Pauli settings, in the order of the tensor axis k
 
 
+def is_int(v) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def spawn_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """PCG64 generator for the (seed, stream) pair of non-negative integers."""
-    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed, stream)):
+    if not all(is_int(v) and v >= 0 for v in (seed, stream)):
         raise ValueError("seed and stream index must be non-negative integers, "
                          f"got seed {seed!r} and stream {stream!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steerq.cli import (EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
-                        exit_code_for, main)
+from steerq import criteria
+from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from steerq.criteria import SolverError, chi_threshold
 from steerq.expio import (MAX_BOOTSTRAP, MAX_SWEEP_STEPS, CountsFormatError,
                           parse_counts_csv)
@@ -399,8 +399,6 @@ class TestAnalyticVerbFuzz:
         self.assert_both_outcomes(codes)
 
     def test_sweep(self, tmp_path, monkeypatch):
-        from steerq import criteria
-
         codes, grids = [], []
         original = criteria._werner_tensor
         monkeypatch.setattr(criteria, "_werner_tensor",
@@ -595,8 +593,6 @@ class TestSweepAndTables:
     @pytest.mark.parametrize("steps", [10**5 + 1, 10**18])
     def test_steps_beyond_cap_rejected_before_evaluating(self, tmp_path, capsys,
                                                          monkeypatch, steps):
-        from steerq import criteria
-
         def fail(*args):
             raise AssertionError("_werner_tensor called")
 
@@ -634,11 +630,18 @@ class TestSweepAndTables:
 
 
 class TestExitCodes:
-    def test_mapping(self):
-        assert exit_code_for(FileNotFoundError("x")) == EXIT_IO
-        assert exit_code_for(SolverError("x")) == EXIT_NUMERIC
-        assert exit_code_for(CountsFormatError("x")) == EXIT_INPUT
-        assert exit_code_for(ValueError("x")) == EXIT_INPUT
+    def test_mapping(self, monkeypatch, capsys):
+        # io.UnsupportedOperation is an OSError and a ValueError: the OSError test comes first
+        cases = [(FileNotFoundError, EXIT_IO), (io.UnsupportedOperation, EXIT_IO),
+                 (SolverError, EXIT_NUMERIC), (CountsFormatError, EXIT_INPUT),
+                 (ValueError, EXIT_INPUT)]
+        for error, expected in cases:
+            def fail(*args, **kwargs):
+                raise error("x")
+
+            monkeypatch.setattr(criteria, "chi_threshold", fail)
+            code, out, err = run(capsys, "threshold", "--theta", "7.5")
+            assert (code, out, err) == (expected, "", "error: x\n"), error
 
 
 class TestModuleEntryPoint:

@@ -169,12 +169,14 @@ class TestExperimentRecord:
             simulate_record(THETA_W, 0.5, 1, seed=0)
 
     def test_shots_must_be_an_integer(self):
-        # 2000.5 used to draw with mean 2000.5 * p and label the record shots=2000.5
+        # 2000.5 used to draw with mean 2000.5 * p and label the record shots=2000.5, and
+        # True a 1-shot record labelled shots=True
         with pytest.raises(ValueError, match=r"^shots must be a positive integer below 2\*\*53 "
                                              r"= 9007199254740992, got 2000.5$"):
             simulate_record(THETA_W, 0.5, 2000.5, seed=0)
-        with pytest.raises(ValueError, match=r"got 2000.0$"):
-            simulate_record(THETA_W, 0.5, 2000.0, seed=0)
+        for bad in (2000.0, True, False):
+            with pytest.raises(ValueError, match=rf"got {bad}$"):
+                simulate_record(THETA_W, 0.5, bad, seed=0)
         for shots in (2000, np.int64(2000), np.uint16(2000)):
             rec = simulate_record(THETA_W, 0.5, shots, seed=0)
             assert rec.label.endswith("shots=2000, seed=0)")
@@ -211,7 +213,7 @@ class TestEvaluateRecord:
         c = evaluate_record(rec, bootstrap=400, seed=10)
         assert a.criteria[0].error_bar != c.criteria[0].error_bar
 
-    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, False])  # True used to seed as 1
     def test_rejects_non_integer_seed_naming_it(self, seed):
         rec = simulate_record(THETA_W, 0.5, 2000, seed=3)
         with pytest.raises(ValueError, match=re.escape(f"got seed {seed!r} and stream 3")):
@@ -300,7 +302,7 @@ class TestEvaluateRecord:
     def test_bootstrap_must_be_an_integer(self):
         # a float used to escape from range() as a TypeError
         rec = parse_counts_csv(uniform_csv())
-        for bad in (1000.5, 1000.0):
+        for bad in (1000.5, 1000.0, True, False):  # a bool is no count
             with pytest.raises(ValueError, match=rf"^bootstrap resample count must be in "
                                                  rf"\[2, {MAX_BOOTSTRAP}\], got {bad}$"):
                 evaluate_record(rec, bootstrap=bad)
@@ -552,7 +554,7 @@ class TestSweepCurve:
 
     def test_steps_must_be_an_integer(self):
         # a float used to escape from np.linspace as a TypeError
-        for bad in (101.0, 2.5):
+        for bad in (101.0, 2.5, True, False):  # a bool is no count
             with pytest.raises(ValueError, match=rf"^chi_steps must be in \[2, "
                                                  rf"{expio.MAX_SWEEP_STEPS}\], got {bad}$"):
                 sweep_curve(THETA_W, bad)

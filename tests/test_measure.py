@@ -148,7 +148,7 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             spawn_generator(-1)
 
-    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4", None])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4", None, True, False])
     def test_rejects_non_integer_seed_naming_it(self, seed):
         # not numpy's TypeError from SeedSequence: a ValueError that names the seed
         with pytest.raises(ValueError, match=re.escape(f"got seed {seed!r} and stream 0")):
