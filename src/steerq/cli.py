@@ -19,6 +19,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+MAX_COUNTS_CHARS = 2**20  # a counts CSV needs about 300 characters; eval reads one past this
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
@@ -89,10 +90,12 @@ def _cmd_eval(args) -> str:
     qs = _parse_q_list(args.q)  # before the counts file, as eval-state checks it before the state
     try:
         with open(args.counts, "r", encoding="utf-8-sig") as handle:  # spreadsheets write a BOM
-            text = handle.read()
+            text = handle.read(MAX_COUNTS_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{args.counts}: cannot decode byte 0x{exc.object[exc.start]:02x}; "
                          "the counts CSV must be UTF-8 text") from None
+    if len(text) > MAX_COUNTS_CHARS:
+        raise ValueError(f"{args.counts}: more than the {MAX_COUNTS_CHARS} characters allowed")
     rec = expio.parse_counts_csv(text, label=args.counts)
     report = expio.evaluate_record(rec, qs=qs, bootstrap=args.bootstrap, seed=args.seed)
     return expio.report_to_json(report) + "\n"

@@ -5,11 +5,10 @@ rows covering every (setting, outcome) pair with setting in {x, y, z} and
 outcome in {00, 01, 10, 11}; counts are non-negative integers.  Lines
 starting with ``#`` are comments; row order is free.
 
-Error bars are parametric bootstrap: each observed cell is resampled as
-Poisson with mean equal to the observed count, the criteria are re-evaluated
-per resample, and the error bar is the standard deviation over resamples.
-Resamples are drawn and evaluated BOOTSTRAP_CHUNK at a time, so memory stays
-bounded for any count up to MAX_BOOTSTRAP.
+Error bars are parametric bootstrap: each cell is resampled as Poisson with
+the observed count as mean, the criteria are re-evaluated per resample, and
+the error bar is their standard deviation.  Resamples are drawn and evaluated
+BOOTSTRAP_CHUNK at a time, so memory stays bounded up to MAX_BOOTSTRAP.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from . import criteria
 from .measure import AXES, is_int, spawn_generator, table_totals
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
-_CELLS = tuple((axis, outcome) for axis in AXES for outcome in OUTCOME_LABELS)
+_CELLS = {cell: idx for idx, cell in enumerate((a, o) for a in AXES for o in OUTCOME_LABELS)}
 CSV_HEADER = "setting,outcome,count"
 
 DEFAULT_QS = (2.0, 1.0)
@@ -110,18 +109,18 @@ def parse_counts_csv(text: str, label: str = "counts") -> ExperimentRecord:
             raise CountsFormatError(
                 f"line {lineno}: count '{count_text}' is not a non-negative integer"
             )
-        idx = _CELLS.index((setting, outcome))
+        idx = _CELLS[setting, outcome]
         if lines[idx]:
             raise CountsFormatError(
                 f"line {lineno}: duplicate entry for ({setting}, {outcome}), "
                 f"first seen at line {lines[idx]}"
             )
         digits = count_text.lstrip("0") or "0"  # 2**53 has 16 digits; int() caps at 4300
-        if len(digits) > 16 or int(digits) >= COUNT_LIMIT:
+        if len(digits) > 16 or (count := int(digits)) >= COUNT_LIMIT:
             raise CountsFormatError(
                 f"line {lineno}: count {count_text} is not below 2**53 = {COUNT_LIMIT}"
             )
-        cells[idx] = int(digits)
+        cells[idx] = count
         lines[idx] = lineno
     if not header_found:
         raise CountsFormatError(f"empty input: expected header '{CSV_HEADER}'")
@@ -210,11 +209,13 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
                     bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> EvaluationReport:
     """Estimate probabilities from counts and evaluate SCG (per q) and LSC with error bars.
 
-    Error bars are the std over Poisson resamples, drawn BOOTSTRAP_CHUNK at a time from the
-    one (seed, BOOTSTRAP_STREAM) generator, which gives the same draws as one pass, so
-    results depend only on (record, seed, bootstrap).  The observed counts ride in the first
-    block as row 0, and the report reads its probabilities, totals and values from that row.
-    Resamples with an empty setting are dropped; fewer than two left is an error.
+    Error bars are the std over Poisson resamples drawn BOOTSTRAP_CHUNK at a time from the one
+    (seed, BOOTSTRAP_STREAM) generator, as (size, 12) blocks on the counts' (1, 12) row: numpy
+    draws in C order, so results depend only on (record, seed, bootstrap), and this 2-D
+    broadcast draws what the 4-D (size, 3, 2, 2) form did.  The observed row leads the first
+    block and gives the report's p, totals and values.  Totals and the cell-major divide (each
+    p[..., i, j] one row) act on the (3(n+1), 4) rows, read as (n+1, 3, 2, 2) by the kernel.
+    Resamples with an empty setting are dropped; at least two must remain.
     """
     if not (is_int(bootstrap) and 2 <= bootstrap <= MAX_BOOTSTRAP):
         raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
@@ -225,18 +226,16 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
     filled = 0
     for start in range(0, bootstrap, BOOTSTRAP_CHUNK):
         size = min(BOOTSTRAP_CHUNK, bootstrap - start)
-        draws = rng.poisson(lam=rec.counts, size=(size, 3, 2, 2))
+        draws = rng.poisson(lam=rec.counts.reshape(1, 12), size=(size, 12))
         if start == 0:  # the observed counts ride in the first block as row 0
-            draws = np.concatenate([rec.counts[np.newaxis], draws])
-        totals = table_totals(draws)
-        nonempty = totals >= 1
-        if not nonempty.all():  # never row 0: a record has counts in every setting
-            usable = nonempty.all(axis=1)
-            draws, totals = draws[usable], totals[usable]
-        # cell-major n_kij / N_k: each p[..., i, j] is one contiguous row of the (4, 3n) quotient
-        p = np.divide(draws.reshape(-1, 4).T, totals.reshape(-1), order="C").T.reshape(draws.shape)
+            draws = np.concatenate([rec.counts.reshape(1, 12), draws])
+        totals = table_totals(draws.reshape(-1, 2, 2))  # one per (resample, setting) row
+        if not (totals >= 1).all():  # never row 0: a record has counts in every setting
+            usable = (totals >= 1).reshape(-1, 3).all(axis=1)
+            draws, totals = draws[usable], totals.reshape(-1, 3)[usable].reshape(-1)
+        p = np.divide(draws.reshape(-1, 4).T, totals, order="C").T.reshape(-1, 3, 2, 2)
         if start == 0:
-            observed, observed_totals = p[0], totals[0]
+            observed, observed_totals = p[0], totals[:3]
         for column, values in zip(columns, criteria.rows_values(p, rows).values()):
             column[filled:filled + len(p)] = values
         filled += len(p)

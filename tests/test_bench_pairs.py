@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs
@@ -90,3 +92,35 @@ def test_workload_list_prints_one_table_per_workload(monkeypatch, capsys, tmp_pa
         ops_row = table.splitlines()[2].split()
         assert ops_row[0] == "ops_per_s" and ops_row[1] == f"{base:.4g}"
         assert ops_row[4] == f"{base * 1.1:.4g}" and ops_row[7:9] == ["+10.0%", "2/2"]
+
+
+@pytest.mark.parametrize("fault", [{"failed": 3}, {"correct": False}],
+                         ids=["failed-ops", "not-correct"])
+def test_a_failed_or_incorrect_run_exits_1(monkeypatch, capsys, tmp_path, fault):
+    # the change side of the second pair reports the fault; every other run is clean
+    names = [spec["name"] for spec in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+
+    def canned(tree, workload, seed, seconds):
+        runs.append(tree)
+        side_faults = fault if tree == ROOT and len(runs) == 3 else {}
+        return json.dumps({"correct": True, "attempted": 10, "failed": 0, **side_faults,
+                           "metrics": {name: {"value": 1.0} for name in names}})
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    assert bench_pairs.main(["--base", str(tmp_path), "--workload", "counts_eval",
+                             "--pairs", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "pair 2: change not correct" if "correct" in fault
+        else "pair 2: change failed 3 of 10 ops")
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_is_a_usage_error(monkeypatch, capsys, tmp_path, pairs):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--base", str(tmp_path), "--workload", "counts_eval",
+                          "--pairs", pairs])
+    assert info.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err

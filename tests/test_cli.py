@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steerq import criteria
-from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_COUNTS_CHARS, main
 from steerq.criteria import SolverError, chi_threshold
 from steerq.expio import (MAX_BOOTSTRAP, MAX_SWEEP_STEPS, CountsFormatError,
                           parse_counts_csv)
@@ -142,6 +142,28 @@ class TestEval:
         assert (code, out) == (EXIT_INPUT, "")
         assert err == (f"error: {path}: cannot decode byte 0xff; "
                        "the counts CSV must be UTF-8 text\n")
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "one-over"])
+    def test_counts_file_is_read_up_to_the_cap(self, tmp_path, capsys, extra):
+        # a comment line pads a valid CSV to the cap, or one character past it
+        text = counts_csv({})
+        path = tmp_path / "padded.csv"
+        path.write_text(text + "#" * (MAX_COUNTS_CHARS - len(text) + extra))
+        code, out, err = run(capsys, "eval", "--counts", str(path), "--bootstrap", "50")
+        if extra == 0:
+            assert (code, err) == (EXIT_OK, "") and json.loads(out)["totals"]["x"] == 40
+        else:
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == (f"error: {path}: more than the {MAX_COUNTS_CHARS} characters "
+                           "allowed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_counts_file_is_input_error(self, capsys):
+        # read whole, /dev/zero used to grow the text until memory ran out
+        code, out, err = run(capsys, "eval", "--counts", "/dev/zero")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (f"error: /dev/zero: more than the {MAX_COUNTS_CHARS} characters "
+                       "allowed\n")
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--counts", str(tmp_path / "none.csv"))

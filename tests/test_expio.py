@@ -183,6 +183,15 @@ class TestExperimentRecord:
             assert rec.counts.tolist() == simulate_record(THETA_W, 0.5, 2000, 0).counts.tolist()
 
 
+def assert_error_bars_match_reference(monkeypatch, counts, qs, bootstrap, seed, chunk):
+    # evaluate_record's error bars, drawn `chunk` resamples at a time, against the 4-D oracle's
+    want = reference_bootstrap_error_bars(counts, qs, bootstrap, seed, chunk)
+    monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
+    rep = evaluate_record(ExperimentRecord("r", counts), qs=qs, bootstrap=bootstrap, seed=seed)
+    got = {("lsc" if c.q is None else f"scg_q{c.q:g}"): c.error_bar.hex() for c in rep.criteria}
+    assert got == {key: bar.hex() for key, bar in want.items()}
+
+
 class TestEvaluateRecord:
     def test_bell_counts(self):
         rep = evaluate_record(parse_counts_csv(bell_csv()), seed=1)
@@ -252,13 +261,15 @@ class TestEvaluateRecord:
         counts = np.array([[[1, 0], [2, 0]], [[0, 3], [1, 0]], [[0, 0], [0, 2]]])
         draws = spawn_generator(5, BOOTSTRAP_STREAM).poisson(counts, (1000, 3, 2, 2))
         assert np.sum(np.any(draws.sum(axis=(-1, -2)) == 0, axis=1)) > 100
-        want = reference_bootstrap_error_bars(counts, qs, 1000, 5, chunk)
-        monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
-        rep = evaluate_record(ExperimentRecord("sparse", counts), qs=qs, bootstrap=1000,
-                              seed=5)
-        got = {("lsc" if c.q is None else f"scg_q{c.q:g}"): c.error_bar.hex()
-               for c in rep.criteria}
-        assert got == {key: bar.hex() for key, bar in want.items()}
+        assert_error_bars_match_reference(monkeypatch, counts, qs, 1000, 5, chunk)
+
+    def test_every_poisson_path_draws_as_the_4d_reference(self, monkeypatch):
+        # means of 0, below 10 and at least 10**6 take numpy's three Poisson paths (zero,
+        # multiplication, PTRS); 4097 resamples fill two default blocks
+        counts = np.array([[[0, 3], [7, 2_000_000]], [[1_500_000, 0], [5, 9]],
+                           [[4, 1_000_000], [0, 6]]])
+        assert_error_bars_match_reference(monkeypatch, counts, (2.0, 1.0, 0.5), 4097, 11,
+                                          expio.BOOTSTRAP_CHUNK)
 
     @pytest.mark.parametrize("chunk", [expio.BOOTSTRAP_CHUNK, 1000, 999, 64, 7])
     @pytest.mark.parametrize("sparse", [False, True])

@@ -15,8 +15,9 @@ and quartiles, the change of the medians, and how many pairs this tree won.  A g
 claimed for a metric when this tree wins at least 9 pairs in 10 (of 10 or more pairs) and
 its median beats the base median by more than the base's interquartile range; a metric is
 within its bound when its median is no worse than the base median by more than the
-``bound`` fraction.  Quartiles are ``statistics.quantiles(..., n=4)``.  Only the standard
-library is used.
+``bound`` fraction.  Quartiles are ``statistics.quantiles(..., n=4)``.  A run that failed
+ops or was not correct is named below its table, and the exit status is then 1.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -75,14 +76,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def failures(pairs: list[tuple[str, str]]) -> list[str]:
-    """A line for each run that was not correct or failed ops."""
+    """A line for each run that failed ops, or else was not correct, naming which."""
     out = []
     for i, pair in enumerate(pairs):
         for side, line in zip(("base", "change"), pair):
             result = json.loads(line)
-            if not result["correct"] or result["failed"]:
+            if result["failed"]:
                 out.append(f"pair {i + 1}: {side} failed {result['failed']} of "
                            f"{result['attempted']} ops")
+            elif not result["correct"]:
+                out.append(f"pair {i + 1}: {side} not correct")
     return out
 
 
@@ -107,8 +110,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"base": args.base.resolve(), "change": ROOT}
+    failed = False
     for n, workload in enumerate(args.workload.split(",")):
         pairs = []
         for i in range(args.pairs):
@@ -120,9 +126,11 @@ def main(argv=None) -> int:
         print("\n" * (n > 0) + f"{workload}, seed {args.seed}, {args.seconds:g} s runs, "
               f"{args.pairs} pairs")
         print(render(summarize(pairs, end_to_end)))
-        for line in failures(pairs):
+        bad = failures(pairs)
+        for line in bad:
             print(line)
-    return 0
+        failed = failed or bool(bad)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
