@@ -231,14 +231,14 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
 
     Checks its arguments once; each kernel call writes its chis' tables from cos(2 theta),
     sin(2 theta) and evaluates only the solved criterion.  The first call, on the 129 points
-    k/128, checks strict monotonicity; its values then rise through 0, so bisection's first 7
-    halvings are read by index, down to the first level at most tol wide.  Bisection of
-    lhs(chi) = bound to width tol in (0, 1) goes on from there; each miss walks its halvings
-    toward a root interpolated from known neighbours, the four grid points around the bracket
-    or later values (and to chi = 1 while that is the upper end), evaluating their midpoints
-    in one call (any batch gives a point the same bits): the result is bisection's bit for
-    bit, and tol 1e-6 takes calls of 129 and 13 points.  No violation gives (1.0, False).
-    """
+    k/128, checks strict monotonicity.  Its values start below 0, as chi = 0 is I/4, which no
+    criterion violates (SCG's 3 ln_q 2 and LSC's 0 miss their bounds by at least 0.5); where
+    they end above 0, bisection's first 7 halvings are read by index, down to the first level
+    at most tol wide.  Bisection goes on from there: each miss walks its halvings toward a
+    root interpolated from known neighbours (the four grid points around the bracket or later
+    values, and chi = 1 while that is the upper end) and evaluates their midpoints in one call
+    (any batch gives a point the same bits), so the result is bisection's bit for bit; tol
+    1e-6 takes calls of 129 and 13 points.  No violation gives (1.0, False)."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if criterion not in _VIOLATION_SIGN:
@@ -258,8 +258,6 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         raise SolverError(f"{label}: profile over chi is not strictly monotone; "
                           "bisection preconditions do not hold")
 
-    if values[0] > 0.0:
-        return ChiThreshold(0.0, True)
     if not values[-1] > 0.0:
         return ChiThreshold(1.0, False)
 

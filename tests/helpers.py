@@ -1,11 +1,16 @@
-"""Shared generators for randomized tests, and the reference routes they compare against."""
+"""Shared generators for randomized tests, the reference routes they compare against, and
+the one in-process CLI runner."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 
 from steerq import DensityMatrix, criterion_values, make_werner_like, validate_density
+from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from steerq.criteria import (_SMALLEST_NORMAL, BISECTION_MAX_ITER, LSC, LSC_BOUND,
                              MULTISECTION_BITS, SCG, ChiThreshold, SolverError, analytic_tensor,
                              criteria_of, scg_bound, scg_key)
@@ -350,3 +355,36 @@ def cpu_tier() -> str:
     selects the libm tier there."""
     x = np.linspace(0.01, 100.0, 20_000)
     return "libm" if np.log(x).tolist() == [math.log(v) for v in x.tolist()] else "avx512"
+
+
+def counts_csv(cells: dict, default=10) -> str:
+    """Counts CSV with every cell at default, except the (setting, outcome) keys given."""
+    rows = ["setting,outcome,count"] + [
+        f"{s},{o},{cells.get((s, o), default)}" for s in "xyz" for o in ("00", "01", "10", "11")
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def run_cli(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of steerq's main(argv), held to its clean-exit contract:
+    exit 0, 2, 3 or 4 (argparse's SystemExit counts as its code), no warning recorded and no
+    traceback; on success nothing on stderr, on failure no stdout and exactly one line of
+    stderr that contains "error:"."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_IO)
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+    return code, out, err

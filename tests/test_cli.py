@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import math
@@ -6,112 +5,96 @@ import os
 import pathlib
 import subprocess
 import sys
-import tempfile
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import counts_csv, run_cli
 from steerq import criteria
-from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_COUNTS_CHARS, main
+from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_COUNTS_CHARS
 from steerq.criteria import SolverError, chi_threshold
 from steerq.expio import (MAX_BOOTSTRAP, MAX_SWEEP_STEPS, CountsFormatError,
                           parse_counts_csv)
 
 
-def counts_csv(cells: dict, default: int = 10) -> str:
-    """Counts CSV with every cell at default, except the (setting, outcome) keys given."""
-    rows = ["setting,outcome,count"] + [
-        f"{s},{o},{cells.get((s, o), default)}" for s in "xyz" for o in ("00", "01", "10", "11")
-    ]
-    return "\n".join(rows) + "\n"
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_eval(tmp_path, text, *argv):
+    """run_cli on eval over tmp_path/counts.csv holding text, or over no file if text is None."""
+    path = tmp_path / "counts.csv"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    return run_cli("eval", "--counts", str(path), *argv)
 
 
 class TestSimulate:
-    def test_writes_parseable_csv(self, tmp_path, capsys):
+    def test_writes_parseable_csv(self, tmp_path):
         out = tmp_path / "counts.csv"
-        code, _, _ = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
-                         "--shots", "20000", "--seed", "7", "--out", str(out))
+        code, _, _ = run_cli("simulate", "--theta", "22.5", "--chi", "0.5",
+                             "--shots", "20000", "--seed", "7", "--out", str(out))
         assert code == EXIT_OK
         rec = parse_counts_csv(out.read_text())
         assert all(total > 15000 for total in rec.counts.sum(axis=(1, 2)))
 
-    def test_bell_state_zero_cells(self, tmp_path, capsys):
+    def test_bell_state_zero_cells(self, tmp_path):
         out = tmp_path / "bell.csv"
-        code, _, _ = run(capsys, "simulate", "--theta", "22.5", "--chi", "1",
-                         "--shots", "1000000", "--seed", "7", "--out", str(out))
+        code, _, _ = run_cli("simulate", "--theta", "22.5", "--chi", "1",
+                             "--shots", "1000000", "--seed", "7", "--out", str(out))
         assert code == EXIT_OK
         rec = parse_counts_csv(out.read_text())
         z = rec.counts[2]
         assert z[0, 1] == 0 and z[1, 0] == 0
 
-    def test_byte_identical_for_same_seed(self, tmp_path, capsys):
+    def test_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            run(capsys, "simulate", "--theta", "7.5", "--chi", "0.3",
-                "--shots", "5000", "--seed", "42", "--out", str(path))
+            run_cli("simulate", "--theta", "7.5", "--chi", "0.3",
+                    "--shots", "5000", "--seed", "42", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("shots", [10**20, 2**63 - 1])
-    def test_shots_beyond_count_bound(self, tmp_path, capsys, shots):
+    def test_shots_beyond_count_bound(self, tmp_path, shots):
         out = tmp_path / "counts.csv"
-        code, stdout, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
-                                "--shots", str(shots), "--out", str(out))
-        assert code == EXIT_INPUT
-        assert stdout == "" and not out.exists()
-        assert f"shots must be a positive integer below 2**53 = {2**53}, got {shots}" in err
+        assert run_cli("simulate", "--theta", "22.5", "--chi", "0.5", "--shots", str(shots),
+                       "--out", str(out)) == (EXIT_INPUT, "", (
+            f"error: shots must be a positive integer below 2**53 = {2**53}, got {shots}\n"))
+        assert not out.exists()
 
-    def test_drawn_total_at_count_bound_names_shots(self, tmp_path, capsys):
+    def test_drawn_total_at_count_bound_names_shots(self, tmp_path):
         shots = 2**53 - 1
         out = tmp_path / "counts.csv"
-        code, stdout, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
-                                "--shots", str(shots), "--seed", "0", "--out", str(out))
-        assert code == EXIT_INPUT
-        assert stdout == "" and not out.exists()
-        assert err == (f"error: shots = {shots} drew an axis y total count of "
-                       f"9007199257698276, which is not below 2**53 = {2**53}; "
-                       "use fewer shots\n")
+        assert run_cli("simulate", "--theta", "22.5", "--chi", "0.5", "--shots", str(shots),
+                       "--seed", "0", "--out", str(out)) == (EXIT_INPUT, "", (
+            f"error: shots = {shots} drew an axis y total count of 9007199257698276, which is "
+            f"not below 2**53 = {2**53}; use fewer shots\n"))
+        assert not out.exists()
 
-    def test_empty_setting_is_input_error(self, tmp_path, capsys):
+    def test_empty_setting_is_input_error(self, tmp_path):
         out = tmp_path / "counts.csv"
-        code, stdout, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
-                                "--shots", "2", "--seed", "0", "--out", str(out))
-        assert code == EXIT_INPUT
-        assert stdout == "" and not out.exists()
-        assert err == "error: shots = 2 with seed = 0 drew no axis z counts; use more shots\n"
+        assert run_cli("simulate", "--theta", "22.5", "--chi", "0.5", "--shots", "2",
+                       "--seed", "0", "--out", str(out)) == (
+            EXIT_INPUT, "",
+            "error: shots = 2 with seed = 0 drew no axis z counts; use more shots\n")
+        assert not out.exists()
 
-    def test_unwritable_path(self, tmp_path, capsys):
-        code, _, err = run(capsys, "simulate", "--theta", "22.5", "--chi", "0.5",
-                           "--out", str(tmp_path / "nodir" / "x.csv"))
+    def test_unwritable_path(self, tmp_path):
+        code, _, _ = run_cli("simulate", "--theta", "22.5", "--chi", "0.5",
+                             "--out", str(tmp_path / "nodir" / "x.csv"))
         assert code == EXIT_IO
-        assert "error:" in err
 
 
 class TestEval:
-    def test_bell_counts_all_steerable(self, tmp_path, capsys):
+    def test_bell_counts_all_steerable(self, tmp_path):
         path = tmp_path / "bell.csv"
-        run(capsys, "simulate", "--theta", "22.5", "--chi", "1",
-            "--shots", "1000000", "--seed", "3", "--out", str(path))
-        code, out, _ = run(capsys, "eval", "--counts", str(path), "--seed", "1")
+        run_cli("simulate", "--theta", "22.5", "--chi", "1",
+                "--shots", "1000000", "--seed", "3", "--out", str(path))
+        code, out, _ = run_cli("eval", "--counts", str(path), "--seed", "1")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert [c["steerable"] for c in doc["criteria"]] == [True, True, True]
 
-    def test_uniform_counts_not_steerable(self, tmp_path, capsys):
-        path = tmp_path / "uniform.csv"
-        rows = ["setting,outcome,count"] + [
-            f"{s},{o},250" for s in "xyz" for o in ("00", "01", "10", "11")
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        code, out, _ = run(capsys, "eval", "--counts", str(path))
+    def test_uniform_counts_not_steerable(self, tmp_path):
+        code, out, _ = run_eval(tmp_path, counts_csv({}, 250))
         assert code == EXIT_OK
         doc = json.loads(out)
         assert [c["steerable"] for c in doc["criteria"]] == [False, False, False]
@@ -119,7 +102,7 @@ class TestEval:
                                  "scg_q1": pytest.approx(2 * math.log(2)),
                                  "lsc": 1.0}
 
-    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, capsys):
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
         text = "# exported\n" + counts_csv({("x", "00"): 40, ("z", "11"): 0})
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
@@ -128,140 +111,92 @@ class TestEval:
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
         docs = []
         for path in (plain, marked):
-            code, out, err = run(capsys, "eval", "--counts", str(path), "--seed", "4")
-            assert (code, err) == (EXIT_OK, "")
+            code, out, _ = run_cli("eval", "--counts", str(path), "--seed", "4")
+            assert code == EXIT_OK
             docs.append(json.loads(out))
         for field in ("criteria", "probabilities", "totals", "bounds", "seed"):
             assert docs[0][field] == docs[1][field]
 
-    def test_utf16_file_is_input_error_naming_path_and_encoding(self, tmp_path, capsys):
+    # each input error: its exit code, no stdout and its whole stderr line
+    def test_utf16_file_is_input_error_naming_path_and_encoding(self, tmp_path):
         # spreadsheet "Unicode text" exports are UTF-16 with a 0xff 0xfe byte-order mark
         path = tmp_path / "utf16.csv"
         path.write_text(counts_csv({}), encoding="utf-16")
-        code, out, err = run(capsys, "eval", "--counts", str(path))
-        assert (code, out) == (EXIT_INPUT, "")
-        assert err == (f"error: {path}: cannot decode byte 0xff; "
-                       "the counts CSV must be UTF-8 text\n")
+        assert run_cli("eval", "--counts", str(path)) == (EXIT_INPUT, "", (
+            f"error: {path}: cannot decode byte 0xff; the counts CSV must be UTF-8 text\n"))
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        assert run_eval(tmp_path, None) == (EXIT_IO, "", (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'counts.csv'}'\n"))
+
+    def test_malformed_csv_is_input_error(self, tmp_path):
+        assert run_eval(tmp_path, "setting,outcome,count\nx,00,oops\n") == (
+            EXIT_INPUT, "", "error: line 2: count 'oops' is not a non-negative integer\n")
+
+    def test_q_out_of_range_is_input_error(self, tmp_path):
+        assert run_eval(tmp_path, counts_csv({}), "--q", "2.5") == (
+            EXIT_INPUT, "", "error: entropic index q must lie in (0, 2], got 2.5\n")
+
+    def test_too_few_usable_resamples_is_input_error(self, tmp_path):
+        # one count per setting: every resample of this seed empties a setting
+        tiny = counts_csv({(s, "00"): 1 for s in "xyz"}, 0)
+        assert run_eval(tmp_path, tiny, "--bootstrap", "2", "--seed", "0") == (EXIT_INPUT, "", (
+            "error: bootstrap: 0 of 2 requested resamples have counts in every setting, at "
+            "least 2 are needed; the counts are too small for error bars\n"))
+
+    def test_count_beyond_float_limit_is_input_error(self, tmp_path):
+        for big in (2**63 - 1, 10**19, 10**25):
+            assert run_eval(tmp_path, counts_csv({("x", "11"): big})) == (
+                EXIT_INPUT, "", f"error: line 5: count {big} is not below 2**53 = {2**53}\n")
+
+    def test_count_beyond_int_string_limit_is_input_error(self, tmp_path):
+        # 5000 digits: beyond int()'s 4300-digit limit, still one error citing the line
+        assert run_eval(tmp_path, counts_csv({("y", "10"): "9" * 5000})) == (
+            EXIT_INPUT, "", f"error: line 8: count {'9' * 5000} is not below 2**53 = {2**53}\n")
+
+    def test_setting_total_at_float_limit_is_input_error(self, tmp_path):
+        text = counts_csv({("y", o): 2**51 for o in ("00", "01", "10", "11")})
+        assert run_eval(tmp_path, text) == (
+            EXIT_INPUT, "", f"error: axis y total count {2**53} is not below 2**53 = {2**53}\n")
+
+    def test_huge_bootstrap_is_input_error(self, tmp_path):
+        assert run_eval(tmp_path, counts_csv({}), "--bootstrap", "1000000000000") == (
+            EXIT_INPUT, "", "error: bootstrap resample count must be in [2, 1000000], got "
+                            "1000000000000\n")
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "one-over"])
-    def test_counts_file_is_read_up_to_the_cap(self, tmp_path, capsys, extra):
+    def test_counts_file_is_read_up_to_the_cap(self, tmp_path, extra):
         # a comment line pads a valid CSV to the cap, or one character past it
         text = counts_csv({})
-        path = tmp_path / "padded.csv"
-        path.write_text(text + "#" * (MAX_COUNTS_CHARS - len(text) + extra))
-        code, out, err = run(capsys, "eval", "--counts", str(path), "--bootstrap", "50")
+        code, out, err = run_eval(tmp_path, text + "#" * (MAX_COUNTS_CHARS - len(text) + extra),
+                                  "--bootstrap", "50")
         if extra == 0:
-            assert (code, err) == (EXIT_OK, "") and json.loads(out)["totals"]["x"] == 40
+            assert code == EXIT_OK and json.loads(out)["totals"]["x"] == 40
         else:
-            assert (code, out) == (EXIT_INPUT, "")
-            assert err == (f"error: {path}: more than the {MAX_COUNTS_CHARS} characters "
-                           "allowed\n")
+            assert (code, err) == (EXIT_INPUT, f"error: {tmp_path / 'counts.csv'}: more than "
+                                               f"the {MAX_COUNTS_CHARS} characters allowed\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
-    def test_endless_counts_file_is_input_error(self, capsys):
+    def test_endless_counts_file_is_input_error(self):
         # read whole, /dev/zero used to grow the text until memory ran out
-        code, out, err = run(capsys, "eval", "--counts", "/dev/zero")
-        assert (code, out) == (EXIT_INPUT, "")
-        assert err == (f"error: /dev/zero: more than the {MAX_COUNTS_CHARS} characters "
-                       "allowed\n")
-
-    def test_missing_file_is_io_error(self, tmp_path, capsys):
-        code, _, err = run(capsys, "eval", "--counts", str(tmp_path / "none.csv"))
-        assert code == EXIT_IO
-
-    def test_malformed_csv_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("setting,outcome,count\nx,00,oops\n")
-        code, _, err = run(capsys, "eval", "--counts", str(path))
-        assert code == EXIT_INPUT
-        assert "non-negative integer" in err
-
-    def test_q_out_of_range_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "u.csv"
-        rows = ["setting,outcome,count"] + [
-            f"{s},{o},10" for s in "xyz" for o in ("00", "01", "10", "11")
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        code, _, _ = run(capsys, "eval", "--counts", str(path), "--q", "2.5")
-        assert code == EXIT_INPUT
+        assert run_cli("eval", "--counts", "/dev/zero") == (EXIT_INPUT, "", (
+            f"error: /dev/zero: more than the {MAX_COUNTS_CHARS} characters allowed\n"))
 
     @pytest.mark.parametrize("content", [None, "setting,outcome,count\nx,00,5\n"],
                              ids=["missing-file", "two-row-csv"])
-    def test_q_is_checked_before_the_counts_file(self, tmp_path, capsys, content):
+    def test_q_is_checked_before_the_counts_file(self, tmp_path, content):
         # as eval-state and threshold report the q error before any other input's
-        path = tmp_path / "counts.csv"
-        if content is not None:
-            path.write_text(content)
-        code, out, err = run(capsys, "eval", "--counts", str(path), "--q", "7")
-        assert (code, out, err) == (
+        assert run_eval(tmp_path, content, "--q", "7") == (
             EXIT_INPUT, "", "error: entropic index q must lie in (0, 2], got 7.0\n")
 
-
-    @pytest.mark.filterwarnings("error")
-    def test_too_few_usable_resamples_is_input_error(self, tmp_path, capsys):
-        # one count per setting: every resample of this seed empties a setting
-        path = tmp_path / "tiny.csv"
-        rows = ["setting,outcome,count"] + [
-            f"{s},{o},{int(o == '00')}" for s in "xyz" for o in ("00", "01", "10", "11")
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        code, out, err = run(capsys, "eval", "--counts", str(path),
-                             "--bootstrap", "2", "--seed", "0")
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "0 of 2 requested resamples" in err
-
-
-    @pytest.mark.filterwarnings("error")
-    def test_count_beyond_float_limit_is_input_error(self, tmp_path, capsys):
-        for big in (2**63 - 1, 10**19, 10**25):
-            path = tmp_path / "big.csv"
-            path.write_text(counts_csv({("x", "11"): big}))
-            code, out, err = run(capsys, "eval", "--counts", str(path))
-            assert code == EXIT_INPUT
-            assert out == ""
-            assert f"line 5: count {big} is not below 2**53" in err
-            assert "Warning" not in err
-
-    @pytest.mark.filterwarnings("error")
-    def test_count_beyond_int_string_limit_is_input_error(self, tmp_path, capsys):
-        # 5000 digits: beyond int()'s 4300-digit limit, still one error citing the line
-        path = tmp_path / "long.csv"
-        path.write_text(counts_csv({("y", "10"): "9" * 5000}))
-        code, out, err = run(capsys, "eval", "--counts", str(path))
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err.count("error:") == 1
-        assert err.startswith("error: line 8: count 9999") and "not below 2**53" in err
-
-    @pytest.mark.filterwarnings("error")
-    def test_setting_total_at_float_limit_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "total.csv"
-        path.write_text(counts_csv({("y", o): 2**51 for o in ("00", "01", "10", "11")}))
-        code, out, err = run(capsys, "eval", "--counts", str(path))
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "axis y total count 9007199254740992 is not below 2**53" in err
-
-    @pytest.mark.filterwarnings("error")
-    def test_setting_total_just_below_float_limit_is_accepted(self, tmp_path, capsys):
-        path = tmp_path / "edge.csv"
-        path.write_text(counts_csv({("z", "00"): 2**53 - 1 - 30, ("z", "01"): 0,
-                                    ("z", "10"): 0, ("z", "11"): 30}))
-        code, out, _ = run(capsys, "eval", "--counts", str(path), "--bootstrap", "50")
+    def test_setting_total_just_below_float_limit_is_accepted(self, tmp_path):
+        code, out, _ = run_eval(tmp_path, counts_csv({("z", "00"): 2**53 - 1 - 30, ("z", "01"): 0,
+                                                      ("z", "10"): 0, ("z", "11"): 30}),
+                                "--bootstrap", "50")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["totals"]["z"] == 2**53 - 1
         assert doc["probabilities"]["z"][1:3] == [0.0, 0.0]
-
-    def test_huge_bootstrap_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "u.csv"
-        path.write_text(counts_csv({}))
-        code, out, err = run(capsys, "eval", "--counts", str(path),
-                             "--bootstrap", "1000000000000")
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "bootstrap resample count must be in [2, 1000000]" in err
 
 
 @st.composite
@@ -275,15 +210,19 @@ def _count_cells(draw):
     return cells
 
 
-def _valid_or(valid, invalid):
-    return st.one_of(valid.map(str), invalid)
+def _mostly_valid(valid, invalid):
+    """valid (as str) in two draws of three, else invalid, so that argv with several fields
+    still succeed.  Not st.one_of(valid, valid, invalid): one_of flattens the branches of a
+    one_of, so an invalid strategy of three branches would come up three times in five."""
+    return st.sampled_from([True, True, False]).flatmap(
+        lambda ok: valid.map(str) if ok else invalid)
 
 
-_BOOTSTRAP = _valid_or(st.integers(2, 200), st.one_of(
+_BOOTSTRAP = _mostly_valid(st.integers(2, 200), st.one_of(
     st.integers(-2, 1).map(str),
     st.integers(MAX_BOOTSTRAP + 1, 10**30).map(str),  # rejected before any draw
     st.sampled_from(["", "abc", "1.5", "1e3"])))
-_SEED = _valid_or(st.integers(0, 2**64), st.one_of(
+_SEED = _mostly_valid(st.integers(0, 2**64), st.one_of(
     st.integers(-3, -1).map(str), st.sampled_from(["", "x", "1.0"])))
 _Q = st.one_of(
     st.lists(st.sampled_from(["2", "1", "1.5", "0.5", "0.1", "1.9", "1e-300"]),
@@ -297,47 +236,25 @@ def _reject_constant(name):
 
 
 class TestEvalFuzz:
-    def test_every_outcome_is_a_clean_exit(self):
-        """Any --bootstrap, --seed, --q and cell text ends in exit 0, 2, 3 or 4: with strict
-        JSON and nothing on stderr, or with no stdout and exactly one error line."""
+    def test_every_outcome_is_a_clean_exit(self, tmp_path):
+        """Any --bootstrap, --seed, --q and cell text ends in a clean exit (helpers.run_cli),
+        with strict JSON on success."""
         codes = []
+        keys = [(s, o) for s in "xyz" for o in ("00", "01", "10", "11")]
 
         @settings(max_examples=200, deadline=None, derandomize=True, database=None)
         @given(cells=_count_cells(), bootstrap=_BOOTSTRAP, seed=_SEED, q=_Q)
+        @example(cells=[str(2**53 - 12)] + ["1"] * 11,  # a setting total just below 2**53
+                 bootstrap="50", seed="0", q="2")
         def check(cells, bootstrap, seed, q):
-            keys = [(s, o) for s in "xyz" for o in ("00", "01", "10", "11")]
-            out, err = io.StringIO(), io.StringIO()
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "counts.csv")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(counts_csv(dict(zip(keys, cells))))
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                        warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        code = main(["eval", "--counts", path, "--bootstrap", bootstrap,
-                                     "--seed", seed, "--q", q])
-                    except SystemExit as exc:  # argparse rejected the command line
-                        code = exc.code
-            out, err = out.getvalue(), err.getvalue()
-            assert not caught, [str(w.message) for w in caught]
-            assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_IO)
-            assert "Traceback" not in err
+            code, out, _ = run_eval(tmp_path, counts_csv(dict(zip(keys, cells))),
+                                    "--bootstrap", bootstrap, "--seed", seed, "--q", q)
             if code == EXIT_OK:
-                assert err == ""
                 assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
-            else:
-                assert out == ""
-                assert sum("error:" in line for line in err.splitlines()) == 1
             codes.append(code)
 
         check()
         assert codes.count(EXIT_OK) >= 10 and codes.count(EXIT_INPUT) >= 10
-
-
-def _mostly_valid(valid, invalid):
-    """Twice as likely valid as _valid_or, so that argv with several fields still succeed."""
-    return st.one_of(valid.map(str), valid.map(str), invalid)
 
 
 _THETA = _mostly_valid(st.floats(0.0, 45.0), st.one_of(
@@ -359,30 +276,6 @@ _STEPS = _mostly_valid(st.integers(2, 300), st.one_of(
 _FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def _clean_run(argv: list) -> tuple[int, str]:
-    """Exit code and stdout of main(argv), held to the contract of the argv fuzz tests:
-    exit 0, 2, 3 or 4 with no warning or traceback; on success nothing on stderr, on
-    failure no stdout and exactly one error line."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the command line
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
-    assert not caught, [str(w.message) for w in caught]
-    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_IO)
-    assert "Traceback" not in err
-    if code == EXIT_OK:
-        assert err == ""
-    else:
-        assert out == ""
-        assert sum("error:" in line for line in err.splitlines()) == 1
-    return code, out
-
-
 class TestAnalyticVerbFuzz:
     """eval-state, threshold and sweep over generated argv: clean exits only."""
 
@@ -396,7 +289,7 @@ class TestAnalyticVerbFuzz:
         @_FUZZ
         @given(theta=_THETA, chi=_CHI, q=_Q)
         def check(theta, chi, q):
-            code, out = _clean_run(["eval-state", "--theta", theta, "--chi", chi, "--q", q])
+            code, out, _ = run_cli("eval-state", "--theta", theta, "--chi", chi, "--q", q)
             if code == EXIT_OK:
                 assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
             codes.append(code)
@@ -410,8 +303,8 @@ class TestAnalyticVerbFuzz:
         @_FUZZ
         @given(theta=_THETA, criterion=_CRITERION, q=_THRESHOLD_Q, tol=_TOL)
         def check(theta, criterion, q, tol):
-            code, out = _clean_run(["threshold", "--theta", theta, "--criterion", criterion,
-                                    "--q", q, "--tol", tol])
+            code, out, _ = run_cli("threshold", "--theta", theta, "--criterion", criterion,
+                                   "--q", q, "--tol", tol)
             if code == EXIT_OK:
                 assert out.count("\n") == 1
                 assert " threshold at theta=" in out or " is not violated " in out
@@ -431,8 +324,8 @@ class TestAnalyticVerbFuzz:
         @given(theta=_THETA, steps=_STEPS, writable=st.sampled_from([True, True, False]))
         def check(theta, steps, writable):
             path = tmp_path / ("curve.csv" if writable else "missing/curve.csv")
-            code, out = _clean_run(["sweep", "--theta", theta, "--steps", steps,
-                                    "--out", str(path)])
+            code, out, _ = run_cli("sweep", "--theta", theta, "--steps", steps,
+                                   "--out", str(path))
             if code == EXIT_OK:
                 assert out == f"wrote {path}\n"
                 assert len(path.read_text().splitlines()) == int(steps) + 1
@@ -463,8 +356,8 @@ class TestOutputVerbFuzz:
         def check(theta, chi, shots, seed, target):
             path = {"file": tmp_path / "counts.csv", "directory": tmp_path,
                     "missing": tmp_path / "missing" / "counts.csv"}[target]
-            code, out = _clean_run(["simulate", "--theta", theta, "--chi", chi,
-                                    "--shots", shots, "--seed", seed, "--out", str(path)])
+            code, out, _ = run_cli("simulate", "--theta", theta, "--chi", chi,
+                                   "--shots", shots, "--seed", seed, "--out", str(path))
             if target != "file":
                 assert code != EXIT_OK
             elif code == EXIT_OK:
@@ -486,7 +379,7 @@ class TestOutputVerbFuzz:
         def check(argv):
             paths = {"file": tmp_path / "tables.txt", "directory": tmp_path,
                      "missing": tmp_path / "missing" / "tables.txt"}
-            code, out = _clean_run(["tables", *(str(paths.get(a, a)) for a in argv)])
+            code, out, _ = run_cli("tables", *(str(paths.get(a, a)) for a in argv))
             if argv in (["--out", "directory"], ["--out", "missing"]):
                 assert code == EXIT_IO
             if code == EXIT_OK:
@@ -499,35 +392,30 @@ class TestOutputVerbFuzz:
 
 
 class TestEvalState:
-    def test_json_report(self, capsys):
-        code, out, _ = run(capsys, "eval-state", "--theta", "22.5",
-                           "--chi", "0.58")
+    def test_json_report(self):
+        code, out, _ = run_cli("eval-state", "--theta", "22.5", "--chi", "0.58")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["criteria"][0]["lhs"] == pytest.approx(0.9954, abs=1e-9)
         assert doc["criteria"][0]["steerable"] is True
         assert doc["totals"] is None and doc["seed"] is None
 
-    def test_q_list_token_one_routes_to_shannon(self, capsys):
-        code, out, _ = run(capsys, "eval-state", "--theta", "22.5",
-                           "--chi", "0", "--q", "1")
+    def test_q_list_token_one_routes_to_shannon(self):
+        _, out, _ = run_cli("eval-state", "--theta", "22.5", "--chi", "0", "--q", "1")
         doc = json.loads(out)
         assert doc["criteria"][0]["q"] == 1.0
         assert doc["criteria"][0]["lhs"] == pytest.approx(3 * math.log(2))
         assert doc["criteria"][0]["bound"] == pytest.approx(2 * math.log(2))
 
-    def test_colliding_q_keys_are_input_error(self, capsys):
+    def test_colliding_q_keys_are_input_error(self):
         for qs in ("2,2", "1,1.0000001"):
-            code, out, err = run(capsys, "eval-state", "--theta", "22.5",
-                                 "--chi", "0.5", "--q", qs)
-            assert code == EXIT_INPUT
-            assert out == "" and "collide" in err
+            code, _, err = run_cli("eval-state", "--theta", "22.5", "--chi", "0.5", "--q", qs)
+            assert code == EXIT_INPUT and "collide" in err
 
-    def test_bad_theta_is_input_error(self, capsys):
-        code, out, err = run(capsys, "eval-state", "--theta", "80", "--chi", "0.5")
-        assert (code, out) == (EXIT_INPUT, "")
-        assert err == (f"error: theta={math.radians(80)!r} (80 deg) "
-                       "outside [0, pi/4] ([0, 45] deg)\n")
+    def test_bad_theta_is_input_error(self):
+        assert run_cli("eval-state", "--theta", "80", "--chi", "0.5") == (
+            EXIT_INPUT, "", f"error: theta={math.radians(80)!r} (80 deg) "
+                            "outside [0, pi/4] ([0, 45] deg)\n")
 
     @pytest.mark.parametrize("argv, message", [
         # the q list is parsed before the state is built, so its error comes first
@@ -545,55 +433,50 @@ class TestEvalState:
          "entropic index q must lie in (0, 2], got 3.0"),
     ], ids=["theta-and-q", "nan-theta-and-q", "theta-and-chi", "chi-and-collision",
             "collision", "collision-and-q"])
-    def test_first_of_several_faults_is_reported(self, capsys, argv, message):
-        code, out, err = run(capsys, "eval-state", *argv)
-        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+    def test_first_of_several_faults_is_reported(self, argv, message):
+        assert run_cli("eval-state", *argv) == (EXIT_INPUT, "", f"error: {message}\n")
 
 
 class TestThreshold:
-    def test_werner_q2(self, capsys):
-        code, out, _ = run(capsys, "threshold", "--theta", "22.5")
+    def test_werner_q2(self):
+        code, out, _ = run_cli("threshold", "--theta", "22.5")
         assert code == EXIT_OK
         assert "chi = 0.577350" in out
 
-    def test_lsc(self, capsys):
-        code, out, _ = run(capsys, "threshold", "--theta", "7.5",
-                           "--criterion", "lsc")
+    def test_lsc(self):
+        code, out, _ = run_cli("threshold", "--theta", "7.5", "--criterion", "lsc")
         assert code == EXIT_OK
         assert "chi = 0.816496" in out or "chi = 0.816497" in out
 
-    def test_never_violated(self, capsys):
-        code, out, _ = run(capsys, "threshold", "--theta", "0",
-                           "--criterion", "scg", "--q", "2")
+    def test_never_violated(self):
+        code, out, _ = run_cli("threshold", "--theta", "0", "--criterion", "scg", "--q", "2")
         assert code == EXIT_OK
         assert "not violated" in out
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "1.5"])
-    def test_tol_outside_unit_interval_is_input_error(self, capsys, tol):
-        code, out, err = run(capsys, "threshold", "--theta", "7.5", "--tol", tol)
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err.count("error:") == 1 and "tol must lie in (0, 1)" in err
+    def test_tol_outside_unit_interval_is_input_error(self, tol):
+        assert run_cli("threshold", "--theta", "7.5", "--tol", tol) == (
+            EXIT_INPUT, "", f"error: tol must lie in (0, 1), got {float(tol)!r}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("--criterion", "lsc", "--q", "7"), "entropic index q must lie in (0, 2], got 7.0"),
         (("--criterion", "lsc", "--q", "nan"), "entropic index q must lie in (0, 2], got nan"),
         (("--tol", "0", "--q", "3"), "entropic index q must lie in (0, 2], got 3.0"),
     ], ids=["lsc-q-above-2", "lsc-q-nan", "tol-and-q"])
-    def test_q_is_checked_first_for_either_criterion(self, capsys, argv, message):
+    def test_q_is_checked_first_for_either_criterion(self, argv, message):
         # as in eval-state, the q error comes before the state's and tol's, with LSC too
-        code, out, err = run(capsys, "threshold", "--theta", "10", *argv)
-        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+        assert run_cli("threshold", "--theta", "10", *argv) == (
+            EXIT_INPUT, "", f"error: {message}\n")
 
-    def test_large_tol_still_prints_six_digits(self, capsys):
+    def test_large_tol_still_prints_six_digits(self):
         # one halving of [0, 1]: the threshold near 0.80 lies in [0.5, 1]
-        code, out, _ = run(capsys, "threshold", "--theta", "7.5", "--tol", "0.9")
+        code, out, _ = run_cli("threshold", "--theta", "7.5", "--tol", "0.9")
         assert code == EXIT_OK
         assert out.endswith("chi = 0.750000\n")
 
     @pytest.mark.parametrize("tol, decimals", [("1e-12", 12), ("1e-300", 17)])
-    def test_small_tol_prints_the_decimals_it_resolves(self, capsys, tol, decimals):
-        code, out, _ = run(capsys, "threshold", "--theta", "7.5", "--tol", tol)
+    def test_small_tol_prints_the_decimals_it_resolves(self, tol, decimals):
+        code, out, _ = run_cli("threshold", "--theta", "7.5", "--tol", tol)
         assert code == EXIT_OK
         text = out.rstrip("\n").rsplit("chi = ", 1)[1]
         assert len(text.split(".")[1]) == decimals
@@ -603,56 +486,50 @@ class TestThreshold:
 
 
 class TestSweepAndTables:
-    def test_sweep_writes_curve(self, tmp_path, capsys):
+    def test_sweep_writes_curve(self, tmp_path):
         out = tmp_path / "curve.csv"
-        code, _, _ = run(capsys, "sweep", "--theta", "7.5", "--steps", "11",
-                         "--out", str(out))
+        code, _, _ = run_cli("sweep", "--theta", "7.5", "--steps", "11", "--out", str(out))
         assert code == EXIT_OK
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "chi,scg_q2,scg_q1,lsc,bound_q2,bound_q1,bound_lsc"
         assert len(lines) == 12
 
     @pytest.mark.parametrize("steps", [10**5 + 1, 10**18])
-    def test_steps_beyond_cap_rejected_before_evaluating(self, tmp_path, capsys,
-                                                         monkeypatch, steps):
+    def test_steps_beyond_cap_rejected_before_evaluating(self, tmp_path, monkeypatch, steps):
         def fail(*args):
             raise AssertionError("_werner_tensor called")
 
         monkeypatch.setattr(criteria, "_werner_tensor", fail)
         out = tmp_path / "curve.csv"
-        code, stdout, err = run(capsys, "sweep", "--theta", "7.5", "--steps", str(steps),
-                                "--out", str(out))
-        assert code == EXIT_INPUT
-        assert stdout == "" and not out.exists()
-        assert f"chi_steps must be in [2, 100000], got {steps}" in err
+        assert run_cli("sweep", "--theta", "7.5", "--steps", str(steps), "--out", str(out)) == (
+            EXIT_INPUT, "", f"error: chi_steps must be in [2, 100000], got {steps}\n")
+        assert not out.exists()
 
-    def test_tables_to_stdout(self, capsys):
-        code, out, _ = run(capsys, "tables")
+    def test_tables_to_stdout(self):
+        code, out, _ = run_cli("tables")
         assert code == EXIT_OK
         assert "max deviation: 0.0608" in out
 
-    def test_tables_to_file(self, tmp_path, capsys):
+    def test_tables_to_file(self, tmp_path):
         out = tmp_path / "tables.txt"
-        code, _, _ = run(capsys, "tables", "--out", str(out))
-        assert code == EXIT_OK
+        assert run_cli("tables", "--out", str(out)) == (EXIT_OK, f"wrote {out}\n", "")
         assert "entries: 60" in out.read_text()
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--theta", "22.5", "--chi", "0.5", "--shots", "2", "--seed", "0"),
         ("sweep", "--theta", "7.5", "--steps", "1"),
     ])
-    def test_failing_verb_leaves_existing_out_file_alone(self, tmp_path, capsys, argv):
+    def test_failing_verb_leaves_existing_out_file_alone(self, tmp_path, argv):
         # the whole text is built before the file is opened, so a failure truncates nothing
         out = tmp_path / "kept.csv"
         out.write_bytes(b"earlier output\r\n\x00")
-        code, stdout, err = run(capsys, *argv, "--out", str(out))
-        assert code == EXIT_INPUT
-        assert stdout == "" and err.startswith("error: ")
+        code, _, err = run_cli(*argv, "--out", str(out))
+        assert code == EXIT_INPUT and err.startswith("error: ")
         assert out.read_bytes() == b"earlier output\r\n\x00"
 
 
 class TestExitCodes:
-    def test_mapping(self, monkeypatch, capsys):
+    def test_mapping(self, monkeypatch):
         # io.UnsupportedOperation is an OSError and a ValueError: the OSError test comes first
         cases = [(FileNotFoundError, EXIT_IO), (io.UnsupportedOperation, EXIT_IO),
                  (SolverError, EXIT_NUMERIC), (CountsFormatError, EXIT_INPUT),
@@ -662,16 +539,15 @@ class TestExitCodes:
                 raise error("x")
 
             monkeypatch.setattr(criteria, "chi_threshold", fail)
-            code, out, err = run(capsys, "threshold", "--theta", "7.5")
-            assert (code, out, err) == (expected, "", "error: x\n"), error
+            assert run_cli("threshold", "--theta", "7.5") == (expected, "", "error: x\n"), error
 
 
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv", [("tables",), ("threshold", "--theta", "nan")])
-    def test_python_m_steerq_matches_main(self, capsys, argv):
+    def test_python_m_steerq_matches_main(self, argv):
         root = pathlib.Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
         result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "steerq",
                                  *argv], capture_output=True, text=True, env=env, cwd=root,
                                 timeout=120)
-        assert (result.returncode, result.stdout, result.stderr) == run(capsys, *argv)
+        assert (result.returncode, result.stdout, result.stderr) == run_cli(*argv)

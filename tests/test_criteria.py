@@ -186,6 +186,15 @@ class TestChiThreshold:
         assert not res.crossed
         assert res.chi == 1.0
 
+    def test_chi_zero_violates_no_criterion_by_half_a_unit(self):
+        # chi_threshold's premise: chi = 0 is I/4, on the non-violated side of every bound
+        qs = (1e-300, 1e-12, 0.1, 0.5, 1.0, 1.5, 2.0)
+        for theta in np.linspace(0.0, math.pi / 4, 46):
+            values = criterion_values(analytic_tensor(theta, 0.0), qs)
+            for c in criteria_of(qs):
+                margin = values[c.key] - c.bound if c.name == SCG else c.bound - values[c.key]
+                assert margin >= 0.5 - 1e-12, (theta, c.key, margin)
+
     def test_strength_ordering_tilted_family(self):
         scg_thr = chi_threshold(math.radians(7.5), SCG, q=2.0).chi
         lsc_thr = chi_threshold(math.radians(7.5), LSC).chi

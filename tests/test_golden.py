@@ -1,7 +1,8 @@
 """Byte pins on the output of every CLI verb.
 
-Each case runs the command line in-process and compares the SHA-256 of what
-it writes (stdout or the output file) with a pinned digest, or, for
+Each case runs the command line in-process through ``helpers.run_cli``, which
+holds it to the clean-exit contract, and compares the SHA-256 of what it
+writes (stdout or the output file) with a pinned digest, or, for
 ``threshold``, the printed line itself.  A refactor that keeps the numbers
 keeps every digest; any changed byte of a report, curve, counts file or
 table fails here.  Seeds fix the simulated counts and the bootstrap draws.
@@ -22,19 +23,14 @@ import hashlib
 
 import pytest
 
-from helpers import cpu_tier
-from steerq.cli import EXIT_OK, main
+from helpers import cpu_tier, run_cli
+from steerq.cli import EXIT_OK
 
 TIER = cpu_tier()
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def run(capsys, *argv) -> str:
-    assert main(list(argv)) == EXIT_OK
-    return capsys.readouterr().out
 
 
 # theta (deg), chi, shots, seed (simulation and bootstrap), q list,
@@ -90,36 +86,42 @@ TABLES_DIGEST = "cac1d9153b3b00fbf7f10ef199f5aed71fdecc066d581aa044703ae99bee89c
 
 
 @pytest.mark.parametrize("theta,chi,shots,seed,qs,csv_digest,json_digest", EVAL_CASES)
-def test_simulate_then_eval(tmp_path, monkeypatch, capsys, theta, chi, shots, seed, qs,
-                            csv_digest, json_digest):
+def test_simulate_then_eval(tmp_path, monkeypatch, theta, chi, shots, seed, qs, csv_digest,
+                            json_digest):
     monkeypatch.chdir(tmp_path)  # the report's label is the counts path as given
-    run(capsys, "simulate", "--theta", theta, "--chi", chi, "--shots", shots,
-        "--seed", seed, "--out", "counts.csv")
+    assert run_cli("simulate", "--theta", theta, "--chi", chi, "--shots", shots,
+                   "--seed", seed, "--out", "counts.csv") == (EXIT_OK, "wrote counts.csv\n", "")
     assert _sha256((tmp_path / "counts.csv").read_bytes()) == csv_digest
-    out = run(capsys, "eval", "--counts", "counts.csv", "--q", qs,
-              "--bootstrap", "1000", "--seed", seed)
+    code, out, _ = run_cli("eval", "--counts", "counts.csv", "--q", qs,
+                           "--bootstrap", "1000", "--seed", seed)
+    assert code == EXIT_OK
     if TIER == "libm":
         json_digest = LIBM_JSON_DIGESTS.get((theta, chi), json_digest)
     assert _sha256(out.encode()) == json_digest
 
 
 @pytest.mark.parametrize("theta,chi,digest", EVAL_STATE_CASES)
-def test_eval_state(capsys, theta, chi, digest):
-    out = run(capsys, "eval-state", "--theta", theta, "--chi", chi)
+def test_eval_state(theta, chi, digest):
+    code, out, _ = run_cli("eval-state", "--theta", theta, "--chi", chi)
+    assert code == EXIT_OK
     assert _sha256(out.encode()) == digest
 
 
 @pytest.mark.parametrize("theta,digest", SWEEP_CASES)
-def test_sweep(tmp_path, capsys, theta, digest):
+def test_sweep(tmp_path, theta, digest):
     path = tmp_path / "curve.csv"
-    run(capsys, "sweep", "--theta", theta, "--steps", "101", "--out", str(path))
+    assert run_cli("sweep", "--theta", theta, "--steps", "101", "--out", str(path)) == (
+        EXIT_OK, f"wrote {path}\n", "")
     assert _sha256(path.read_bytes()) == digest
 
 
 @pytest.mark.parametrize("theta,criterion,line", THRESHOLD_CASES)
-def test_threshold(capsys, theta, criterion, line):
-    assert run(capsys, "threshold", "--theta", theta, "--criterion", *criterion) == line + "\n"
+def test_threshold(theta, criterion, line):
+    assert run_cli("threshold", "--theta", theta, "--criterion", *criterion) == (
+        EXIT_OK, line + "\n", "")
 
 
-def test_tables(capsys):
-    assert _sha256(run(capsys, "tables").encode()) == TABLES_DIGEST
+def test_tables():
+    code, out, _ = run_cli("tables")
+    assert code == EXIT_OK
+    assert _sha256(out.encode()) == TABLES_DIGEST
