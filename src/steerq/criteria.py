@@ -122,11 +122,12 @@ def _criterion_lhs(p: np.ndarray, q: Optional[float],
     SCG is (1/(q-1)) sum_k [1 - sum_ij p_ij^q / p_i^(q-1)] with Alice's marginal p_i, the
     summed Shannon conditional entropies at q = 1; LSC is the norm of the same-axis
     correlations.  Powers and logs are elementwise and each sum over cells, outcomes or
-    settings is a chain of slice adds in np.sum's order, so a stack gets the same bits in
-    any batch and any layout with positive strides (numpy's AVX-512 power loop takes only
-    those).  Cells must be +-0.0 or at least the smallest normal float, as analytic_tensor
-    and count frequencies give: then 0^q times the finite m^(1-q) is +0.0, so only the
-    Shannon branch (log 0) masks zeros.  marginals is _alice_marginal(p) when the caller has it.
+    settings is a chain of slice adds in np.sum's order, so a stack gets the same bits in any
+    batch and any layout with positive strides (numpy's AVX-512 power loop takes only those);
+    analytic and bootstrap tables give each cell slice as one contiguous block.  Cells must be
+    +-0.0 or at least the smallest normal float, as analytic_tensor and count frequencies give:
+    then 0^q times the finite m^(1-q) is +0.0, and a zero cell's p ln max(p, tiny) is a signed
+    zero, which moves no setting total.  marginals is _alice_marginal(p) when the caller has it.
     """
     if q is None:
         squares = correlations(p) ** 2
@@ -134,10 +135,14 @@ def _criterion_lhs(p: np.ndarray, q: Optional[float],
     marginal, safe_m = marginals or _alice_marginal(p)
     if qentropy.is_shannon(q):  # H(A, B) - H(A) = sum m ln m - sum p ln p per setting
         marginal_h = marginal * np.log(safe_m)
-        v = ((marginal_h[..., 0] + marginal_h[..., 1])
-             - table_totals(p * np.log(np.where(p > 0.0, p, 1.0))))
+        p_ln_p = np.maximum(p, _SMALLEST_NORMAL)  # a zero cell gives 0 ln(tiny) = -0.0
+        np.log(p_ln_p, out=p_ln_p)
+        p_ln_p *= p
+        v = (marginal_h[..., 0] + marginal_h[..., 1]) - table_totals(p_ln_p)
     else:
-        v = (1.0 - table_totals(p ** q * safe_m[..., np.newaxis] ** (1.0 - q))) / (q - 1.0)
+        terms = p ** q
+        terms *= safe_m[..., np.newaxis] ** (1.0 - q)
+        v = (1.0 - table_totals(terms)) / (q - 1.0)
     # the +0.0 start is np.sum's: +0.0 when every setting gives -0.0 (deterministic, q < 1)
     return ((0.0 + v[..., 0]) + v[..., 1]) + v[..., 2]
 
@@ -199,15 +204,17 @@ def analytic_tensor(theta: float, chis) -> np.ndarray:
 
     The cells tr(rho Pi_i x Pi_j) of make_werner_like(theta, chi) in closed form, summed in a
     one-state einsum's order, tr(rho Pi) = sum_a (sum_b rho_ab Pi_ba), so any batch has those bits.
+    The tensor is in Fortran order, each cell p[..., i, j] one contiguous block, as the bootstrap's
+    cells are: np.sum(axis=...) adds it in that order, and may round otherwise than on a C-ordered
+    copy; the kernel's slice adds do not.
     """
     return _werner_tensor(*werner_like_parameters(theta, chis))
 
 
 def _werner_tensor(c: float, s: float, chis) -> np.ndarray:
-    """analytic_tensor from checked chis and cos(2 theta), sin(2 theta), one or one per chi.
-
-    Cells below the smallest normal float, -0.0 and subnormals among them, are set to +0.0:
-    no criterion can tell them from zero, and their negative powers overflow.
+    """analytic_tensor, Fortran-ordered, from checked chis and cos(2 theta), sin(2 theta), one
+    or one per chi.  Cells below the smallest normal float, -0.0 and subnormals among them, are
+    set to +0.0: no criterion can tell them from zero, and their negative powers overflow.
     """
     # rho: diagonal (d0, m, m, d3), o at (0, 3) and (3, 0); x and y projector entries +-1/4
     m = (1.0 - chis) / 4.0
@@ -215,9 +222,9 @@ def _werner_tensor(c: float, s: float, chis) -> np.ndarray:
     q0, q3, qm, qo = 0.25 * d0, 0.25 * d3, 0.25 * m, 0.25 * o
     same = ((q0 + qo + qm) + qm) + (qo + q3)  # x00, x11, y01, y10
     differ = ((q0 - qo + qm) + qm) + (q3 - qo)  # x01, x10, y00, y11
-    cells = np.array([same, differ, differ, same, differ, same, same, differ, d0, m, m, d3])
-    tables = cells.T.reshape(-1, 3, 2, 2)
-    return np.where(tables < _SMALLEST_NORMAL, 0.0, tables)
+    cells = np.array([same, differ, d0, differ, same, m, differ, same, m, same, differ, d3])
+    cells[cells < _SMALLEST_NORMAL] = 0.0  # rows in [j][i][setting] order, as the .T reads them
+    return cells.reshape(2, 2, 3, -1).T
 
 
 class ChiThreshold(NamedTuple):

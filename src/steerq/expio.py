@@ -291,11 +291,13 @@ def sweep_curve(theta: float, chi_steps: int) -> np.ndarray:
     chi, the lhs of each DEFAULT_CRITERIA row, then their bounds."""
     if not (is_int(chi_steps) and 2 <= chi_steps <= MAX_SWEEP_STEPS):
         raise ValueError(f"chi_steps must be in [2, {MAX_SWEEP_STEPS}], got {chi_steps}")
-    chis = np.linspace(0.0, 1.0, chi_steps)  # in [0, 1]: theta alone needs its check
-    values = criteria.rows_values(criteria._werner_tensor(*criteria._werner_angle(theta), chis),
-                                  DEFAULT_CRITERIA)
-    return np.column_stack([chis, *(values[c.key] for c in DEFAULT_CRITERIA),
-                            *(np.full(chi_steps, c.bound) for c in DEFAULT_CRITERIA)])
+    n = len(DEFAULT_CRITERIA)
+    curve = np.empty((chi_steps, 1 + 2 * n))
+    chis = curve[:, 0] = np.linspace(0.0, 1.0, chi_steps)  # in [0, 1]: theta alone needs its check
+    curve.T[1:1 + n] = list(criteria.rows_values(
+        criteria._werner_tensor(*criteria._werner_angle(theta), chis), DEFAULT_CRITERIA).values())
+    curve[:, 1 + n:] = [c.bound for c in DEFAULT_CRITERIA]
+    return curve
 
 
 def curve_to_csv(rows: np.ndarray) -> str:
@@ -360,8 +362,9 @@ class TableComparison:
 
 def reproduce_tables() -> TableComparison:
     """Analytic predictions next to the reference measurements, row by row."""
-    cos, sin, chis = np.array([(math.cos(2.0 * theta), math.sin(2.0 * theta), row[0])
-                               for _, theta, table in REFERENCE_FAMILIES for row in table]).T
+    angles = np.array([criteria._werner_angle(theta) for _, theta, _ in REFERENCE_FAMILIES])
+    cos, sin = np.repeat(angles, [len(table) for _, _, table in REFERENCE_FAMILIES], axis=0).T
+    chis = np.array([row[0] for _, _, table in REFERENCE_FAMILIES for row in table])
     values = criteria.rows_values(  # both families' 20 tables in one kernel call
         criteria._werner_tensor(cos, sin, chis), DEFAULT_CRITERIA)
     analytic = zip(*(values[c.key].tolist() for c in DEFAULT_CRITERIA))

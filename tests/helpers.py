@@ -281,7 +281,11 @@ def reference_scg_lhs(p: np.ndarray, q: float) -> np.ndarray:
 
 
 def reference_criterion_values(p: np.ndarray, qs) -> dict:
-    """criteria.criterion_values with axis reductions, through reference_scg_lhs."""
+    """criteria.criterion_values with axis reductions, through reference_scg_lhs.
+
+    The reductions run on a C-ordered copy: np.sum(axis=...) and np.linalg.norm(axis=-1) add
+    in memory order, so on Fortran-ordered tables (analytic_tensor's) they round otherwise."""
+    p = np.ascontiguousarray(p)
     values = {c.key: reference_scg_lhs(p, c.q) for c in criteria_of(qs)[:-1]}  # LSC is last
     values["lsc"] = np.linalg.norm(correlations(p), axis=-1)
     return values

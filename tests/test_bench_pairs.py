@@ -116,6 +116,40 @@ def test_a_failed_or_incorrect_run_exits_1(monkeypatch, capsys, tmp_path, fault)
         else "pair 2: change failed 3 of 10 ops")
 
 
+def test_json_holds_what_is_printed(monkeypatch, capsys, tmp_path):
+    # canned lines: counts_eval's change side fails ops in pair 2, analytic_scan runs clean
+    names = [spec["name"] for spec in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    lines = {("counts_eval", "base"): [line(500.0, 2.0), line(501.0, 2.0)],
+             ("counts_eval", "change"): [line(510.0, 1.9), line(505.0, 1.9, 3)],
+             ("analytic_scan", "base"): [line(540.0, 1.8), line(542.0, 1.8)],
+             ("analytic_scan", "change"): [line(610.0, 1.6), line(615.0, 1.6)]}
+
+    def canned(tree, workload, seed, seconds):
+        result = json.loads(lines[workload, "change" if tree == ROOT else "base"].pop(0))
+        result["metrics"] = {name: result["metrics"].get(name, {"value": 1.0}) for name in names}
+        return json.dumps(result)
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", str(tmp_path), "--workload", "counts_eval,analytic_scan",
+                             "--seed", "5", "--seconds", "0.5", "--pairs", "2",
+                             "--json", str(out)]) == 1
+    printed = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert {key: report[key] for key in ("seed", "seconds", "pairs")} == {
+        "seed": 5, "seconds": 0.5, "pairs": 2}
+    assert [w["workload"] for w in report["workloads"]] == ["counts_eval", "analytic_scan"]
+    assert [w["failures"] for w in report["workloads"]] == [
+        ["pair 2: change failed 3 of 100 ops"], []]
+    for workload, table in zip(report["workloads"], printed.split("\n\n")):
+        rows = [{**row, "base": tuple(row["base"]), "change": tuple(row["change"])}
+                for row in workload["rows"]]
+        assert [row["name"] for row in rows] == names
+        assert table.splitlines()[1:] == [*bench_pairs.render(rows).splitlines(),
+                                          *workload["failures"]]
+
+
 @pytest.mark.parametrize("pairs", ["0", "-1"])
 def test_pairs_below_one_is_a_usage_error(monkeypatch, capsys, tmp_path, pairs):
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))

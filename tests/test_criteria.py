@@ -536,10 +536,11 @@ class TestBatchInvariance:
 class TestLayoutInvariance:
     """The kernel's bits do not depend on how the tables lie in memory.
 
-    The bootstrap hands the kernel cell-major tables (each p[..., i, j] one contiguous row);
-    they, tables with reversed stride order (Fortran order) and a strided view give the
-    C-ordered tables' bits, at both Shannon-routed neighbours of q = 1 too, and rows_values
-    with its one Alice marginal gives each row's own _criterion_lhs bits.  Strides stay
+    The bootstrap hands the kernel cell-major tables (each p[..., i, j] one contiguous row), and
+    analytic_tensor Fortran-ordered ones (reversed stride order: each p[..., i, j] one contiguous
+    block over states and settings).  Both, and a strided view, give the C-ordered tables' bits,
+    at both Shannon-routed neighbours of q = 1 too, and rows_values with its one Alice marginal
+    gives each row's own _criterion_lhs bits.  Strides stay
     positive: numpy's vectorised power runs on those only, and rounds a few q = 1.5 cells
     differently from its scalar loop.
     """
@@ -629,6 +630,21 @@ class TestAnalyticTensor:
         batch = _werner_tensor(cos, sin, np.array(chis))
         assert_same_bits(batch, np.concatenate([analytic_tensor(theta, chi)
                                                 for theta, chi in zip(thetas, chis)]))
+
+    def test_tables_are_cell_major(self):
+        # Fortran order: the whole tensor, and each cell p[..., i, j] over states and settings,
+        # is one contiguous block, for a grid, one chi and per-row cos/sin (reproduce_tables')
+        from steerq.criteria import _werner_tensor
+
+        rng = np.random.default_rng(15)
+        angles = 2.0 * rng.uniform(0.0, math.pi / 4, 20)
+        tensors = [analytic_tensor(0.3, np.linspace(0.0, 1.0, 101)), analytic_tensor(0.3, 0.5),
+                   _werner_tensor(np.cos(angles), np.sin(angles), rng.uniform(0.0, 1.0, 20))]
+        for p, states in zip(tensors, (101, 1, 20)):
+            assert p.shape == (states, 3, 2, 2) and p.flags.f_contiguous
+            for i in range(2):
+                for j in range(2):
+                    assert p[..., i, j].flags.f_contiguous
 
     def test_subnormal_cells_become_positive_zero(self):
         # at chi = 1, sin(2 theta)^2 = 4e-320 is subnormal: the z cells past (0, 0) come out

@@ -16,7 +16,10 @@ claimed for a metric when this tree wins at least 9 pairs in 10 (of 10 or more p
 its median beats the base median by more than the base's interquartile range; a metric is
 within its bound when its median is no worse than the base median by more than the
 ``bound`` fraction.  Quartiles are ``statistics.quantiles(..., n=4)``.  A run that failed
-ops or was not correct is named below its table, and the exit status is then 1.  Only the
+ops or was not correct is named below its table, and the exit status is then 1.
+
+``--json PATH`` also writes what is printed to PATH: the seed, seconds and pairs, and for
+each workload in turn its name, its ``summarize`` rows and its ``failures`` lines.  Only the
 standard library is used.
 """
 
@@ -109,12 +112,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", type=Path, help="also write the tables and failures here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"base": args.base.resolve(), "change": ROOT}
-    failed = False
+    report = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "workloads": []}
     for n, workload in enumerate(args.workload.split(",")):
         pairs = []
         for i in range(args.pairs):
@@ -125,12 +129,14 @@ def main(argv=None) -> int:
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
         print("\n" * (n > 0) + f"{workload}, seed {args.seed}, {args.seconds:g} s runs, "
               f"{args.pairs} pairs")
-        print(render(summarize(pairs, end_to_end)))
-        bad = failures(pairs)
+        rows, bad = summarize(pairs, end_to_end), failures(pairs)
+        print(render(rows))
         for line in bad:
             print(line)
-        failed = failed or bool(bad)
-    return 1 if failed else 0
+        report["workloads"].append({"workload": workload, "rows": rows, "failures": bad})
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=2) + "\n")
+    return 1 if any(w["failures"] for w in report["workloads"]) else 0
 
 
 if __name__ == "__main__":
