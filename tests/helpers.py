@@ -1,5 +1,5 @@
-"""Shared generators for randomized tests, the reference routes they compare against, and
-the one in-process CLI runner."""
+"""Shared generators for randomized tests, the reference routes they compare against, the
+one in-process CLI runner and the one call spy."""
 
 import contextlib
 import io
@@ -392,3 +392,20 @@ def run_cli(*argv) -> tuple[int, str, str]:
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1
     return code, out, err
+
+
+def spy(monkeypatch, owner, name: str, forbid: bool = False) -> list:
+    """Patch owner.name to record the positional arguments of each call and call through;
+    the list of argument tuples is returned.  With forbid, each call raises AssertionError
+    before the real one runs, so that a check meant to come first never allocates."""
+    original = getattr(owner, name)
+    calls = []
+
+    def recorded(*args):
+        if forbid:
+            raise AssertionError(f"{name} called")
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import counts_csv, run_cli
+from helpers import counts_csv, run_cli, spy
 from steerq import criteria
 from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MAX_COUNTS_CHARS
 from steerq.criteria import SolverError, chi_threshold
@@ -143,16 +143,6 @@ class TestEval:
         assert run_eval(tmp_path, tiny, "--bootstrap", "2", "--seed", "0") == (EXIT_INPUT, "", (
             "error: bootstrap: 0 of 2 requested resamples have counts in every setting, at "
             "least 2 are needed; the counts are too small for error bars\n"))
-
-    def test_count_beyond_float_limit_is_input_error(self, tmp_path):
-        for big in (2**63 - 1, 10**19, 10**25):
-            assert run_eval(tmp_path, counts_csv({("x", "11"): big})) == (
-                EXIT_INPUT, "", f"error: line 5: count {big} is not below 2**53 = {2**53}\n")
-
-    def test_count_beyond_int_string_limit_is_input_error(self, tmp_path):
-        # 5000 digits: beyond int()'s 4300-digit limit, still one error citing the line
-        assert run_eval(tmp_path, counts_csv({("y", "10"): "9" * 5000})) == (
-            EXIT_INPUT, "", f"error: line 8: count {'9' * 5000} is not below 2**53 = {2**53}\n")
 
     def test_setting_total_at_float_limit_is_input_error(self, tmp_path):
         text = counts_csv({("y", o): 2**51 for o in ("00", "01", "10", "11")})
@@ -314,11 +304,7 @@ class TestAnalyticVerbFuzz:
         self.assert_both_outcomes(codes)
 
     def test_sweep(self, tmp_path, monkeypatch):
-        codes, grids = [], []
-        original = criteria._werner_tensor
-        monkeypatch.setattr(criteria, "_werner_tensor",
-                            lambda c, s, chis: grids.append(np.size(chis))
-                            or original(c, s, chis))
+        codes, grids = [], spy(monkeypatch, criteria, "_werner_tensor")
 
         @_FUZZ
         @given(theta=_THETA, steps=_STEPS, writable=st.sampled_from([True, True, False]))
@@ -333,7 +319,7 @@ class TestAnalyticVerbFuzz:
 
         check()
         self.assert_both_outcomes(codes)
-        assert grids and max(grids) <= MAX_SWEEP_STEPS
+        assert grids and max(np.size(chis) for _, _, chis in grids) <= MAX_SWEEP_STEPS
 
 
 _SHOTS = _mostly_valid(st.integers(1, 10**6), st.sampled_from(
@@ -496,10 +482,7 @@ class TestSweepAndTables:
 
     @pytest.mark.parametrize("steps", [10**5 + 1, 10**18])
     def test_steps_beyond_cap_rejected_before_evaluating(self, tmp_path, monkeypatch, steps):
-        def fail(*args):
-            raise AssertionError("_werner_tensor called")
-
-        monkeypatch.setattr(criteria, "_werner_tensor", fail)
+        spy(monkeypatch, criteria, "_werner_tensor", forbid=True)
         out = tmp_path / "curve.csv"
         assert run_cli("sweep", "--theta", "7.5", "--steps", str(steps), "--out", str(out)) == (
             EXIT_INPUT, "", f"error: chi_steps must be in [2, 100000], got {steps}\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (counts_csv, reference_bootstrap_error_bars, reference_comparison_to_text,
-                     reference_curve_to_csv, reference_frequencies, reference_report_to_json)
+                     reference_curve_to_csv, reference_frequencies, reference_report_to_json, spy)
 from steerq import (CountsFormatError, ExperimentRecord, criteria, evaluate_record,
                     evaluate_state, expio, parse_counts_csv, report_to_json,
                     reproduce_tables, serialize_counts_csv, simulate_record,
@@ -256,12 +256,10 @@ class TestEvaluateRecord:
         counts = (np.array([[[1, 0], [2, 0]], [[0, 3], [1, 0]], [[0, 0], [0, 2]]]) if sparse
                   else simulate_record(THETA_T, 0.7, 3_000, seed=4).counts)
         want = criteria.criterion_values(reference_frequencies(counts), qs)
-        calls = []
-        original = criteria.rows_values
-        monkeypatch.setattr(criteria, "rows_values",
-                            lambda p, rows: calls.append(len(p)) or original(p, rows))
+        blocks = spy(monkeypatch, criteria, "rows_values")
         monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
         rep = evaluate_record(ExperimentRecord("rec", counts), qs=qs, bootstrap=1000, seed=5)
+        calls = [len(p) for p, _ in blocks]
         assert len(calls) == math.ceil(1000 / chunk)
         if sparse:  # the first block drops resamples with an empty setting
             assert calls[0] < min(chunk, 1000) + 1
@@ -551,11 +549,7 @@ class TestSweepCurve:
         # linspace(0, 1, n) lies in [0, 1], so only theta needs its check
         cases = [(math.radians(deg), steps) for deg in (0.0, 7.5, 22.5) for steps in (2, 101)]
         expected = [sweep_curve(theta, steps).tobytes() for theta, steps in cases]
-
-        def fail(*args):
-            raise AssertionError("werner_like_parameters called")
-
-        monkeypatch.setattr(criteria, "werner_like_parameters", fail)
+        spy(monkeypatch, criteria, "werner_like_parameters", forbid=True)
         assert [sweep_curve(theta, steps).tobytes() for theta, steps in cases] == expected
         with pytest.raises(ValueError, match=r"^theta=nan \(nan deg\) outside \[0, pi/4\] "
                                              r"\(\[0, 45\] deg\)$"):
@@ -624,12 +618,9 @@ class TestReproduceTables:
                 criteria.analytic_tensor(theta, [row[0] for row in table]), DEFAULT_QS)
             expected += [(family, chi, c.key, float(values[c.key][idx]).hex())
                          for idx, (chi, *_) in enumerate(table) for c in criteria_of(DEFAULT_QS)]
-        calls = []
-        original = criteria.rows_values
-        monkeypatch.setattr(criteria, "rows_values",
-                            lambda p, rows: calls.append(len(p)) or original(p, rows))
+        calls = spy(monkeypatch, criteria, "rows_values")
         rows = reproduce_tables().rows
-        assert calls == [20]
+        assert [len(p) for p, _ in calls] == [20]
         assert [(r.family, r.chi, r.criterion, r.analytic.hex()) for r in rows] == expected
 
     def test_text_rendering(self):
@@ -676,21 +667,14 @@ def test_reports_follow_one_criterion_order():
 class TestEachCheckOnce:
     """Each entry checks its q list once; the kernel then runs on the checked rows."""
 
-    def count_criteria_of(self, monkeypatch) -> list:
-        calls = []
-        original = criteria.criteria_of
-        monkeypatch.setattr(criteria, "criteria_of",
-                            lambda qs: calls.append(tuple(qs)) or original(qs))
-        return calls
-
     def test_evaluate_state_checks_its_qs_once(self, monkeypatch):
-        calls = self.count_criteria_of(monkeypatch)
+        calls = spy(monkeypatch, criteria, "criteria_of")
         evaluate_state(THETA_T, 0.81, qs=(2.0, 1.0, 0.5))
-        assert calls == [(2.0, 1.0, 0.5)]
+        assert calls == [((2.0, 1.0, 0.5),)]
 
     def test_sweep_and_tables_check_nothing_again(self, monkeypatch):
         # their columns are DEFAULT_CRITERIA, checked once when expio is imported
-        calls = self.count_criteria_of(monkeypatch)
+        calls = spy(monkeypatch, criteria, "criteria_of")
         sweep_curve(THETA_T, 101)
         reproduce_tables()
         assert calls == []
@@ -699,6 +683,6 @@ class TestEachCheckOnce:
     def test_evaluate_record_checks_its_qs_once_not_per_block(self, monkeypatch, chunk):
         rec = simulate_record(THETA_T, 0.7, 3_000, seed=4)
         monkeypatch.setattr(expio, "BOOTSTRAP_CHUNK", chunk)
-        calls = self.count_criteria_of(monkeypatch)
+        calls = spy(monkeypatch, criteria, "criteria_of")
         evaluate_record(rec, qs=(2.0, 1.5), bootstrap=1000, seed=5)
-        assert calls == [(2.0, 1.5)]
+        assert calls == [((2.0, 1.5),)]
