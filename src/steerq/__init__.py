@@ -13,16 +13,14 @@ from .expio import (CountsFormatError, EvaluationReport, ExperimentRecord,
                     report_to_json, reproduce_tables, serialize_counts_csv,
                     simulate_record, sweep_curve)
 from .measure import AXES, correlations, spawn_generator
-from .qmat import (DensityMatrix, MatrixValidationError, fidelity, make_werner_like,
-                   validate_density)
+from . import qmat
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
-    "AXES", "ChiThreshold", "CountsFormatError", "CriterionReport", "DensityMatrix",
-    "EvaluationReport", "ExperimentRecord", "LSC", "MatrixValidationError", "SCG",
-    "SolverError", "analytic_tensor", "chi_threshold", "correlations", "criterion_values",
-    "evaluate_record", "evaluate_state", "fidelity", "make_werner_like", "parse_counts_csv",
-    "report_to_json", "reproduce_tables", "scg_bound", "serialize_counts_csv",
-    "simulate_record", "spawn_generator", "sweep_curve", "validate_density", "verdict",
+    "AXES", "ChiThreshold", "CountsFormatError", "CriterionReport", "EvaluationReport",
+    "ExperimentRecord", "LSC", "SCG", "SolverError", "analytic_tensor", "chi_threshold",
+    "correlations", "criterion_values", "evaluate_record", "evaluate_state", "parse_counts_csv",
+    "qmat", "report_to_json", "reproduce_tables", "scg_bound", "serialize_counts_csv",
+    "simulate_record", "spawn_generator", "sweep_curve", "verdict",
 ]

@@ -18,49 +18,40 @@ PSD_TOL = 1e-9
 _SQRT_CLAMP_RTOL = 1e-14  # eigenvalues this far below the largest are rounding noise: zeroed
 
 
-class MatrixValidationError(ValueError):
-    """A matrix failed a structural requirement (shape, Hermiticity, trace, PSD)."""
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A Hermitian, unit-trace, positive-semidefinite matrix, checked on construction.
+    """A two-qubit density matrix: Hermitian, unit-trace and PSD, checked on construction.
 
-    DensityMatrix(m) checks, in this order, that m is 2-D, non-empty, finite,
-    square, Hermitian, of unit trace and positive semidefinite (to
-    HERMITICITY_TOL, TRACE_TOL and PSD_TOL), raises MatrixValidationError at the
-    first failure, and stores the read-only Hermitian part (m + m^H) / 2 and, for
-    fidelity, the PSD check's eigendecomposition as the read-only _factor V sqrt(lambda).
+    DensityMatrix(m) checks, in this order, that m is 4x4, finite, Hermitian, of
+    unit trace and positive semidefinite (to HERMITICITY_TOL, TRACE_TOL and
+    PSD_TOL), raises ValueError at the first failure, and stores the read-only
+    Hermitian part (m + m^H) / 2 and, for fidelity, the PSD check's
+    eigendecomposition as the read-only _factor V sqrt(lambda).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.matrix, dtype=complex)
-        if arr.ndim != 2:
-            raise MatrixValidationError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-        if arr.size == 0:
-            raise MatrixValidationError("matrix must be non-empty")
+        if arr.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise MatrixValidationError("matrix contains non-finite entries")
-        rows, cols = arr.shape
-        if rows != cols:
-            raise MatrixValidationError(f"expected a square matrix, got {rows}x{cols}")
+            raise ValueError("matrix contains non-finite entries")
         adjoint = arr.conj().T
         dev = float(np.max(np.abs(arr - adjoint)))
         if dev > HERMITICITY_TOL:
-            raise MatrixValidationError(
+            raise ValueError(
                 f"not Hermitian: max |M - M^H| = {dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
             )
         trace_dev = float(abs(np.trace(arr) - 1.0))
         if trace_dev > TRACE_TOL:
-            raise MatrixValidationError(
+            raise ValueError(
                 f"trace differs from 1 by {trace_dev:.3e} (tolerance {TRACE_TOL:.0e})"
             )
         herm = (arr + adjoint) / 2.0
         eigenvalues, vectors = np.linalg.eigh(herm)
         if eigenvalues[0] < -PSD_TOL:
-            raise MatrixValidationError(
+            raise ValueError(
                 f"not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e} "
                 f"below -{PSD_TOL:.0e}"
             )
@@ -69,10 +60,6 @@ class DensityMatrix:
         for name, value in (("matrix", herm), ("_factor", vectors * np.sqrt(clamped))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def validate_density(m) -> DensityMatrix:
@@ -100,10 +87,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     sqrt(rho) sqrt(sigma) = V_rho (L_rho^H L_sigma) V_sigma^H has the
     singular values of L_rho^H L_sigma, so nothing is decomposed again.
     """
-    if rho.dim != sigma.dim:
-        raise MatrixValidationError(
-            f"dimension mismatch: {rho.dim} vs {sigma.dim}"
-        )
     b = rho._factor.conj().T @ sigma._factor
     value = float(np.sum(np.linalg.svd(b, compute_uv=False))) ** 2
     return min(max(value, 0.0), 1.0)

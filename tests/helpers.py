@@ -9,13 +9,14 @@ import warnings
 
 import numpy as np
 
-from steerq import DensityMatrix, criterion_values, make_werner_like, validate_density
+from steerq import criterion_values
 from steerq.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from steerq.criteria import (_SMALLEST_NORMAL, BISECTION_MAX_ITER, LSC, LSC_BOUND,
                              MULTISECTION_BITS, SCG, ChiThreshold, SolverError, analytic_tensor,
                              criteria_of, scg_bound, scg_key)
 from steerq.expio import BOOTSTRAP_STREAM, CURVE_CSV_HEADER, EvaluationReport, TableComparison
 from steerq.measure import correlations, spawn_generator, table_totals
+from steerq.qmat import DensityMatrix, make_werner_like, validate_density
 
 PROBABILITY_TOL = 1e-10
 
@@ -45,9 +46,9 @@ BELL_CORRELATIONS = np.array([
 ], dtype=float)
 
 
-def random_density(rng: np.random.Generator, dim: int = 4, rank=None) -> DensityMatrix:
-    """Random state from the Ginibre ensemble, of full rank unless rank is given."""
-    shape = (dim, dim if rank is None else rank)
+def random_density(rng: np.random.Generator, rank=None) -> DensityMatrix:
+    """Random two-qubit state from the Ginibre ensemble, of full rank unless rank is given."""
+    shape = (4, 4 if rank is None else rank)
     g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     rho = g @ g.conj().T
     return validate_density(rho / np.trace(rho).real)

@@ -19,10 +19,11 @@ import numpy as np
 from helpers import (BELL_CORRELATIONS, joint_tensor, mub_bound, random_bell_diagonal,
                      random_density, scg, scg_lhs_entropic, shannon_bound, tsallis_entropy,
                      werner_tables)
-from steerq import (LSC, SCG, DensityMatrix, chi_threshold, correlations, fidelity,
-                    make_werner_like, reproduce_tables, scg_bound, verdict)
+from steerq import (LSC, SCG, chi_threshold, correlations, reproduce_tables, scg_bound,
+                    verdict)
 from steerq.criteria import LSC_BOUND, analytic_tensor, criterion_values, scg_key
 from steerq.expio import evaluate_record, simulate_record
+from steerq.qmat import DensityMatrix, fidelity, make_werner_like
 
 THETA_W = math.radians(22.5)
 THETA_T = math.radians(7.5)

@@ -8,8 +8,9 @@ from helpers import (assert_same_bits, bisection_threshold, mub_bound, reference
                      reference_frequencies, scg, scg_lhs_entropic, shannon_bound, spy,
                      werner_tables)
 from steerq import (LSC, SCG, SolverError, analytic_tensor, chi_threshold, criteria,
-                    criterion_values, make_werner_like, scg_bound, verdict)
+                    criterion_values, scg_bound, verdict)
 from steerq.criteria import criteria_of, scg_key
+from steerq.qmat import make_werner_like
 
 THETA_W = math.pi / 8  # the Werner states
 
@@ -164,8 +165,9 @@ class TestChiThreshold:
                 assert margin >= 0.5 - 1e-12, (theta, c.key, margin)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            chi_threshold(math.radians(22.5), SCG, q=2.0, tol=0.0)
+        for tol in (math.nan, math.inf, -1.0, 0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=rf"^tol must lie in \(0, 1\), got {tol!r}$"):
+                chi_threshold(math.radians(22.5), SCG, q=2.0, tol=tol)
 
     @pytest.mark.parametrize("criterion, q, message", [
         ("XYZ", 2.0, "unknown criterion 'XYZ'"),

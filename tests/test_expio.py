@@ -138,9 +138,10 @@ class TestExperimentRecord:
     def test_simulated_empty_setting_names_shots_and_seed(self):
         # one expected count per setting often draws none; the record's own
         # "axis x has zero total count" would name neither shots nor seed
-        with pytest.raises(ValueError, match=r"^shots = 1 with seed = 0 drew no axis x "
-                                             r"counts; use more shots$"):
-            simulate_record(THETA_W, 0.5, 1, seed=0)
+        for shots, axis in ((1, "x"), (2, "z")):
+            with pytest.raises(ValueError, match=rf"^shots = {shots} with seed = 0 drew no axis "
+                                                 rf"{axis} counts; use more shots$"):
+                simulate_record(THETA_W, 0.5, shots, seed=0)
 
     def test_shots_must_be_an_integer(self):
         # 2000.5 used to draw with mean 2000.5 * p and label the record shots=2000.5, and

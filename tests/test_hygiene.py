@@ -40,6 +40,12 @@ def test_all_is_sorted_and_equals_the_package_imports():
     assert set(steerq.__all__) == imported_names(tree)
 
 
+def test_the_package_exports_no_density_matrix_name():
+    """The criterion needs no density matrix: qmat is reached as steerq.qmat, never exported."""
+    assert [name for name in steerq.__all__
+            if getattr(getattr(steerq, name), "__module__", None) == "steerq.qmat"] == []
+
+
 def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["version"] == steerq.__version__

@@ -6,9 +6,10 @@ import pytest
 
 from helpers import checked_table as table
 from helpers import I2, PAULIS, PROJECTORS, joint_tensor, random_density, reference_frequencies, spy
-from steerq import (AXES, DensityMatrix, ExperimentRecord, correlations, evaluate_record, expio,
-                    make_werner_like, simulate_record, spawn_generator)
+from steerq import (AXES, ExperimentRecord, correlations, evaluate_record, expio,
+                    simulate_record, spawn_generator)
 from steerq.criteria import analytic_tensor
+from steerq.qmat import DensityMatrix, make_werner_like
 
 
 class TestPauliProjectors:
