@@ -83,7 +83,9 @@ class Criterion(NamedTuple):
 def criteria_of(qs: Sequence[float]) -> tuple[Criterion, ...]:
     """The reported criteria in report order: SCG at each q, then LSC.
 
-    Checks in turn that qs holds at most MAX_QS indices, each in (0, Q_MAX], with distinct keys."""
+    Checks in turn: a flat sequence, at most MAX_QS indices, each in (0, Q_MAX], distinct keys."""
+    if np.ndim(qs) != 1:
+        raise ValueError(f"entropic indices must be a flat sequence of numbers, got {qs!r}")
     if len(qs) > MAX_QS:
         raise ValueError(f"at most {MAX_QS} entropic indices are accepted, got {len(qs)}")
     checked = [_check_q_range(q) for q in qs]

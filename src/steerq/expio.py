@@ -139,12 +139,12 @@ def serialize_counts_csv(rec: ExperimentRecord) -> str:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Criterion verdicts plus the probability tables they were computed from."""
+    """Criterion verdicts and their tables, in the one shape that report_to_json takes."""
 
     label: str
-    criteria: tuple[criteria.CriterionReport, ...]
-    probabilities: dict       # axis letter -> [p00, p01, p10, p11]
-    totals: Optional[dict]    # axis letter -> total counts (None when analytic)
+    criteria: tuple[criteria.CriterionReport, ...]  # one at least
+    probabilities: dict       # "x", "y", "z" in that order -> [p00, p01, p10, p11]
+    totals: Optional[dict]    # "x", "y", "z" in that order -> total counts (None when analytic)
     seed: Optional[int]       # bootstrap seed (None when analytic)
 
 
@@ -152,45 +152,40 @@ _ENCODE = json.JSONEncoder(allow_nan=False, separators=("\n", ": ")).encode  # s
 
 
 def _block(members: list, pad: str, brackets: str) -> str:
-    """json.dumps(indent=2)'s layout of a list or dict of these members, closed at pad."""
-    if not members:
-        return brackets
+    """json.dumps(indent=2)'s layout of a list or dict of these members (one at least)."""
     return brackets[0] + "\n" + ",\n".join(members) + "\n" + pad + brackets[1]
 
 
 _CRITERION = "    " + _block([f'      "{f.name}": %s' for f in fields(criteria.CriterionReport)],
                              "    ", "{}")
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: int, float, bool or None as its JSON text."""
-    if not isinstance(key, (str, int, float, type(None))):  # bool is an int
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return key if isinstance(key, str) else _ENCODE(key)
+_PROBABILITIES = _block([f'    "{axis}": ' + _block(["      %s"] * 4, "    ", "[]")
+                         for axis in AXES], "  ", "{}")
+_TOTALS = _block([f'    "{axis}": %s' for axis in AXES], "  ", "{}")
 
 
 def report_to_json(report: EvaluationReport) -> str:
-    """json.dumps(document, indent=2, allow_nan=False) of the report, from one encoder call on
-    every scalar and dict key (as a string) in document order: ensure_ascii leaves no raw
-    newline in a token, so its "\n" separators split them for the % call on the shape's layout."""
+    """json.dumps(document, indent=2, allow_nan=False) of a report that evaluate_record or
+    evaluate_state returns, from one encoder call on its values in document order: ensure_ascii
+    leaves no raw newline in a token, so its "\n" separators split them for the % call on the
+    layout, where axis and bound keys are literals.  Any other shape is a ValueError."""
+    shape = [(axis, len(cells)) for axis, cells in report.probabilities.items()]
+    totals = None if report.totals is None else list(report.totals)
+    if not report.criteria or shape != [(a, 4) for a in AXES] or totals not in (None, [*AXES]):
+        raise ValueError(f"report_to_json takes at least one criterion, 4 cells for each of x, "
+                         f"y, z in that order and totals keyed x, y, z or None, got "
+                         f"{len(report.criteria)} criteria, cells {dict(shape)}, totals {totals}")
     bounds = {"lsc" if c.criterion == criteria.LSC else criteria.scg_key(c.q): c.bound
               for c in report.criteria}
-    axes, counted = ([(_json_key(key), v) for key, v in d.items()]
-                     for d in (report.probabilities, report.totals or {}))
-    scalars = [report.label, *[v for c in report.criteria for v in vars(c).values()],
-               *[v for axis, cells in axes for v in (axis, *cells)],
-               *[v for pair in (*counted, *bounds.items()) for v in pair],
-               report.seed]
-    lists = ["    %s: " + _block(["      %s"] * len(cells), "    ", "[]")
-             for cells in report.probabilities.values()]
-    totals = None if report.totals is None else ["    %s: %s"] * len(report.totals)
+    values = [report.label, *[v for c in report.criteria for v in vars(c).values()],
+              *[v for cells in report.probabilities.values() for v in cells],
+              *(report.totals or {}).values(), *bounds.values(), report.seed]
     layout = _block(['  "label": %s',
                      '  "criteria": ' + _block([_CRITERION] * len(report.criteria), "  ", "[]"),
-                     '  "probabilities": ' + _block(lists, "  ", "{}"),
-                     '  "totals": ' + ("null" if totals is None else _block(totals, "  ", "{}")),
-                     '  "bounds": ' + _block(["    %s: %s"] * len(bounds), "  ", "{}"),
+                     '  "probabilities": ' + _PROBABILITIES,
+                     '  "totals": ' + ("null" if totals is None else _TOTALS),
+                     '  "bounds": ' + _block([f'    "{key}": %s' for key in bounds], "  ", "{}"),
                      '  "seed": %s'], "", "{}")
-    return layout % tuple(_ENCODE(scalars)[1:-1].split("\n"))
+    return layout % tuple(_ENCODE(values)[1:-1].split("\n"))
 
 
 def _report(label: str, p: np.ndarray, rows: Sequence[criteria.Criterion], values: dict,

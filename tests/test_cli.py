@@ -310,7 +310,7 @@ _SIMULATE_SEED = _mostly_valid(st.integers(0, 10**40), st.sampled_from(
 
 
 class TestOutputVerbFuzz:
-    """simulate and tables over generated argv: clean exits only."""
+    """simulate over generated argv and tables over each of its argv shapes: clean exits only."""
 
     def test_simulate(self, tmp_path):
         codes = []
@@ -336,26 +336,18 @@ class TestOutputVerbFuzz:
         assert codes.count(EXIT_OK) >= 10 and codes.count(EXIT_INPUT) >= 10, codes
         assert EXIT_IO in codes
 
-    def test_tables(self, tmp_path):
-        codes = []
-
-        @_FUZZ
-        @given(argv=st.sampled_from([[], ["--out", "file"], ["--out", "directory"],
-                                     ["--out", "missing"], ["--out"], ["--outt", "file"],
-                                     ["extra"]]))
-        def check(argv):
-            paths = {"file": tmp_path / "tables.txt", "directory": tmp_path,
-                     "missing": tmp_path / "missing" / "tables.txt"}
-            code, out, _ = run_cli("tables", *(str(paths.get(a, a)) for a in argv))
-            if argv in (["--out", "directory"], ["--out", "missing"]):
-                assert code == EXIT_IO
-            if code == EXIT_OK:
-                text = out if not argv else paths["file"].read_text()
-                assert "entries: 60" in text
-            codes.append(code)
-
-        check()
-        assert {EXIT_OK, EXIT_INPUT, EXIT_IO} <= set(codes)
+    @pytest.mark.parametrize("argv, expected", [
+        ([], EXIT_OK), (["--out", "file"], EXIT_OK), (["--out", "directory"], EXIT_IO),
+        (["--out", "missing"], EXIT_IO), (["--out"], EXIT_INPUT),
+        (["--outt", "file"], EXIT_INPUT), (["extra"], EXIT_INPUT),
+    ], ids=["none", "out-file", "out-directory", "out-missing", "bare-out", "outt", "extra"])
+    def test_tables(self, tmp_path, argv, expected):
+        paths = {"file": tmp_path / "tables.txt", "directory": tmp_path,
+                 "missing": tmp_path / "missing" / "tables.txt"}
+        code, out, _ = run_cli("tables", *(str(paths.get(a, a)) for a in argv))
+        assert code == expected
+        if code == EXIT_OK:
+            assert "entries: 60" in (out if not argv else paths["file"].read_text())
 
 
 class TestEvalState:
