@@ -24,11 +24,9 @@ MAX_COUNTS_CHARS = 2**20  # a counts CSV needs about 300 characters; eval reads 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
     try:
-        qs = tuple(float(tok) for tok in text.split(","))
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"could not parse q list {text!r}")
-    criteria.criteria_of(qs)  # the q list's errors come before the state's
-    return qs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +85,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_eval(args) -> str:
-    qs = _parse_q_list(args.q)  # before the counts file, as eval-state checks it before the state
+    qs = _parse_q_list(args.q)
+    criteria.criteria_of(qs)  # before the counts file, as every other entry checks its qs first
     try:
         with open(args.counts, "r", encoding="utf-8-sig") as handle:  # spreadsheets write a BOM
             text = handle.read(MAX_COUNTS_CHARS + 1)
@@ -108,12 +107,9 @@ def _cmd_eval_state(args) -> str:
 
 
 def _cmd_threshold(args) -> str:
-    criteria.criteria_of((args.q,))  # for either criterion, before the state, as in eval-state
     criterion = args.criterion.upper()
-    q = args.q if criterion == criteria.SCG else None
-    result = criteria.chi_threshold(math.radians(args.theta), criterion, q=q,
-                                    tol=args.tol)
-    label = criterion if q is None else f"{criterion}(q={q:g})"
+    result = criteria.chi_threshold(math.radians(args.theta), criterion, q=args.q, tol=args.tol)
+    label = criterion if criterion == criteria.LSC else f"{criterion}(q={args.q:g})"
     if result.crossed:  # as many decimals as tol resolves, from 6 to the 17 that round-trip
         digits = min(max(6, math.ceil(-math.log10(args.tol))), 17)
         return f"{label} threshold at theta={args.theta:g}deg: chi = {result.chi:.{digits}f}\n"

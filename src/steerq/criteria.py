@@ -10,8 +10,8 @@ Two detectors are provided:
 
 ``criterion_values`` evaluates both on a (..., 3, 2, 2) tensor of joint tables (any other
 shape is an error), so one state, a chi grid or a block of bootstrap resamples all go through
-``_criterion_lhs``, where each formula is written once.  ``criteria_of`` is the one check of
-the entropic indices, at most MAX_QS of them, and takes its bounds from ``scg_bound``;
+``_criterion_lhs``, where each formula is written once.  ``scg_bound`` is the one check of an
+entropic index, and ``criteria_of`` builds each q's row through it, at most MAX_QS of them;
 ``rows_values`` runs the kernel over rows it returned, so their holder checks nothing again.
 
 The entropic index is accepted on (0, 2], the range where the mutually
@@ -52,21 +52,16 @@ class SolverError(ArithmeticError):
     """The threshold solver's preconditions failed (non-monotone profile, ...)."""
 
 
-def _check_q_range(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0 or q > Q_MAX:
-        raise ValueError(f"entropic index q must lie in (0, {Q_MAX:g}], got {q!r}")
-    return q
-
-
 def scg_key(q: float) -> str:
     """Report key of the SCG criterion at index q."""
     return f"scg_q{q:g}"
 
 
 def scg_bound(q: float) -> float:
-    """SCG bound for qubits in three MUBs: 3 ln_q(3/2), or the parity bound 2 ln 2 at q = 1."""
-    q = _check_q_range(q)
+    """The one q check, q in (0, Q_MAX], and SCG's bound 3 ln_q(3/2), or 2 ln 2 at q = 1."""
+    q = float(q)
+    if not math.isfinite(q) or q <= 0.0 or q > Q_MAX:
+        raise ValueError(f"entropic index q must lie in (0, {Q_MAX:g}], got {q!r}")
     return (2.0 * math.log(2.0) if qentropy.is_shannon(q)
             else 3 * ((1.5 ** (1.0 - q) - 1.0) / (1.0 - q)))  # ln_q(x) = (x^(1-q) - 1)/(1 - q)
 
@@ -83,27 +78,32 @@ class Criterion(NamedTuple):
 def criteria_of(qs: Sequence[float]) -> tuple[Criterion, ...]:
     """The reported criteria in report order: SCG at each q, then LSC.
 
-    Checks in turn: a flat sequence, at most MAX_QS indices, each in (0, Q_MAX], distinct keys."""
-    if np.ndim(qs) != 1:
+    Every entry that takes qs calls it first.  Checks in turn: a flat sequence, at most MAX_QS
+    indices, each in (0, Q_MAX] (scg_bound, as its row is built), distinct keys."""
+    try:
+        flat = np.ndim(qs) == 1
+    except ValueError:  # ragged, such as (2.0, [1.0])
+        flat = False
+    if not flat:
         raise ValueError(f"entropic indices must be a flat sequence of numbers, got {qs!r}")
     if len(qs) > MAX_QS:
         raise ValueError(f"at most {MAX_QS} entropic indices are accepted, got {len(qs)}")
-    checked = [_check_q_range(q) for q in qs]
-    keys = [scg_key(q) for q in checked]
+    rows = tuple(Criterion(SCG, float(q), scg_key(float(q)), scg_bound(q)) for q in qs)
+    keys = [c.key for c in rows]
     if len(set(keys)) != len(keys):
-        raise ValueError(f"entropic indices {', '.join(f'{q!r}' for q in checked)} "
+        raise ValueError(f"entropic indices {', '.join(f'{c.q!r}' for c in rows)} "
                          f"collide in the report keys {keys}")
-    return (*(Criterion(SCG, q, key, scg_bound(q)) for q, key in zip(checked, keys)),
-            Criterion(LSC, None, "lsc", LSC_BOUND))
+    return (*rows, Criterion(LSC, None, "lsc", LSC_BOUND))
 
 
 def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray]:
     """SCG at each q and LSC for a (..., 3, 2, 2) tensor of checked joint tables.
 
     Returns arrays of shape (...) keyed as the criteria_of(qs) rows: scg_key(q), then "lsc"."""
+    rows = criteria_of(qs)  # before the shape
     if np.shape(p)[-3:] != (3, 2, 2):
         raise ValueError(f"joint tables must have shape (..., 3, 2, 2), got {np.shape(p)}")
-    return rows_values(p, criteria_of(qs))
+    return rows_values(p, rows)
 
 
 def rows_values(p: np.ndarray, rows: Sequence[Criterion]) -> dict[str, np.ndarray]:
@@ -236,25 +236,25 @@ class ChiThreshold(NamedTuple):
 
 def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                   tol: float = 1e-6) -> ChiThreshold:
-    """Smallest mixing weight chi at which the criterion is violated.
+    """Smallest mixing weight chi at which the criterion's criteria_of row is violated.
 
-    Checks its arguments once; each kernel call writes its chis' tables from cos(2 theta),
-    sin(2 theta) and evaluates only the solved criterion.  The first call, on the 129 points
-    k/128, checks strict monotonicity.  Its values start below 0, as chi = 0 is I/4, which no
-    criterion violates (SCG's 3 ln_q 2 and LSC's 0 miss their bounds by at least 0.5); where
-    they end above 0, bisection's first 7 halvings are read by index, down to the first level
-    at most tol wide.  Bisection goes on from there: each miss walks its halvings toward a
-    root interpolated from known neighbours (the four grid points around the bracket or later
-    values, and chi = 1 while that is the upper end) and evaluates their midpoints in one call
-    (any batch gives a point the same bits), so the result is bisection's bit for bit; tol
-    1e-6 takes calls of 129 and 13 points.  No violation gives (1.0, False)."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    Checks criterion, q (for LSC too), tol and theta once each; each kernel call writes its
+    chis' tables from cos(2 theta), sin(2 theta) and evaluates only the solved criterion.  The
+    first call, on the 129 points k/128, checks strict monotonicity.  Its values start below 0,
+    as chi = 0 is I/4, which no criterion violates (SCG's 3 ln_q 2 and LSC's 0 miss their bounds
+    by at least 0.5); where they end above 0, bisection's first 7 halvings are read by index,
+    down to the first level at most tol wide.  Bisection goes on from there: each miss walks its
+    halvings toward a root interpolated from known neighbours (the four grid points around the
+    bracket or later values, and chi = 1 while that is the upper end) and evaluates their
+    midpoints in one call (any batch gives a point the same bits), so the result is bisection's
+    bit for bit; tol 1e-6 takes calls of 129 and 13 points.  No violation gives (1.0, False)."""
     if criterion not in _VIOLATION_SIGN:
         raise ValueError(f"unknown criterion {criterion!r}")
     if criterion == SCG and q is None:
         raise ValueError("SCG threshold requires an entropic index q")
-    q, bound = (None, LSC_BOUND) if criterion == LSC else (float(q), scg_bound(q))
+    _, q, _, bound = criteria_of(() if q is None else (q,))[0 if criterion == SCG else -1]
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     c, s = _werner_angle(theta)  # the first batch is a constant grid in [0, 1]
 
     def f(chis) -> np.ndarray:  # above 0 where violated

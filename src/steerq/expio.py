@@ -45,7 +45,7 @@ class CountsFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One full experiment: a label and read-only int64 counts n[k, i, j].
+    """One full experiment: a str label and read-only int64 counts n[k, i, j].
 
     k is the setting (x, y, z), i Alice's and j Bob's outcome.  Counts must be
     non-negative integers and every setting total must lie in [1, COUNT_LIMIT).
@@ -55,6 +55,8 @@ class ExperimentRecord:
     counts: np.ndarray  # shape (3, 2, 2)
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         raw = np.asarray(self.counts)
         if raw.shape != (3, 2, 2):
             raise ValueError(f"counts must have shape (3, 2, 2), got {raw.shape}")
@@ -212,10 +214,10 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
     p[..., i, j] one row) act on the (3(n+1), 4) rows, read as (n+1, 3, 2, 2) by the kernel.
     Resamples with an empty setting are dropped; at least two must remain.
     """
+    rows = criteria.criteria_of(qs)  # before the bootstrap count
     if not (is_int(bootstrap) and 2 <= bootstrap <= MAX_BOOTSTRAP):
         raise ValueError(f"bootstrap resample count must be in [2, {MAX_BOOTSTRAP}], "
                          f"got {bootstrap}")
-    rows = criteria.criteria_of(qs)  # checks qs before the draws
     rng = spawn_generator(seed, BOOTSTRAP_STREAM)
     columns = np.empty((len(rows), bootstrap + 1))  # one row per criterion, observed first
     filled = 0
@@ -248,10 +250,10 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
 
 def evaluate_state(theta: float, chi: float,
                    qs: Sequence[float] = DEFAULT_QS) -> EvaluationReport:
-    """Analytic evaluation of a Werner-like state; no error bars."""
-    c, s, chi = criteria.single_chi(theta, chi, "evaluate_state")  # checked before the qs
+    """Analytic evaluation of a Werner-like state; no error bars.  The qs are checked first."""
+    rows = criteria.criteria_of(qs)
+    c, s, chi = criteria.single_chi(theta, chi, "evaluate_state")
     p = criteria._werner_tensor(c, s, chi)[0]
-    rows = criteria.criteria_of(qs)  # checks the qs after the state
     return _report(f"werner_like(theta={math.degrees(theta):g}deg, chi={chi:g})", p, rows,
                    criteria.rows_values(p, rows))
 

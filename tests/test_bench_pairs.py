@@ -125,9 +125,14 @@ def test_json_holds_what_is_printed(monkeypatch, capsys, tmp_path):
              ("analytic_scan", "base"): [line(540.0, 1.8), line(542.0, 1.8)],
              ("analytic_scan", "change"): [line(610.0, 1.6), line(615.0, 1.6)]}
 
+    runs = []
+
     def canned(tree, workload, seed, seconds):
-        result = json.loads(lines[workload, "change" if tree == ROOT else "base"].pop(0))
+        side = "change" if tree == ROOT else "base"
+        runs.append(side)
+        result = json.loads(lines[workload, side].pop(0))
         result["metrics"] = {name: result["metrics"].get(name, {"value": 1.0}) for name in names}
+        result["meta"] = {"git_sha": side, "src_lines": len(runs)}  # as run_once adds it
         return json.dumps(result)
 
     monkeypatch.setattr(bench_pairs, "run_once", canned)
@@ -139,6 +144,9 @@ def test_json_holds_what_is_printed(monkeypatch, capsys, tmp_path):
     report = json.loads(out.read_text())
     assert {key: report[key] for key in ("seed", "seconds", "pairs")} == {
         "seed": 5, "seconds": 0.5, "pairs": 2}
+    # each side's meta comes from its first run, the first pair's, which ran base first
+    assert report["meta"] == {"base": {"git_sha": "base", "src_lines": 1},
+                              "change": {"git_sha": "change", "src_lines": 2}}
     assert [w["workload"] for w in report["workloads"]] == ["counts_eval", "analytic_scan"]
     assert [w["failures"] for w in report["workloads"]] == [
         ["pair 2: change failed 3 of 100 ops"], []]
@@ -148,6 +156,18 @@ def test_json_holds_what_is_printed(monkeypatch, capsys, tmp_path):
         assert [row["name"] for row in rows] == names
         assert table.splitlines()[1:] == [*bench_pairs.render(rows).splitlines(),
                                           *workload["failures"]]
+
+
+def test_run_once_adds_the_detail_lines_meta(monkeypatch, tmp_path):
+    # run.py prints its detail line, then the result line; subprocess.run is patched
+    meta = {"git_sha": "abc123", "numpy": "2.4.6", "steerq": "0.7.0", "src_lines": 1017}
+    stdout = ("detail " + json.dumps({"workload": "counts_eval", "meta": meta}) + "\n"
+              + line(500.0, 2.0) + "\n")
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: bench_pairs.subprocess.CompletedProcess(
+                            args, 0, stdout=stdout, stderr=""))
+    result = json.loads(bench_pairs.run_once(tmp_path, "counts_eval", 1, 0.5))
+    assert result == {**json.loads(line(500.0, 2.0)), "meta": meta}
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

@@ -180,9 +180,13 @@ class TestChiThreshold:
         with pytest.raises(ValueError, match=f"^{message}$"):
             chi_threshold(math.radians(22.5), criterion, q=q)
 
-    def test_lsc_ignores_q(self):
+    def test_lsc_checks_q(self):
+        # LSC solves the last criteria_of row, so its q is checked as SCG's is, then unused
         theta = math.radians(7.5)
-        assert chi_threshold(theta, LSC, q=3.0) == chi_threshold(theta, LSC, q=None)
+        with pytest.raises(ValueError) as info:
+            chi_threshold(theta, LSC, q=3.0)
+        assert str(info.value) == "entropic index q must lie in (0, 2], got 3.0"
+        assert chi_threshold(theta, LSC, q=None) == chi_threshold(theta, LSC, q=2.0)
 
     def test_checks_theta_alone_never_the_constant_grid(self, monkeypatch):
         # the first batch is the constant grid k/128, so only theta needs its check

@@ -119,6 +119,13 @@ class TestExperimentRecord:
         with pytest.raises(ValueError):
             rec.counts[0, 0, 0] = 7
 
+    @pytest.mark.parametrize("label", [5, None, b"r"], ids=["int", "none", "bytes"])
+    def test_label_must_be_a_string(self, label):
+        # the report writes the label as a JSON string; 5 was written as 5, None as null
+        with pytest.raises(ValueError) as info:
+            ExperimentRecord(label, np.ones((3, 2, 2), dtype=int))
+        assert str(info.value) == f"label must be a string, got {label!r}"
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match=r"shape \(3, 2, 2\)"):
             ExperimentRecord("r", np.ones((3, 4), dtype=int))
@@ -349,8 +356,10 @@ class TestEvaluateState:
         rep = evaluate_state(THETA_T, 0.55)
         assert rep.criteria[0].lhs == pytest.approx(1.2434129951495554, abs=1e-10)
 
-    @pytest.mark.parametrize("qs", ["21", "2,1", 2.0, {2.0}, (q for q in (2.0, 1.0)), [[2.0]]],
-                             ids=["digits", "comma-list", "number", "set", "generator", "nested"])
+    @pytest.mark.parametrize("qs", ["21", "2,1", 2.0, {2.0}, (q for q in (2.0, 1.0)), [[2.0]],
+                                    (2.0, [1.0])],
+                             ids=["digits", "comma-list", "number", "set", "generator", "nested",
+                                  "ragged"])
     def test_qs_must_be_a_flat_sequence(self, qs):
         record = parse_counts_csv(UNIFORM_CSV)
         for evaluate in (lambda: criteria.criterion_values(record.counts / 1000, qs),
@@ -379,12 +388,13 @@ class TestEvaluateState:
 
 
     @pytest.mark.parametrize("theta, chi, qs, message", [
-        (math.radians(50), 0.5, (3.0,),
-         f"theta={math.radians(50)!r} (50 deg) outside [0, pi/4] ([0, 45] deg)"),
-        (math.nan, 0.5, (2.0, 2), "theta=nan (nan deg) outside [0, pi/4] ([0, 45] deg)"),
-        (THETA_W, 1.5, (0.0,), "chi=1.5 outside [0, 1]"),
-        (THETA_W, [0.2, 0.3], (0.0,), "evaluate_state takes one chi, got 2"),
-        (THETA_W, [0.2, 1.3], (2.0, 2), "chi=1.3 outside [0, 1]"),
+        (math.radians(50), 0.5, (3.0,), "entropic index q must lie in (0, 2], got 3.0"),
+        (math.nan, 0.5, (2.0, 2),
+         "entropic indices 2.0, 2.0 collide in the report keys ['scg_q2', 'scg_q2']"),
+        (THETA_W, 1.5, (0.0,), "entropic index q must lie in (0, 2], got 0.0"),
+        (THETA_W, [0.2, 0.3], (0.0,), "entropic index q must lie in (0, 2], got 0.0"),
+        (THETA_W, [0.2, 1.3], (2.0, 2),
+         "entropic indices 2.0, 2.0 collide in the report keys ['scg_q2', 'scg_q2']"),
         (THETA_W, 0.5, (math.nan, 2, 2), "entropic index q must lie in (0, 2], got nan"),
         (THETA_W, 0.5, (2, 2, 3), "entropic index q must lie in (0, 2], got 3.0"),
         (THETA_W, 0.5, (1.0, 1.0000001),
@@ -393,7 +403,7 @@ class TestEvaluateState:
             "chi-vector-and-collision", "q-and-collision", "collision-and-q",
             "collision"])
     def test_first_of_several_faults_is_reported(self, theta, chi, qs, message):
-        # the state's checks run before the qs'
+        # the qs are checked first, before the state, as in every entry that takes them
         with pytest.raises(ValueError) as info:
             evaluate_state(theta, chi, qs=qs)
         assert str(info.value) == message
@@ -672,7 +682,7 @@ def test_reports_follow_one_criterion_order():
 
 
 class TestEachCheckOnce:
-    """Each entry checks its q list once; the kernel then runs on the checked rows."""
+    """Each entry checks its q list once and first; the kernel then runs on the checked rows."""
 
     def test_evaluate_state_checks_its_qs_once(self, monkeypatch):
         calls = spy(monkeypatch, criteria, "criteria_of")
@@ -693,3 +703,27 @@ class TestEachCheckOnce:
         calls = spy(monkeypatch, criteria, "criteria_of")
         evaluate_record(rec, qs=(2.0, 1.5), bootstrap=1000, seed=5)
         assert calls == [((2.0, 1.5),)]
+
+    @pytest.mark.parametrize("criterion, q, expected", [
+        (criteria.SCG, 1.0, (1.0,)), (criteria.LSC, 2.0, (2.0,)), (criteria.LSC, None, ()),
+    ], ids=["scg", "lsc", "lsc-without-q"])
+    def test_chi_threshold_solves_one_criteria_of_row(self, monkeypatch, criterion, q, expected):
+        calls = spy(monkeypatch, criteria, "criteria_of")
+        criteria.chi_threshold(THETA_T, criterion, q=q)
+        assert calls == [(expected,)]
+
+    @pytest.mark.parametrize("entry, message", [
+        (lambda: criteria.criterion_values(np.full((2, 2), 0.25), (3.0,)), "got 3.0"),
+        (lambda: evaluate_record(parse_counts_csv(UNIFORM_CSV), qs=(0.0,), bootstrap=0),
+         "got 0.0"),
+        (lambda: evaluate_state(math.radians(50), 0.5, qs=(math.nan,)), "got nan"),
+        (lambda: criteria.chi_threshold(THETA_T, criteria.SCG, q=3.0, tol=0.0), "got 3.0"),
+        (lambda: criteria.chi_threshold(THETA_T, criteria.LSC, q=7.0, tol=0.0), "got 7.0"),
+        (lambda: criteria.chi_threshold(math.nan, criteria.LSC, q=-1.0), "got -1.0"),
+    ], ids=["criterion_values-shape", "evaluate_record-bootstrap", "evaluate_state-theta",
+            "chi_threshold-scg-tol", "chi_threshold-lsc-tol", "chi_threshold-lsc-theta"])
+    def test_every_entry_checks_its_qs_first(self, entry, message):
+        # each entry is given a bad q and one other fault; the q's error comes first
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert str(info.value) == f"entropic index q must lie in (0, 2], {message}"

@@ -18,9 +18,10 @@ within its bound when its median is no worse than the base median by more than t
 ``bound`` fraction.  Quartiles are ``statistics.quantiles(..., n=4)``.  A run that failed
 ops or was not correct is named below its table, and the exit status is then 1.
 
-``--json PATH`` also writes what is printed to PATH: the seed, seconds and pairs, and for
-each workload in turn its name, its ``summarize`` rows and its ``failures`` lines.  Only the
-standard library is used.
+``--json PATH`` also writes what is printed to PATH: the seed, seconds and pairs, each side's
+``meta`` block from its first run (git SHA, Python, numpy and steerq versions, ``src_lines``),
+and for each workload in turn its name, its ``summarize`` rows and its ``failures`` lines.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ CLAIM_PAIRS, CLAIM_WINS = 10, 0.9  # a claimed gain needs 10 pairs or more, and 
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> str:
-    """The JSON result line (the last stdout line) of one benchmark run on tree."""
+    """The JSON result line (the last stdout line) of one benchmark run on tree, with the
+    ``meta`` block of its ``detail`` line (git SHA, versions, ``src_lines``) added."""
     proc = subprocess.run([sys.executable, str(tree / "benchmarks" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
@@ -45,7 +47,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> str:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: run.py exited {proc.returncode}\n{proc.stderr}")
-    return lines[-1]
+    detail = json.loads(lines[-2].removeprefix("detail "))
+    return json.dumps({**json.loads(lines[-1]), "meta": detail["meta"]})
 
 
 def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[dict]:
@@ -118,7 +121,8 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"base": args.base.resolve(), "change": ROOT}
-    report = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "workloads": []}
+    report = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "meta": {},
+              "workloads": []}
     for n, workload in enumerate(args.workload.split(",")):
         pairs = []
         for i in range(args.pairs):
@@ -126,6 +130,8 @@ def main(argv=None) -> int:
             lines = {side: run_once(trees[side], workload, args.seed, args.seconds)
                      for side in order}
             pairs.append((lines["base"], lines["change"]))
+            for side in order:  # what was compared, from each side's first run
+                report["meta"].setdefault(side, json.loads(lines[side]).get("meta"))
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
         print("\n" * (n > 0) + f"{workload}, seed {args.seed}, {args.seconds:g} s runs, "
               f"{args.pairs} pairs")
