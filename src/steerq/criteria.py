@@ -12,7 +12,7 @@ Two detectors are provided:
 shape is an error), so one state, a chi grid or a block of bootstrap resamples all go through
 ``_criterion_lhs``, where each formula is written once.  ``scg_bound`` is the one check of an
 entropic index, and ``criteria_of`` builds each q's row through it, at most MAX_QS of them;
-``rows_values`` runs the kernel over rows it returned, so their holder checks nothing again.
+``rows_values`` returns one array per row, in row order; only ``criterion_values`` keys them.
 
 The entropic index is accepted on (0, 2], the range where the mutually
 unbiased bound applies; q = 1 is routed to the Shannon forms, where the
@@ -103,13 +103,13 @@ def criterion_values(p: np.ndarray, qs: Sequence[float]) -> dict[str, np.ndarray
     rows = criteria_of(qs)  # before the shape
     if np.shape(p)[-3:] != (3, 2, 2):
         raise ValueError(f"joint tables must have shape (..., 3, 2, 2), got {np.shape(p)}")
-    return rows_values(p, rows)
+    return dict(zip([c.key for c in rows], rows_values(p, rows)))
 
 
-def rows_values(p: np.ndarray, rows: Sequence[Criterion]) -> dict[str, np.ndarray]:
-    """criterion_values of (..., 3, 2, 2) tables over criteria_of rows, checking nothing again."""
+def rows_values(p: np.ndarray, rows: Sequence[Criterion]) -> list[np.ndarray]:
+    """One (...) array per criteria_of row of (..., 3, 2, 2) tables, in row order, unchecked."""
     marginals = _alice_marginal(p)  # once for every SCG row
-    return {c.key: _criterion_lhs(p, c.q, marginals) for c in rows}
+    return [_criterion_lhs(p, c.q, marginals) for c in rows]
 
 
 def _alice_marginal(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,11 +175,14 @@ def verdict(criterion: str, lhs: float, bound: float, q: Optional[float] = None,
 def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray]:
     """cos(2 theta), sin(2 theta) and the flat chi vector of checked Werner-like states.
 
-    chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>,
-    theta in [0, pi/4] (pi/8 is maximally entangled), every chi in [0, 1].
+    chi * |phi><phi| + (1-chi) * I/4 with |phi> = cos(2 theta)|00> + sin(2 theta)|11>, theta
+    in [0, pi/4] (pi/8 is maximally entangled), chis a real number or flat sequence in [0, 1].
     """
     c, s = _werner_angle(theta)
-    chis = np.asarray(chis, dtype=float).reshape(-1)
+    arr = np.asarray(chis)
+    if arr.ndim > 1 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"chi must be a real number or a flat sequence of them, got {chis!r}")
+    chis = np.asarray(arr, dtype=float).reshape(-1)
     outside = ~((chis >= 0.0) & (chis <= 1.0))
     if outside.any():
         raise ValueError(f"chi={float(chis[outside][0])!r} outside [0, 1]")

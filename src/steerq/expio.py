@@ -190,14 +190,12 @@ def report_to_json(report: EvaluationReport) -> str:
     return layout % tuple(_ENCODE(values)[1:-1].split("\n"))
 
 
-def _report(label: str, p: np.ndarray, rows: Sequence[criteria.Criterion], values: dict,
-            error_bars: Optional[dict] = None, totals: Optional[dict] = None,
+def _report(label: str, p: np.ndarray, rows: Sequence[criteria.Criterion], values: Sequence,
+            error_bars: Optional[Sequence] = None, totals: Optional[dict] = None,
             seed: Optional[int] = None) -> EvaluationReport:
-    """Verdicts of the criteria_of rows on their values for the (3, 2, 2) tables p."""
-    bars = error_bars or {}
-    verdicts = tuple(criteria.verdict(c.name, float(values[c.key]), c.bound, q=c.q,
-                                      error_bar=bars.get(c.key))
-                     for c in rows)
+    """Verdicts of the criteria_of rows on their values and bars, in row order, for tables p."""
+    verdicts = tuple(criteria.verdict(c.name, float(v), c.bound, q=c.q, error_bar=bar)
+                     for c, v, bar in zip(rows, values, error_bars or [None] * len(rows)))
     probabilities = dict(zip(AXES, p.reshape(3, 4).tolist()))
     return EvaluationReport(label, verdicts, probabilities, totals, seed)
 
@@ -233,18 +231,15 @@ def evaluate_record(rec: ExperimentRecord, qs: Sequence[float] = DEFAULT_QS,
         p = np.divide(draws.reshape(-1, 4).T, totals, order="C").T.reshape(-1, 3, 2, 2)
         if start == 0:
             observed, observed_totals = p[0], totals[:3]
-        for column, values in zip(columns, criteria.rows_values(p, rows).values()):
-            column[filled:filled + len(p)] = values
+        columns[:, filled:filled + len(p)] = criteria.rows_values(p, rows)
         filled += len(p)
-    keys = [c.key for c in rows]
     usable = filled - 1
     if usable < 2:
         raise ValueError(f"bootstrap: {usable} of {bootstrap} requested resamples have counts "
                          "in every setting, at least 2 are needed; the counts are too small "
                          "for error bars")
     bars = np.std(columns[:, 1:filled], axis=1, ddof=1)
-    return _report(rec.label, observed, rows, dict(zip(keys, columns[:, 0])),
-                   dict(zip(keys, bars.tolist())),
+    return _report(rec.label, observed, rows, columns[:, 0], bars.tolist(),
                    dict(zip(AXES, observed_totals.tolist())), int(seed))
 
 
@@ -291,8 +286,8 @@ def sweep_curve(theta: float, chi_steps: int) -> np.ndarray:
     n = len(DEFAULT_CRITERIA)
     curve = np.empty((chi_steps, 1 + 2 * n))
     chis = curve[:, 0] = np.linspace(0.0, 1.0, chi_steps)  # in [0, 1]: theta alone needs its check
-    curve.T[1:1 + n] = list(criteria.rows_values(
-        criteria._werner_tensor(*criteria._werner_angle(theta), chis), DEFAULT_CRITERIA).values())
+    curve.T[1:1 + n] = criteria.rows_values(
+        criteria._werner_tensor(*criteria._werner_angle(theta), chis), DEFAULT_CRITERIA)
     curve[:, 1 + n:] = [c.bound for c in DEFAULT_CRITERIA]
     return curve
 
@@ -364,7 +359,7 @@ def reproduce_tables() -> TableComparison:
     chis = np.array([row[0] for _, _, table in REFERENCE_FAMILIES for row in table])
     values = criteria.rows_values(  # both families' 20 tables in one kernel call
         criteria._werner_tensor(cos, sin, chis), DEFAULT_CRITERIA)
-    analytic = zip(*(values[c.key].tolist() for c in DEFAULT_CRITERIA))
+    analytic = zip(*(v.tolist() for v in values))
     measured = [(family, row) for family, _, table in REFERENCE_FAMILIES for row in table]
     return TableComparison(tuple(
         ComparisonRow(family, chi, c.key, value, reference)

@@ -166,8 +166,21 @@ def test_run_once_adds_the_detail_lines_meta(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs.subprocess, "run",
                         lambda *args, **kwargs: bench_pairs.subprocess.CompletedProcess(
                             args, 0, stdout=stdout, stderr=""))
-    result = json.loads(bench_pairs.run_once(tmp_path, "counts_eval", 1, 0.5))
-    assert result == {**json.loads(line(500.0, 2.0)), "meta": meta}
+    package = tmp_path / "src" / "steerq"
+    package.mkdir(parents=True)
+    for name in ("criteria.py", "expio.py"):
+        (package / name).write_text(f"# {name}\nVALUE = 1\n")
+
+    def digest():
+        result = json.loads(bench_pairs.run_once(tmp_path, "counts_eval", 1, 0.5))
+        assert result == {**json.loads(line(500.0, 2.0)),
+                          "meta": {**meta, "src_sha256": result["meta"]["src_sha256"]}}
+        return result["meta"]["src_sha256"]
+
+    before = digest()
+    assert len(before) == 64 and digest() == before
+    (package / "expio.py").write_text("# expio.py\nVALUE = 2\n")  # one byte changed
+    assert digest() != before
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

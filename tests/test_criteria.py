@@ -463,7 +463,7 @@ class TestLayoutInvariance:
     analytic_tensor Fortran-ordered ones (reversed stride order: each p[..., i, j] one contiguous
     block over states and settings).  Both, and a strided view, give the C-ordered tables' bits,
     at both Shannon-routed neighbours of q = 1 too, and rows_values with its one Alice marginal
-    gives each row's own _criterion_lhs bits.  Strides stay
+    gives each row's own _criterion_lhs bits, in row order.  Strides stay
     positive: numpy's vectorised power runs on those only, and rounds a few q = 1.5 cells
     differently from its scalar loop.
     """
@@ -485,11 +485,12 @@ class TestLayoutInvariance:
         for layout in self.layouts(p):
             assert np.array_equal(layout, p)
             got = criterion_values(layout, qs)
-            each = {c.key: criteria._criterion_lhs(layout, c.q) for c in rows}
-            for key, value in criteria.rows_values(layout, rows).items():
-                assert_same_bits(got[key], want[key])
-                assert_same_bits(value, want[key])
-                assert_same_bits(each[key], want[key])
+            in_row_order = criteria.rows_values(layout, rows)
+            assert len(in_row_order) == len(rows)  # QSETS[0] is not in key order
+            for c, value in zip(rows, in_row_order):
+                assert_same_bits(got[c.key], want[c.key])
+                assert_same_bits(value, want[c.key])
+                assert_same_bits(criteria._criterion_lhs(layout, c.q), want[c.key])
 
     @pytest.mark.parametrize("qs", QSETS)
     def test_poisson_blocks(self, poisson_blocks, qs):

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (I2, PAULIS, assert_same_bits, random_density, rebuilt_roots_fidelity,
                      reference_fidelity, reference_werner_matrix)
-from steerq import evaluate_state, qmat, simulate_record
+from steerq import analytic_tensor, evaluate_state, qmat, simulate_record
 from steerq.qmat import DensityMatrix, fidelity, make_werner_like, validate_density
 
 
@@ -100,11 +100,20 @@ class TestWernerLike:
             with pytest.raises(ValueError, match=f"takes one chi, got {size}$"):
                 make(0.3, chis)
 
-    @pytest.mark.parametrize("chi", [0.5, [0.5], np.array([[0.5]]), np.float32(0.5)])
+    @pytest.mark.parametrize("chi", [0.5, [0.5], np.array([0.5]), np.float32(0.5)])
     def test_one_chi_in_any_shape_labels_the_float(self, chi):
         assert evaluate_state(0.3, chi).label == "werner_like(theta=17.1887deg, chi=0.5)"
         assert simulate_record(0.3, chi, 1000, 0).label == (
             "simulated werner_like(theta=17.1887deg, chi=0.5, shots=1000, seed=0)")
+
+    @pytest.mark.parametrize("chi", [[[0.1, 0.2]], np.array([[0.5]]), "0.5", True, [True, False],
+                                     None], ids=["nested", "2-d", "string", "bool", "bools", "none"])
+    def test_rejects_a_chi_that_is_not_a_real_number_or_a_flat_sequence(self, chi):
+        message = f"chi must be a real number or a flat sequence of them, got {chi!r}"
+        for make in (analytic_tensor, make_werner_like, evaluate_state,
+                     lambda theta, chi: simulate_record(theta, chi, 1000, 0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(0.3, chi)
 
     def test_closed_form_matches_outer_product_bits(self):
         thetas = [0.0, 1e-300, math.pi / 8, math.pi / 4, *np.linspace(0, math.pi / 4, 19)]

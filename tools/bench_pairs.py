@@ -19,14 +19,16 @@ within its bound when its median is no worse than the base median by more than t
 ops or was not correct is named below its table, and the exit status is then 1.
 
 ``--json PATH`` also writes what is printed to PATH: the seed, seconds and pairs, each side's
-``meta`` block from its first run (git SHA, Python, numpy and steerq versions, ``src_lines``),
-and for each workload in turn its name, its ``summarize`` rows and its ``failures`` lines.
+``meta`` block from its first run (git SHA, Python, numpy and steerq versions, ``src_lines``,
+and ``src_sha256``, which tells apart trees that have no git SHA or uncommitted edits), and
+for each workload in turn its name, its ``summarize`` rows and its ``failures`` lines.
 Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -39,7 +41,8 @@ CLAIM_PAIRS, CLAIM_WINS = 10, 0.9  # a claimed gain needs 10 pairs or more, and 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> str:
     """The JSON result line (the last stdout line) of one benchmark run on tree, with the
-    ``meta`` block of its ``detail`` line (git SHA, versions, ``src_lines``) added."""
+    ``meta`` block of its ``detail`` line (git SHA, versions, ``src_lines``) and the tree's
+    ``src_sha256`` added."""
     proc = subprocess.run([sys.executable, str(tree / "benchmarks" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
@@ -48,7 +51,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> str:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: run.py exited {proc.returncode}\n{proc.stderr}")
     detail = json.loads(lines[-2].removeprefix("detail "))
-    return json.dumps({**json.loads(lines[-1]), "meta": detail["meta"]})
+    meta = {**detail["meta"], "src_sha256": src_sha256(tree)}
+    return json.dumps({**json.loads(lines[-1]), "meta": meta})
+
+
+def src_sha256(tree: Path) -> str:
+    """SHA-256 over the name, size and bytes of each src/steerq/*.py of tree, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "steerq").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[dict]:
