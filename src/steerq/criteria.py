@@ -57,10 +57,14 @@ def scg_key(q: float) -> str:
     return f"scg_q{q:g}"
 
 
+def _is_real(x) -> bool:  # a Python or numpy integer or float, not a bool: theta, q and tol
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def scg_bound(q: float) -> float:
-    """The one q check, q in (0, Q_MAX], and SCG's bound 3 ln_q(3/2), or 2 ln 2 at q = 1."""
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0 or q > Q_MAX:
+    """The one q check, a real q in (0, Q_MAX], and SCG's bound 3 ln_q(3/2), or 2 ln 2 at q = 1."""
+    q = float(q) if _is_real(q) else q
+    if not (_is_real(q) and 0.0 < q <= Q_MAX):  # NaN and +-inf fail the range
         raise ValueError(f"entropic index q must lie in (0, {Q_MAX:g}], got {q!r}")
     return (2.0 * math.log(2.0) if qentropy.is_shannon(q)
             else 3 * ((1.5 ** (1.0 - q) - 1.0) / (1.0 - q)))  # ln_q(x) = (x^(1-q) - 1)/(1 - q)
@@ -88,7 +92,8 @@ def criteria_of(qs: Sequence[float]) -> tuple[Criterion, ...]:
         raise ValueError(f"entropic indices must be a flat sequence of numbers, got {qs!r}")
     if len(qs) > MAX_QS:
         raise ValueError(f"at most {MAX_QS} entropic indices are accepted, got {len(qs)}")
-    rows = tuple(Criterion(SCG, float(q), scg_key(float(q)), scg_bound(q)) for q in qs)
+    rows = tuple(Criterion(SCG, float(q), scg_key(float(q)), bound)  # bound checks q first
+                 for q, bound in zip(qs, map(scg_bound, qs)))
     keys = [c.key for c in rows]
     if len(set(keys)) != len(keys):
         raise ValueError(f"entropic indices {', '.join(f'{c.q!r}' for c in rows)} "
@@ -190,6 +195,8 @@ def werner_like_parameters(theta: float, chis) -> tuple[float, float, np.ndarray
 
 
 def _werner_angle(theta: float) -> tuple[float, float]:  # the one theta check; cos, sin of 2 theta
+    if not _is_real(theta):
+        raise ValueError(f"theta must be a real number, got {theta!r}")
     if not 0.0 <= theta <= math.pi / 4 + 1e-12:
         raise ValueError(f"theta={theta!r} ({math.degrees(theta):.12g} deg) "
                          "outside [0, pi/4] ([0, 45] deg)")
@@ -256,7 +263,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     if criterion == SCG and q is None:
         raise ValueError("SCG threshold requires an entropic index q")
     _, q, _, bound = criteria_of(() if q is None else (q,))[0 if criterion == SCG else -1]
-    if not 0.0 < tol < 1.0:
+    if not (_is_real(tol) and 0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     c, s = _werner_angle(theta)  # the first batch is a constant grid in [0, 1]
 
@@ -280,7 +287,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
     # the only grid points a look-ahead reads: the depth-7 bracket and its outer neighbours
     known = dict(zip(_FIRST_CHIS[max(j - 2, 0):j + 2], values[max(j - 2, 0):j + 2].tolist()))
 
-    def look_ahead(lo: float, hi: float, iterations_left: int) -> list[float]:
+    def look_ahead(lo: float, hi: float) -> list[float]:
         h = hi - lo
         xs = [x for x in (lo - h, lo, hi, hi + h) if x in known]  # lo and hi always are
         ys = [known[x] for x in xs]
@@ -297,7 +304,7 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
         points = set()  # the first halving of each path adds the midpoint
         for target in [estimate] + [hi] * (hi == 1.0):  # no value past chi = 1 guides the estimate
             a, b = lo, hi
-            for _ in range(iterations_left):  # the main loop's halvings and stopping rule
+            for _ in range(BISECTION_MAX_ITER):  # the main loop's cap and stopping rule
                 if b - a <= tol:
                     break
                 m = (a + b) / 2.0
@@ -305,12 +312,12 @@ def chi_threshold(theta: float, criterion: str = SCG, q: Optional[float] = 2.0,
                 a, b = (a, m) if target < m else (m, b)
         return sorted(points)
 
-    for i in range(depth, BISECTION_MAX_ITER):
+    for _ in range(depth, BISECTION_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0
         if mid not in known:
-            points = look_ahead(lo, hi, BISECTION_MAX_ITER - i)
+            points = look_ahead(lo, hi)
             known.update(zip(points, f(np.array(points)).tolist()))
         if known[mid] > 0.0:
             hi = mid

@@ -36,15 +36,6 @@ class TestSimulate:
         rec = parse_counts_csv(out.read_text())
         assert all(total > 15000 for total in rec.counts.sum(axis=(1, 2)))
 
-    def test_bell_state_zero_cells(self, tmp_path):
-        out = tmp_path / "bell.csv"
-        code, _, _ = run_cli("simulate", "--theta", "22.5", "--chi", "1",
-                             "--shots", "1000000", "--seed", "7", "--out", str(out))
-        assert code == EXIT_OK
-        rec = parse_counts_csv(out.read_text())
-        z = rec.counts[2]
-        assert z[0, 1] == 0 and z[1, 0] == 0
-
     def test_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -76,24 +67,6 @@ class TestSimulate:
 
 
 class TestEval:
-    def test_bell_counts_all_steerable(self, tmp_path):
-        path = tmp_path / "bell.csv"
-        run_cli("simulate", "--theta", "22.5", "--chi", "1",
-                "--shots", "1000000", "--seed", "3", "--out", str(path))
-        code, out, _ = run_cli("eval", "--counts", str(path), "--seed", "1")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert [c["steerable"] for c in doc["criteria"]] == [True, True, True]
-
-    def test_uniform_counts_not_steerable(self, tmp_path):
-        code, out, _ = run_eval(tmp_path, counts_csv({}, 250))
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert [c["steerable"] for c in doc["criteria"]] == [False, False, False]
-        assert doc["bounds"] == {"scg_q2": 1.0,
-                                 "scg_q1": pytest.approx(2 * math.log(2)),
-                                 "lsc": 1.0}
-
     def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
         text = "# exported\n" + counts_csv({("x", "00"): 40, ("z", "11"): 0})

@@ -102,10 +102,6 @@ class TestFormEquivalence:
     def test_bell_state_value(self):
         assert scg_lhs_entropic(werner_tables(THETA_W, 1.0), 2.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_forms_agree_at_q1(self):
-        p = werner_tables(THETA_W, 0.7)
-        assert scg(p, 1.0) == pytest.approx(scg_lhs_entropic(p, 1.0), abs=1e-12)
-
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
     def test_entropic_route_rejects_nan_tables(self, q):
         # NaN fails every comparison, so it once passed the checks and read as steering
@@ -165,7 +161,7 @@ class TestChiThreshold:
                 assert margin >= 0.5 - 1e-12, (theta, c.key, margin)
 
     def test_rejects_bad_tol(self):
-        for tol in (math.nan, math.inf, -1.0, 0.0, 1.0, 1.5):
+        for tol in (math.nan, math.inf, -1.0, 0.0, 1.0, 1.5, "1e-6"):
             with pytest.raises(ValueError, match=rf"^tol must lie in \(0, 1\), got {tol!r}$"):
                 chi_threshold(math.radians(22.5), SCG, q=2.0, tol=tol)
 
@@ -175,6 +171,9 @@ class TestChiThreshold:
         (SCG, None, "SCG threshold requires an entropic index q"),
         (SCG, 3.0, r"entropic index q must lie in \(0, 2\], got 3.0"),
         (SCG, math.nan, r"entropic index q must lie in \(0, 2\], got nan"),
+        (SCG, True, r"entropic index q must lie in \(0, 2\], got True"),
+        (SCG, "2", r"entropic index q must lie in \(0, 2\], got '2'"),
+        (LSC, "x", r"entropic index q must lie in \(0, 2\], got 'x'"),
     ])
     def test_dispatch_messages(self, criterion, q, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -215,15 +214,6 @@ class TestChiThreshold:
                 continue
             got = chi_threshold(theta, criterion, q, tol)
             assert (got.chi.hex(), got.crossed) == (expected.chi.hex(), expected.crossed), theta
-
-    @pytest.mark.parametrize("theta_deg, criterion, q", [(22.5, SCG, 2.0), (7.5, SCG, 2.0),
-                                                         (7.5, SCG, 1.0), (7.5, LSC, None)])
-    def test_default_tol_takes_at_most_five_kernel_calls(self, monkeypatch, theta_deg,
-                                                          criterion, q):
-        # one monotonicity batch plus the look-ahead's calls; bisection made 21 calls
-        calls = spy(monkeypatch, criteria, "_criterion_lhs")
-        assert chi_threshold(math.radians(theta_deg), criterion, q=q).crossed
-        assert 1 <= len(calls) <= 5
 
     @pytest.mark.parametrize("theta_deg, criterion, q, expected", [
         (22.5, SCG, 2.0, 2), (7.5, SCG, 2.0, 2), (7.5, SCG, 1.0, 2), (7.5, LSC, None, 2),
@@ -357,13 +347,6 @@ class TestClosedFormThresholds:
 
 
 class TestProperties:
-    def test_lhs_non_increasing_in_chi(self):
-        for theta in (math.radians(22.5), math.radians(7.5)):
-            for q in (2.0, 1.0):
-                values = [scg(werner_tables(theta, chi), q)
-                          for chi in np.linspace(0, 1, 101)]
-                assert np.all(np.diff(values) <= 1e-12)
-
     def test_q2_gives_widest_violation_margin(self):
         # for a steerable Werner state the bound-minus-lhs margin peaks at q = 2
         values = criterion_values(werner_tables(THETA_W, 0.7), (1.25, 1.5, 1.75, 2.0))
@@ -587,8 +570,12 @@ class TestAnalyticTensor:
         (0.3, -1e-300, "chi=-1e-300 outside [0, 1]"),
         (0.3, 1.0 + 2.0**-52, "chi=1.0000000000000002 outside [0, 1]"),
         (0.3, [0.5, 1.0 + 2.0**-52, -1.0], "chi=1.0000000000000002 outside [0, 1]"),
+        ("0.3", 0.5, "theta must be a real number, got '0.3'"),
+        (None, 0.5, "theta must be a real number, got None"),
+        (False, 0.5, "theta must be a real number, got False"),
     ], ids=["theta-nan", "theta-inf", "theta-negative", "theta-above-45deg",
-            "chi-nan", "chi-inf", "chi-negative", "chi-above-1", "chi-vector"])
+            "chi-nan", "chi-inf", "chi-negative", "chi-above-1", "chi-vector",
+            "theta-string", "theta-none", "theta-bool"])
     def test_range_messages(self, theta, chi, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             analytic_tensor(theta, chi)

@@ -125,18 +125,6 @@ class TestSimulateCounts:
         # each cell Poisson(250000): 5 sigma = 2500
         assert np.all(np.abs(counts - 250_000) < 2500)
 
-    def test_streams_are_distinct(self):
-        # chi = 0 gives every setting the same table, so shared streams
-        # would give equal counts
-        theta, shots, seed = math.pi / 8, 50_000, 123
-        counts = simulate_record(theta, 0.0, shots, seed).counts
-        assert not np.array_equal(counts[0], counts[1])
-        assert not np.array_equal(counts[1], counts[2])
-        p = analytic_tensor(theta, 0.0)[0]
-        for k in range(3):
-            expected = spawn_generator(seed, k).poisson(lam=shots * p[k])
-            assert np.array_equal(counts[k], expected)
-
     def test_rejects_bad_args(self):
         for shots in (0, -5):
             with pytest.raises(ValueError, match="shots"):
